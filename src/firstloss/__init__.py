@@ -31,12 +31,11 @@ from .selection import (
     run_pipeline,
     sensitivity_sweep,
 )
-from .valuation import FeeMetrics, ValuePair, evaluate_fee, investor_value, manager_value, optimize_traditional
+from .valuation import FeeMetrics, evaluate_fee, investor_value, manager_value, optimize_traditional
 from .wealth import (
     OptimalWealthSolution,
     SolveError,
     moments,
-    optimal_terminal_value,
     sharpe_ratio,
     solve_y_star,
     terminal_value_array,
@@ -67,7 +66,6 @@ __all__ = [
     "QuadratureError",
     "RunConfig",
     "SolveError",
-    "ValuePair",
     "brute_pointwise",
     "build_envelope",
     "classify_case",
@@ -87,7 +85,6 @@ __all__ = [
     "mc_budget",
     "mc_value",
     "moments",
-    "optimal_terminal_value",
     "optimize_traditional",
     "partial_power_expectation",
     "pointwise_argmax",

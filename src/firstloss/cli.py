@@ -32,12 +32,11 @@ from .selection import (
     SelectionError,
     constant_mix_benchmark,
     constrained_preferred_fee,
-    preferred_fee,
     run_pipeline,
     sensitivity_sweep,
 )
-from .valuation import evaluate_fee, investor_value, manager_value, optimize_traditional
-from .wealth import SolveError, moments, sharpe_ratio, solve_y_star
+from .valuation import evaluate_fee, investor_value, manager_value
+from .wealth import SolveError, moments, sharpe_from_moments, solve_y_star
 
 CONFIG_ENV = "FIRSTLOSS_CONFIG"
 
@@ -130,7 +129,7 @@ def cmd_wealth(config: RunConfig, args) -> str:
         "z_thresholds": list(sol.thresholds()),
         "expected_value": ev,
         "variance": ev2 - ev * ev,
-        "sharpe": sharpe_ratio(sol),
+        "sharpe": sharpe_from_moments(config.market, ev, ev2),
     }
     path = _out(config, "wealth.json")
     _write_json(path, config, payload)
@@ -224,16 +223,22 @@ _AXIS_DEFAULTS = {
 }
 
 
+def _parse_axis_values(axis: str, text: str) -> list:
+    """'bm,bi;bm,bi' pairs for the ba axis, comma-separated floats otherwise."""
+    try:
+        if axis == "ba":
+            pairs = [pair.split(",") for pair in text.split(";")]
+            if any(len(pair) != 2 for pair in pairs):
+                raise ValueError
+            return [(float(bm), float(bi)) for bm, bi in pairs]
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        shape = "'bm,bi;bm,bi' pairs" if axis == "ba" else "comma-separated numbers"
+        raise ConfigError(f"--values for axis {axis} must be {shape} (got {text!r})") from None
+
+
 def cmd_sensitivity(config: RunConfig, args) -> str:
-    values = _AXIS_DEFAULTS[args.axis]
-    if args.values:
-        if args.axis == "ba":
-            values = []
-            for pair in args.values.split(";"):
-                bm, bi = pair.split(",")
-                values.append((float(bm), float(bi)))
-        else:
-            values = [float(v) for v in args.values.split(",")]
+    values = _parse_axis_values(args.axis, args.values) if args.values else _AXIS_DEFAULTS[args.axis]
     cells = sensitivity_sweep(
         args.axis, values, config.market, config.manager, config.investor,
         config.steps, workers=config.workers,
@@ -359,6 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _message(exc: Exception) -> str:
+    # notes name the fee a sweep failed at
+    return "; ".join([str(exc), *getattr(exc, "__notes__", ())])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -373,10 +383,10 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(config_path, overrides)
         summary = args.func(config, args)
     except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_message(exc)}", file=sys.stderr)
         return 1
     except _NUMERIC_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {_message(exc)}", file=sys.stderr)
         return 2
     print(summary)
     return 0

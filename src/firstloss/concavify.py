@@ -4,13 +4,15 @@ dual maximizer.
 The composite utility is flat on [0, Theta1), then concave increasing with a
 concave kink at Theta2.  Its envelope replaces [0, theta1) by a chord from
 (0, U(0)); theta1 >= Theta1 is unique.  Where theta1 falls determines the
-regime (CaseTag) and the closed forms used downstream.
+regime (CaseTag), and build_envelope turns the regime into the band table
+that every closed form downstream loops over.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from scipy.optimize import brentq
 
@@ -30,6 +32,17 @@ _BRACKET_CAP = 2.0**60
 
 class EnvelopeError(RuntimeError):
     """Root bracketing failed; carries the scanned interval."""
+
+
+class Band(NamedTuple):
+    """One piece of the optimal fund value in the dual coordinate u = y z:
+    V = coef * u^(-1/b) + const on u_lo <= u < u_hi.  coef = 0 marks a flat
+    band, where V is the constant const."""
+
+    u_lo: float
+    u_hi: float
+    coef: float
+    const: float
 
 
 @dataclass(frozen=True)
@@ -55,6 +68,10 @@ class ConcaveEnvelope:
     # marginal slopes at the branch edges of the dual problem, descending
     slope_i3: float = field(repr=False)    # upper marginal of the last piece
     slope_i2: float = field(repr=False)    # upper marginal of the middle piece (case C)
+
+    # contiguous from u = 0 to u = slope, the performance-fee piece first;
+    # V = 0 for u >= slope
+    bands: tuple[Band, ...] = field(repr=False)
 
     def utility(self, v: float) -> float:
         """The original (non-concave) composite utility."""
@@ -117,27 +134,37 @@ def build_envelope(fee: FeeStructure, p: HaraParams, v0: float) -> ConcaveEnvelo
     case = classify_case(fee, p, v0)
     u0 = manager_composite_utility(fee, p, v0, 0.0)
 
+    slope_i3 = fee.alpha * _power(fee.m * v0 + p.a, -p.b)
+    slope_i2 = _power(fee.m * v0 + p.a, -p.b)
+    # performance-fee piece: the inverse marginal of the last utility piece
+    power_coef = _power(fee.alpha, (1.0 - p.b) / p.b)
+    power_const = (1.0 + fee.m - fee.m / fee.alpha) * v0 - p.a / fee.alpha
     if case is CaseTag.A:
         theta1, slope = _theta1_case_a(fee, p, v0)
         theta2 = theta1
+        bands = (Band(0.0, slope, power_coef, power_const),)
     elif case is CaseTag.B:
         theta1 = theta2 = kink2
         slope = chord_slope_h(fee, p, v0)
+        bands = (Band(0.0, slope_i3, power_coef, power_const), Band(slope_i3, slope, 0.0, kink2))
     else:
         theta1, slope = _theta1_case_c(fee, p, v0)
         theta2 = kink2
+        bands = (
+            Band(0.0, slope_i3, power_coef, power_const),
+            Band(slope_i3, slope_i2, 0.0, kink2),
+            Band(slope_i2, slope, 1.0, v0 - p.a),          # the middle piece's inverse marginal
+        )
 
     # The flat first piece makes the chord slope from zero vanish at kink1,
     # so the envelope's line can never stop exactly there.
     if theta1 < kink1:
         raise EnvelopeError(f"theta1={theta1} below the first kink {kink1}")
 
-    slope_i3 = fee.alpha * _power(fee.m * v0 + p.a, -p.b)
-    slope_i2 = _power(fee.m * v0 + p.a, -p.b)
     return ConcaveEnvelope(
         fee=fee, hara=p, v0=v0, case_tag=case,
         theta1=theta1, theta2=theta2, slope=slope, u_at_zero=u0,
-        kink1=kink1, kink2=kink2, slope_i3=slope_i3, slope_i2=slope_i2,
+        kink1=kink1, kink2=kink2, slope_i3=slope_i3, slope_i2=slope_i2, bands=bands,
     )
 
 

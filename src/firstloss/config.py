@@ -4,7 +4,7 @@ the base-case parameterization used across the numerical studies."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .market import MarketParams
@@ -137,8 +137,3 @@ def load_config(path: str | Path | None = None, overrides: dict[str, str] | None
         outdir=pick("run", "outdir", "out"),
         workers=pick("run", "workers", None),
     )
-
-
-def with_market(config: RunConfig, **kwargs) -> RunConfig:
-    """Functional update of the market block (sensitivity sweeps)."""
-    return replace(config, market=replace(config.market, **kwargs))

@@ -106,11 +106,6 @@ def partial_power_expectation(params: MarketParams, k: float, a: float, b: float
     return scale * (lo - hi)
 
 
-def band_probability(params: MarketParams, a: float, b: float) -> float:
-    """P(a < Z_T < b); the k = 0 special case kept for readability."""
-    return partial_power_expectation(params, 0.0, a, b)
-
-
 def sample_z(params: MarketParams, seed: int, n: int) -> np.ndarray:
     """n i.i.d. draws of Z_T, deterministic given the seed."""
     if n < 1:
@@ -118,12 +113,3 @@ def sample_z(params: MarketParams, seed: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(n) * math.sqrt(params.horizon_T)
     return np.exp(-params.log_drift - params.gamma * w)
-
-
-def kernel_to_normal(params: MarketParams, z: float) -> float:
-    """The standardized normal coordinate w with Z_T(w * sqrt(T) ... ) = z.
-
-    Inverse of z = exp(-(r+g^2/2)T - g sqrt(T) w); bands (z_lo, z_hi) on the
-    kernel map to (d(z_hi), d(z_lo)) in w, which is what the quadrature uses.
-    """
-    return _d_bound(params, z)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concavify import ConcaveEnvelope, envelope_eval
-from .contract import FeeStructure, investor_payoff, manager_payoff
+from .contract import FeeStructure
 from .market import MarketParams
 from .preferences import HaraParams
 from .wealth import OptimalWealthSolution, terminal_value_array
@@ -120,19 +120,6 @@ def _payoff_array(fee: FeeStructure, v0: float, v: np.ndarray, party: str) -> np
         np.where(net < v0, v - v0, fee.m * v0 + fee.alpha * (v - (1.0 + fee.m) * v0)),
     )
     return mgr if party == "M" else v - mgr
-
-
-def mc_moments(
-    sol: OptimalWealthSolution,
-    market: MarketParams,
-    seed: int,
-    n: int,
-    streams: int = 8,
-) -> tuple[McEstimate, McEstimate]:
-    """Monte Carlo (E[V], E[V^2])."""
-    first = _mc_mean(market, seed, n, streams, lambda z: terminal_value_array(sol, z))
-    second = _mc_mean(market, seed, n, streams, lambda z: terminal_value_array(sol, z) ** 2)
-    return first, second
 
 
 def _envelope_values(env: ConcaveEnvelope, v: np.ndarray) -> np.ndarray:

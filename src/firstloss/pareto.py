@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
@@ -117,16 +117,22 @@ def _eval_chunk(args) -> list[tuple[int, float, float, float, str, bool]]:
             continue
         try:
             metrics = evaluate_fee(fee, market, manager, investor)
-        except Exception as exc:                     # annotate and re-raise
-            raise RuntimeError(f"lattice evaluation failed at fee {fee}: {exc}") from exc
+        except Exception as exc:                     # keep the type, name the fee
+            exc.add_note(f"lattice evaluation failed at fee {fee}")
+            raise
         rows.append((idx, metrics.phi_M, metrics.phi_I, metrics.sharpe, metrics.case_tag.value, True))
     return rows
 
 
 def default_workers() -> int:
+    from .config import ConfigError              # config imports this module
+
     env = os.environ.get("FIRSTLOSS_WORKERS")
     if env:
-        return max(0, int(env))
+        try:
+            return max(0, int(env))
+        except ValueError:
+            raise ConfigError(f"FIRSTLOSS_WORKERS must be an integer (got {env!r})") from None
     return min(os.cpu_count() or 1, 8)
 
 

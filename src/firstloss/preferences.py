@@ -78,13 +78,6 @@ def hara_marginal(p: HaraParams, wealth: float) -> float:
     return _power(wealth + p.a, -p.b)
 
 
-def hara_inverse_marginal(p: HaraParams, y: float) -> float:
-    """Solves u'(v) = y for v."""
-    if y <= 0.0:
-        raise PreferenceError(f"marginal utility must be > 0 (got {y})")
-    return _power(y, -1.0 / p.b) - p.a
-
-
 def fee_admissible(fee: FeeStructure, manager: HaraParams, investor: HaraParams, v0: float) -> bool:
     """Whether both utilities are finite at the parties' minimal payoffs.
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .contract import FeeStructure, investor_payoff, manager_payoff
 from .market import MarketParams
-from .pareto import Frontier, GridSteps, ParetoPoint, grid_scan, sweep_frontier
+from .pareto import Frontier, GridSteps, grid_scan, sweep_frontier
 from .preferences import HaraParams, hara_utility
 from .quadrature import integrate
 from .valuation import evaluate_fee

@@ -17,19 +17,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .contract import ALPHA_MAX, ALPHA_MIN, M_MAX, FeeStructure
-from .market import MarketParams, kernel_to_normal, partial_power_expectation
-from .preferences import CaseTag, HaraParams, _power, require_admissible
+from .market import MarketParams, _d_bound, partial_power_expectation
+from .preferences import CaseTag, HaraParams, _power, hara_utility, require_admissible
 from .quadrature import integrate
-from .wealth import OptimalWealthSolution, moments, sharpe_ratio, solve_y_star
+from .wealth import OptimalWealthSolution, moments, sharpe_from_moments, solve_y_star
 
 _W_CUTOFF = 10.0
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class ValuePair:
-    phi_M: float
-    phi_I: float
 
 
 @dataclass(frozen=True)
@@ -48,23 +42,21 @@ class FeeMetrics:
 
 
 def manager_value(sol: OptimalWealthSolution) -> float:
-    """E[U_M(V)] in closed form: the ruin constant plus power-moment terms
-    over the solution's kernel bands."""
+    """E[U_M(V)] in closed form: the ruin constant plus one term per kernel
+    band.  On a power band the manager's utility is coef u^((b-1)/b) / (1-b),
+    on a flat band the utility of her constant payoff."""
     env, market, y = sol.envelope, sol.market, sol.y_star
-    fee, p, v0 = env.fee, env.hara, env.v0
-    b = p.b
-    ppe = lambda k, lo, hi: partial_power_expectation(market, k, lo, hi)
-
-    out = env.u_at_zero * ppe(0.0, sol.z_support, math.inf)
-    coef = _power(fee.alpha, (1.0 - b) / b) * _power(y, (b - 1.0) / b) / (1.0 - b)
-    out += coef * ppe(1.0 - 1.0 / b, 0.0, sol.z_power_end)
-    if env.case_tag is not CaseTag.A:
-        z_flat = sol.z_support if env.case_tag is CaseTag.B else sol.z_flat_end
-        flat_util = _power(fee.m * v0 + p.a, 1.0 - b) / (1.0 - b)
-        out += flat_util * ppe(0.0, sol.z_power_end, z_flat)
-        if env.case_tag is CaseTag.C:
-            coef_mid = _power(y, (b - 1.0) / b) / (1.0 - b)
-            out += coef_mid * ppe(1.0 - 1.0 / b, z_flat, sol.z_support)
+    b = env.hara.b
+    y_pow = _power(y, (b - 1.0) / b)
+    out = env.u_at_zero * partial_power_expectation(market, 0.0, sol.z_support, math.inf)
+    for u_lo, u_hi, coef, _ in env.bands:
+        lo, hi = u_lo / y, u_hi / y
+        if coef:
+            out += coef * y_pow / (1.0 - b) * partial_power_expectation(market, 1.0 - 1.0 / b, lo, hi)
+        else:
+            # V sits at the upper kink (1+m) v0, which pays the manager m v0;
+            # taken directly, as (1+m) v0 - m v0 need not round back to v0
+            out += hara_utility(env.hara, env.fee.m * env.v0) * partial_power_expectation(market, 0.0, lo, hi)
     return out
 
 
@@ -72,15 +64,14 @@ def investor_mixed_coefficients(sol: OptimalWealthSolution, investor: HaraParams
     """(k, l) of the investor's payoff on the performance-fee band:
     I(V(z)) + a_I = k z^(-1/b_M) + l."""
     fee, p = sol.fee, sol.envelope.hara
-    y = sol.y_star
-    k = (1.0 - fee.alpha) * _power(fee.alpha, (1.0 - p.b) / p.b) * _power(y, -1.0 / p.b)
+    k = (1.0 - fee.alpha) * sol.envelope.bands[0].coef * _power(sol.y_star, -1.0 / p.b)
     l = (1.0 + fee.m - fee.m / fee.alpha) * sol.envelope.v0 + p.a * (1.0 - 1.0 / fee.alpha) + investor.a
     return k, l
 
 
 def investor_value(sol: OptimalWealthSolution, investor: HaraParams) -> float:
-    """E[U_I(I(V))]: ruin constant, flat-guarantee band, and the mixed
-    power expectation by quadrature."""
+    """E[U_I(I(V))]: ruin constant, the guaranteed v0 on every band after the
+    first, and the mixed power expectation over the first band by quadrature."""
     env, market = sol.envelope, sol.market
     fee, v0 = env.fee, env.v0
     bI = investor.b
@@ -88,13 +79,12 @@ def investor_value(sol: OptimalWealthSolution, investor: HaraParams) -> float:
 
     ruin_base = v0 * (fee.c - fee.m) + investor.a
     out = _power(ruin_base, 1.0 - bI) / (1.0 - bI) * ppe(0.0, sol.z_support, math.inf)
-    if env.case_tag is not CaseTag.A:
-        # both the flat band and (case C) the loss-absorption branch pay
-        # exactly v0 to the investor
-        out += _power(v0 + investor.a, 1.0 - bI) / (1.0 - bI) * ppe(0.0, sol.z_power_end, sol.z_support)
+    # the bands after the first (flat band, loss absorption) are contiguous
+    # and pay the investor exactly v0; the range is empty with a single band
+    out += _power(v0 + investor.a, 1.0 - bI) / (1.0 - bI) * ppe(0.0, sol.z_power_end, sol.z_support)
 
     k, l = investor_mixed_coefficients(sol, investor)
-    w_lo = kernel_to_normal(market, sol.z_power_end)
+    w_lo = _d_bound(market, sol.z_power_end)
     if w_lo < _W_CUTOFF:
         mu, sig = market.log_drift, market.log_vol
         bM = env.hara.b
@@ -126,13 +116,8 @@ def evaluate_fee(
         phi_I=investor_value(sol, investor),
         expected_value=ev,
         variance=ev2 - ev * ev,
-        sharpe=sharpe_ratio(sol),
+        sharpe=sharpe_from_moments(market, ev, ev2),
     )
-
-
-def value_pair(fee: FeeStructure, market: MarketParams, manager: HaraParams, investor: HaraParams) -> ValuePair:
-    m = evaluate_fee(fee, market, manager, investor)
-    return ValuePair(phi_M=m.phi_M, phi_I=m.phi_I)
 
 
 def optimize_traditional(

@@ -3,20 +3,22 @@ moments and Sharpe ratio.
 
 The dual maximizer maps the kernel into bands (power branch, flat band,
 second power branch, ruin) whose edges are marginal slopes divided by the
-multiplier y.  The budget h(y) = E[Z V(y, Z)] is strictly decreasing, so the
-multiplier solving h(y) = v0 is found by bracketed root finding, and every
-expectation is a sum of truncated power moments of the kernel over the bands.
+multiplier y.  The envelope's band table lists them with V's form on each,
+and every function here is a loop over that table.  The budget
+h(y) = E[Z V(y, Z)] is strictly decreasing, so the multiplier solving
+h(y) = v0 is found by bracketed root finding, and every expectation is a sum
+of truncated power moments of the kernel over the bands.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .concavify import ConcaveEnvelope, build_envelope, inverse_marginal_last, inverse_marginal_middle
+from .concavify import ConcaveEnvelope, build_envelope
 from .contract import FeeStructure
 from .market import MarketParams, partial_power_expectation
 from .preferences import CaseTag, HaraParams, _power
@@ -36,15 +38,13 @@ class OptimalWealthSolution:
     """Solved optimal terminal value for one (fee, manager utility, market).
 
     z_power_end  -- kernel value where the performance-fee power branch ends
-    z_flat_end   -- end of the flat band (case C only; equals z_support in B)
-    z_support    -- kernel value beyond which the fund is worth 0
+    z_support    -- kernel value from which on the fund is worth 0
     """
 
     envelope: ConcaveEnvelope
     market: MarketParams
     y_star: float
     z_power_end: float
-    z_flat_end: float | None
     z_support: float
 
     @property
@@ -60,38 +60,20 @@ class OptimalWealthSolution:
         return self.envelope.theta1
 
     def thresholds(self) -> tuple[float, ...]:
-        if self.case_tag is CaseTag.A:
-            return (self.z_support,)
-        if self.case_tag is CaseTag.B:
-            return (self.z_power_end, self.z_support)
-        return (self.z_power_end, self.z_flat_end, self.z_support)
-
-
-def _power_coefs(fee: FeeStructure, p: HaraParams, v0: float) -> tuple[float, float]:
-    # Last-piece inverse marginal I3(u) = A0 * u^(-1/b) + L with the
-    # multiplier folded in later; A0 excludes y.
-    A0 = _power(fee.alpha, (1.0 - p.b) / p.b)
-    L = (1.0 + fee.m - fee.m / fee.alpha) * v0 - p.a / fee.alpha
-    return A0, L
+        """Right edges of the kernel bands, the support edge last."""
+        return tuple(band.u_hi / self.y_star for band in self.envelope.bands)
 
 
 def budget(envelope: ConcaveEnvelope, market: MarketParams, y: float) -> float:
     """h(y) = E[Z V(y, Z)] assembled from truncated kernel moments."""
-    fee, p, v0 = envelope.fee, envelope.hara, envelope.v0
-    b = p.b
-    case = envelope.case_tag
-    A0, L = _power_coefs(fee, p, v0)
-    z_support = envelope.slope / y
-    z_power = z_support if case is CaseTag.A else envelope.slope_i3 / y
-
-    ppe = lambda k, lo, hi: partial_power_expectation(market, k, lo, hi)
-    out = A0 * _power(y, -1.0 / b) * ppe(1.0 - 1.0 / b, 0.0, z_power) + L * ppe(1.0, 0.0, z_power)
-    if case is not CaseTag.A:
-        z_flat = z_support if case is CaseTag.B else envelope.slope_i2 / y
-        out += (1.0 + fee.m) * v0 * ppe(1.0, z_power, z_flat)
-        if case is CaseTag.C:
-            out += _power(y, -1.0 / b) * ppe(1.0 - 1.0 / b, z_flat, z_support)
-            out += (v0 - p.a) * ppe(1.0, z_flat, z_support)
+    k = 1.0 - 1.0 / envelope.hara.b
+    y_pow = _power(y, -1.0 / envelope.hara.b)
+    out = 0.0
+    for u_lo, u_hi, coef, const in envelope.bands:
+        lo, hi = u_lo / y, u_hi / y
+        if coef:
+            out += coef * y_pow * partial_power_expectation(market, k, lo, hi)
+        out += const * partial_power_expectation(market, 1.0, lo, hi)
     return out
 
 
@@ -123,90 +105,56 @@ def solve_from_envelope(env: ConcaveEnvelope, market: MarketParams) -> OptimalWe
     if abs(h(y) - v0) > _BUDGET_RTOL * v0:
         raise SolveError(f"budget residual {abs(h(y) - v0):.3e} above tolerance for fee {env.fee}")
 
-    case = env.case_tag
-    z_support = env.slope / y
-    z_power = z_support if case is CaseTag.A else env.slope_i3 / y
-    z_flat = None if case is CaseTag.A else (z_support if case is CaseTag.B else env.slope_i2 / y)
     return OptimalWealthSolution(
         envelope=env, market=market, y_star=y,
-        z_power_end=z_power, z_flat_end=z_flat, z_support=z_support,
+        z_power_end=env.bands[0].u_hi / y, z_support=env.slope / y,
     )
 
 
-def optimal_terminal_value(sol: OptimalWealthSolution, z: float) -> float:
-    """Closed-form V(z): nonincreasing in z, supported on {0} u [theta1, inf).
-
-    Bands are closed on the right at the support edge (the tie is a null
-    event under the continuous kernel law either way).
-    """
-    if z <= 0.0:
-        raise ValueError(f"kernel value must be > 0 (got {z})")
-    env, y = sol.envelope, sol.y_star
-    case = env.case_tag
-    if z > sol.z_support:
-        return 0.0
-    if case is CaseTag.A:
-        return inverse_marginal_last(env, y * z)
-    if z < sol.z_power_end:
-        return inverse_marginal_last(env, y * z)
-    if case is CaseTag.B or z <= sol.z_flat_end:
-        return (1.0 + env.fee.m) * env.v0
-    return inverse_marginal_middle(env, y * z)
-
-
 def terminal_value_array(sol: OptimalWealthSolution, z: np.ndarray) -> np.ndarray:
-    """Vectorized V(z) for Monte Carlo work."""
+    """V(z) band by band: nonincreasing in z, supported on {0} u [theta1, inf).
+
+    Bands are half-open, [u_lo / y, u_hi / y) in z, so V = 0 from the support
+    edge on, as in pointwise_argmax (ties are null events under the
+    continuous kernel law).
+    """
     env, y = sol.envelope, sol.y_star
-    fee, p, v0 = env.fee, env.hara, env.v0
-    A0, L = _power_coefs(fee, p, v0)
     z = np.asarray(z, dtype=float)
+    if not (z > 0.0).all():
+        raise ValueError("kernel values must be > 0")
     out = np.zeros_like(z)
-    on_power = z <= sol.z_power_end if env.case_tag is CaseTag.A else z < sol.z_power_end
-    zp = z[on_power]
-    out[on_power] = A0 * (y * zp) ** (-1.0 / p.b) + L
-    if env.case_tag is not CaseTag.A:
-        flat_hi = sol.z_support if env.case_tag is CaseTag.B else sol.z_flat_end
-        on_flat = (z >= sol.z_power_end) & (z <= flat_hi)
-        out[on_flat] = (1.0 + fee.m) * v0
-        if env.case_tag is CaseTag.C:
-            on_mid = (z > sol.z_flat_end) & (z <= sol.z_support)
-            zm = z[on_mid]
-            out[on_mid] = (y * zm) ** (-1.0 / p.b) + v0 - p.a
+    for u_lo, u_hi, coef, const in env.bands:
+        on = (z >= u_lo / y) & (z < u_hi / y)
+        out[on] = coef * (y * z[on]) ** (-1.0 / env.hara.b) + const
     return out
 
 
 def moments(sol: OptimalWealthSolution) -> tuple[float, float]:
     """(E[V], E[V^2]) in closed form from truncated kernel moments."""
     env, market, y = sol.envelope, sol.market, sol.y_star
-    fee, p, v0 = env.fee, env.hara, env.v0
-    b = p.b
-    A0, L = _power_coefs(fee, p, v0)
-    A = A0 * _power(y, -1.0 / b)
-    ppe = lambda k, lo, hi: partial_power_expectation(market, k, lo, hi)
-
-    zp = sol.z_power_end
-    ev = A * ppe(-1.0 / b, 0.0, zp) + L * ppe(0.0, 0.0, zp)
-    ev2 = A * A * ppe(-2.0 / b, 0.0, zp) + 2.0 * A * L * ppe(-1.0 / b, 0.0, zp) + L * L * ppe(0.0, 0.0, zp)
-    if env.case_tag is not CaseTag.A:
-        z_flat = sol.z_support if env.case_tag is CaseTag.B else sol.z_flat_end
-        flat = (1.0 + fee.m) * v0
-        ev += flat * ppe(0.0, zp, z_flat)
-        ev2 += flat * flat * ppe(0.0, zp, z_flat)
-        if env.case_tag is CaseTag.C:
-            B = _power(y, -1.0 / b)
-            K = v0 - p.a
-            ev += B * ppe(-1.0 / b, z_flat, sol.z_support) + K * ppe(0.0, z_flat, sol.z_support)
-            ev2 += (B * B * ppe(-2.0 / b, z_flat, sol.z_support)
-                    + 2.0 * B * K * ppe(-1.0 / b, z_flat, sol.z_support)
-                    + K * K * ppe(0.0, z_flat, sol.z_support))
+    b = env.hara.b
+    y_pow = _power(y, -1.0 / b)
+    ev = ev2 = 0.0
+    for u_lo, u_hi, coef, const in env.bands:
+        lo, hi = u_lo / y, u_hi / y
+        # V = A z^(-1/b) + const on the band; a flat band has A = 0
+        A = coef * y_pow
+        p0 = partial_power_expectation(market, 0.0, lo, hi)
+        p1 = partial_power_expectation(market, -1.0 / b, lo, hi) if coef else 0.0
+        p2 = partial_power_expectation(market, -2.0 / b, lo, hi) if coef else 0.0
+        ev += A * p1 + const * p0
+        ev2 += A * A * p2 + 2.0 * A * const * p1 + const * const * p0
     return ev, ev2
 
 
-def sharpe_ratio(sol: OptimalWealthSolution) -> float:
+def sharpe_from_moments(market: MarketParams, ev: float, ev2: float) -> float:
     """(E[V] - v0 (1+r)) / std(V); rejects a numerically deterministic fund."""
-    ev, ev2 = moments(sol)
     var = ev2 - ev * ev
     if var <= _VAR_FLOOR:
         raise SolveError(f"fund value variance {var:.3e} is numerically degenerate")
-    market = sol.market
     return (ev - market.v0 * (1.0 + market.r)) / math.sqrt(var)
+
+
+def sharpe_ratio(sol: OptimalWealthSolution) -> float:
+    """Sharpe ratio of the optimal fund value."""
+    return sharpe_from_moments(sol.market, *moments(sol))

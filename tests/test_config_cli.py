@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from firstloss import ConfigError, load_config
+from firstloss import ConfigError, SolveError, load_config, pareto
 from firstloss.cli import main
+from firstloss.pareto import default_workers
 
 
 def test_defaults_are_base_case():
@@ -113,3 +114,39 @@ def test_cli_grid(tmp_path):
     rows = [l for l in (out / "grid.csv").read_text().splitlines() if not l.startswith("#")]
     assert rows[0].startswith("m_pct,alpha_pct,c_pct")
     assert len(rows) - 1 == 3 * 5 * 4
+
+
+@pytest.mark.parametrize("axis,values", [("r", "x"), ("ba", "0.65")])
+def test_cli_sensitivity_bad_values_exits_1(axis, values, tmp_path, capsys):
+    code = main(["--set", f"run.outdir={tmp_path}", "sensitivity", "--axis", axis, "--values", values])
+    assert code == 1
+    assert "--values" in capsys.readouterr().err
+
+
+def test_cli_non_integer_workers_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FIRSTLOSS_WORKERS", "two")
+    with pytest.raises(ConfigError, match="FIRSTLOSS_WORKERS"):
+        default_workers()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sweep]\ndm = 0.025\ndalpha = 0.1\ndc = 0.1\n")
+    assert main(["--config", str(cfg), "--set", f"run.outdir={tmp_path}", "grid"]) == 1
+    assert "FIRSTLOSS_WORKERS" in capsys.readouterr().err
+
+
+def test_cli_grid_solve_error_exits_2(tmp_path, monkeypatch, capsys):
+    # a failure inside the lattice keeps its type, so the CLI reports it as
+    # a numerical failure that names the fee
+    real = pareto.evaluate_fee
+
+    def failing(fee, *args):
+        if (fee.m, fee.alpha, fee.c) == (0.025, 0.3, 0.1):
+            raise SolveError("budget bracket expansion failed")
+        return real(fee, *args)
+
+    monkeypatch.setattr(pareto, "evaluate_fee", failing)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sweep]\ndm = 0.025\ndalpha = 0.1\ndc = 0.1\n")
+    assert main(["--config", str(cfg), "--set", f"run.outdir={tmp_path}", "--set", "run.workers=1", "grid"]) == 2
+    err = capsys.readouterr().err
+    assert "budget bracket expansion failed" in err
+    assert "lattice evaluation failed at fee (2.5000%, 30.0000%, 10.0000%)" in err

@@ -8,9 +8,10 @@ from firstloss import (
     HaraParams,
     MarketParams,
     build_envelope,
+    investor_value,
+    manager_value,
     mc_budget,
     moments,
-    optimal_terminal_value,
     pointwise_argmax,
     sample_z,
     sharpe_ratio,
@@ -30,6 +31,38 @@ CASE_FEES = [
     (fee_pct(0, 10, 25), HaraParams(0.3, 5.0), CaseTag.C),
     (fee_pct(4.8, 50, 30), HaraParams(0.3, 2.5), CaseTag.C),
 ]
+
+# values of the case-by-case closed forms that preceded the band table, at the
+# base market with investor HaraParams(0.3, 0.65): y*, thresholds(),
+# (E[V], E[V^2]), phi_M, phi_I, Sharpe ratio
+FROZEN_BAND_VALUES = [
+    (0.3004835616266694, (0.7317776415646807,), (1.861880276446985, 13.775749451969533),
+     2.2489454883304245, 2.8418007489210746, 0.2622037378537228),
+    (0.634646005246576, (1.1067577543323706, 1.123320818246851), (1.4685287391275548, 3.8911728288889833),
+     2.111818885061714, 3.1897231532946684, 0.3405579976007373),
+    (0.649310300541393, (1.0991257091405908,), (1.476729069593043, 3.9812147243809153),
+     2.1272725823439895, 3.1769676097536794, 0.34037980274550056),
+    (0.3739939032877591, (0.5290433364626109, 1.9062104051523794), (1.135845028391949, 1.6701054819104562),
+     1.9746378406601846, 3.168170875194876, 0.18793495879472613),
+    (58.136294970237216, (0.7078583765194093, 7.078583765194092, 814.0794601364393),
+     (1.0412591984152992, 1.0933489318921819), -29.467740700238274, 3.1616014093801352, 0.22251228219870295),
+    (14.880245374022792, (0.4703398775018324, 0.9406797550036649, 4.179076916048534),
+     (1.0326128029963657, 1.0674026218409054), -3.5558243304260704, 3.1329316565118286, 0.3779914027991937),
+]
+
+
+@pytest.mark.parametrize("case_fee,frozen", list(zip(CASE_FEES, FROZEN_BAND_VALUES)))
+def test_frozen_band_values(case_fee, frozen, base_market, base_investor):
+    fee, hara, case = case_fee
+    y_star, thresholds, fund_moments, phi_m, phi_i, sharpe = frozen
+    sol = solve_y_star(fee, hara, base_market)
+    assert sol.case_tag is case
+    assert sol.y_star == pytest.approx(y_star, rel=1e-12, abs=0.0)
+    assert sol.thresholds() == pytest.approx(thresholds, rel=1e-12, abs=0.0)
+    assert moments(sol) == pytest.approx(fund_moments, rel=1e-12, abs=0.0)
+    assert manager_value(sol) == pytest.approx(phi_m, rel=1e-12, abs=0.0)
+    assert investor_value(sol, base_investor) == pytest.approx(phi_i, rel=1e-12, abs=0.0)
+    assert sharpe_ratio(sol) == pytest.approx(sharpe, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("fee,hara,case", CASE_FEES)
@@ -68,10 +101,10 @@ def test_terminal_value_support_and_monotone(fee, hara, case, base_market):
     v = terminal_value_array(sol, z)
     assert ((v == 0.0) | (v >= sol.theta1 - 1e-9)).all()
     assert (np.diff(v) <= 1e-12).all()
-    # scalar evaluator agrees with the vectorized one
+    # the band table agrees with the pointwise dual maximizer
     idx = np.linspace(0, z.size - 1, 200, dtype=int)
     for i in idx:
-        assert optimal_terminal_value(sol, float(z[i])) == pytest.approx(float(v[i]), abs=1e-12)
+        assert pointwise_argmax(sol.envelope, sol.y_star, float(z[i])) == pytest.approx(float(v[i]), abs=1e-12)
 
 
 @pytest.mark.parametrize("fee,hara,case", CASE_FEES)
@@ -80,8 +113,8 @@ def test_terminal_value_matches_pointwise_argmax(fee, hara, case, base_market):
     env = sol.envelope
     rng = np.random.default_rng(37)
     z = np.exp(rng.uniform(-3.0, 3.0, size=10_000))
-    for zi in z:
-        a = optimal_terminal_value(sol, float(zi))
+    v = terminal_value_array(sol, z)
+    for zi, a in zip(z, v):
         b = pointwise_argmax(env, sol.y_star, float(zi))
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
@@ -89,11 +122,16 @@ def test_terminal_value_matches_pointwise_argmax(fee, hara, case, base_market):
 def test_terminal_value_edges(base_market, base_manager):
     sol = solve_y_star(fee_pct(5, 10, 26), base_manager, base_market)
     assert sol.case_tag is CaseTag.B
-    assert optimal_terminal_value(sol, sol.z_support * 1.0001) == 0.0
+    env, y = sol.envelope, sol.y_star
     mid = 0.5 * (sol.z_power_end + sol.z_support)
-    assert optimal_terminal_value(sol, mid) == (1.0 + 0.05) * 1.0
+    z = np.array([sol.z_support * (1.0 - 1e-9), sol.z_support, sol.z_support * 1.0001, mid])
+    v = terminal_value_array(sol, z)
+    # the flat band reaches the support edge at the kink value; V = 0 from it on
+    assert v[0] == pointwise_argmax(env, y, float(z[0])) == (1.0 + 0.05) * 1.0
+    assert v[1] == v[2] == pointwise_argmax(env, y, float(z[2])) == 0.0
+    assert v[3] == pointwise_argmax(env, y, mid) == (1.0 + 0.05) * 1.0
     with pytest.raises(ValueError):
-        optimal_terminal_value(sol, 0.0)
+        terminal_value_array(sol, np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("fee,hara,case", CASE_FEES)
@@ -139,7 +177,7 @@ def test_moments_vanish_for_huge_multiplier(base_market, base_manager):
     y = 1e9
     sol = OptimalWealthSolution(
         envelope=env, market=base_market, y_star=y,
-        z_power_end=env.slope / y, z_flat_end=None, z_support=env.slope / y,
+        z_power_end=env.slope / y, z_support=env.slope / y,
     )
     ev, ev2 = moments(sol)
     assert 0.0 <= ev < 1e-3
