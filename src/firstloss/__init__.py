@@ -31,7 +31,15 @@ from .selection import (
     run_pipeline,
     sensitivity_sweep,
 )
-from .valuation import FeeMetrics, evaluate_fee, investor_value, manager_value, optimize_traditional
+from .valuation import (
+    FeeBatch,
+    FeeMetrics,
+    evaluate_fee,
+    evaluate_fees,
+    investor_value,
+    manager_value,
+    optimize_traditional,
+)
 from .wealth import (
     OptimalWealthSolution,
     SolveError,
@@ -50,6 +58,7 @@ __all__ = [
     "ConstantMixResult",
     "ContractError",
     "EnvelopeError",
+    "FeeBatch",
     "FeeMetrics",
     "FeeStructure",
     "Frontier",
@@ -73,6 +82,7 @@ __all__ = [
     "constrained_preferred_fee",
     "envelope_eval",
     "evaluate_fee",
+    "evaluate_fees",
     "grid_scan",
     "hara_utility",
     "integrate",

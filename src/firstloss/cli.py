@@ -152,7 +152,7 @@ def cmd_value(config: RunConfig, args) -> str:
 
 
 def cmd_grid(config: RunConfig, args) -> str:
-    scan = grid_scan(config.market, config.manager, config.investor, config.steps, workers=config.workers)
+    scan = grid_scan(config.market, config.manager, config.investor, config.steps)
     rows = []
     for fee, pm, pi, sr, case, ok in zip(
         scan.fees, scan.phi_M, scan.phi_I, scan.sharpe, scan.case, scan.feasible
@@ -223,18 +223,24 @@ _AXIS_DEFAULTS = {
 }
 
 
-def _parse_axis_values(axis: str, text: str) -> list:
-    """'bm,bi;bm,bi' pairs for the ba axis, comma-separated floats otherwise."""
+def _parse_numbers(option: str, text: str) -> list[float]:
     try:
-        if axis == "ba":
-            pairs = [pair.split(",") for pair in text.split(";")]
-            if any(len(pair) != 2 for pair in pairs):
-                raise ValueError
-            return [(float(bm), float(bi)) for bm, bi in pairs]
         return [float(v) for v in text.split(",")]
     except ValueError:
-        shape = "'bm,bi;bm,bi' pairs" if axis == "ba" else "comma-separated numbers"
-        raise ConfigError(f"--values for axis {axis} must be {shape} (got {text!r})") from None
+        raise ConfigError(f"{option} must be comma-separated numbers (got {text!r})") from None
+
+
+def _parse_axis_values(axis: str, text: str) -> list:
+    """'bm,bi;bm,bi' pairs for the ba axis, comma-separated floats otherwise."""
+    if axis != "ba":
+        return _parse_numbers(f"--values for axis {axis}", text)
+    try:
+        pairs = [pair.split(",") for pair in text.split(";")]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValueError
+        return [(float(bm), float(bi)) for bm, bi in pairs]
+    except ValueError:
+        raise ConfigError(f"--values for axis ba must be 'bm,bi;bm,bi' pairs (got {text!r})") from None
 
 
 def cmd_sensitivity(config: RunConfig, args) -> str:
@@ -258,7 +264,7 @@ def cmd_sensitivity(config: RunConfig, args) -> str:
 def cmd_benchmark(config: RunConfig, args) -> str:
     fee = _parse_fee(args.fee)
     rows = []
-    for pi in (float(p) for p in args.pi.split(",")):
+    for pi in _parse_numbers("--pi", args.pi):
         res = constant_mix_benchmark(pi, config.market, fee, config.manager, config.investor)
         rows.append([res.pi, res.sharpe, res.phi_M, res.phi_I, int(res.degenerate)])
     path = _out(config, "benchmark.csv")

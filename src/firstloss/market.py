@@ -37,6 +37,10 @@ class MarketParams:
     sigma: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("r", "gamma", "horizon_T", "v0", "sigma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise MarketError(f"{name} must be finite (got {value})")
         if not self.gamma > 0.0:
             raise MarketError(f"gamma must be > 0 (got {self.gamma}); a riskless market is out of scope")
         if not self.horizon_T > 0.0:
@@ -104,6 +108,25 @@ def partial_power_expectation(params: MarketParams, k: float, a: float, b: float
     lo = _phi(d_a + k * sig) if math.isfinite(d_a) else 1.0
     hi = _phi(d_b + k * sig) if math.isfinite(d_b) else 0.0
     return scale * (lo - hi)
+
+
+def kernel_bound_normal(params: MarketParams, log_x: np.ndarray) -> np.ndarray:
+    """_d_bound over an array of log kernel values; log x = -inf (x = 0)
+    maps to +inf and log x = +inf to -inf, as in _d_bound."""
+    return (-log_x - params.log_drift) / params.log_vol
+
+
+def partial_power_expectation_normal(params: MarketParams, k: float, d_a: np.ndarray, d_b: np.ndarray) -> np.ndarray:
+    """partial_power_expectation over arrays of bounds a <= b, given by their
+    normal coordinates d_a = _d_bound(a) >= d_b = _d_bound(b).
+
+    The same closed form as the scalar primitive; ndtr takes the infinite
+    coordinates of a = 0 and b = +inf to 1 and 0, and an empty interval
+    (d_a = d_b) gives exactly 0.
+    """
+    sig = params.log_vol
+    scale = math.exp(-k * params.log_drift + 0.5 * (k * sig) ** 2)
+    return scale * (ndtr(d_a + k * sig) - ndtr(d_b + k * sig))
 
 
 def sample_z(params: MarketParams, seed: int, n: int) -> np.ndarray:

@@ -22,8 +22,8 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 
 from .contract import ALPHA_MAX, ALPHA_MIN, C_MAX, M_MAX, FeeStructure
 from .market import MarketParams
-from .preferences import HaraParams, fee_admissible
-from .valuation import FeeMetrics, evaluate_fee, manager_value
+from .preferences import HaraParams
+from .valuation import FeeMetrics, evaluate_fee, evaluate_fees, manager_value
 from .wealth import solve_y_star
 
 _SEED_TOL = 1e-12
@@ -107,23 +107,6 @@ class Frontier:
     failures: tuple[tuple[float, str], ...] = ()
 
 
-def _eval_chunk(args) -> list[tuple[int, float, float, float, str, bool]]:
-    market, manager, investor, indexed_fees = args
-    rows = []
-    for idx, (m, a, c) in indexed_fees:
-        fee = FeeStructure(m, a, c)
-        if not fee_admissible(fee, manager, investor, market.v0):
-            rows.append((idx, math.nan, math.nan, math.nan, "-", False))
-            continue
-        try:
-            metrics = evaluate_fee(fee, market, manager, investor)
-        except Exception as exc:                     # keep the type, name the fee
-            exc.add_note(f"lattice evaluation failed at fee {fee}")
-            raise
-        rows.append((idx, metrics.phi_M, metrics.phi_I, metrics.sharpe, metrics.case_tag.value, True))
-    return rows
-
-
 def default_workers() -> int:
     from .config import ConfigError              # config imports this module
 
@@ -141,9 +124,9 @@ def grid_scan(
     manager: HaraParams,
     investor: HaraParams,
     steps: GridSteps = GridSteps(),
-    workers: int | None = None,
 ) -> GridScan:
-    """Evaluate (phi_M, phi_I, SR) over the full fee lattice.
+    """Evaluate (phi_M, phi_I, SR) over the full fee lattice, batched in
+    this process.
 
     Inadmissible cells (possible only for b > 1 at the coverage edge) are
     recorded infeasible rather than failing the scan.
@@ -154,26 +137,11 @@ def grid_scan(
         for a in steps.alpha_grid()
         for c in steps.c_grid()
     ]
-    indexed = list(enumerate(fees))
-    workers = default_workers() if workers is None else workers
-
-    if workers and workers > 1 and len(indexed) >= 256:
-        chunks = [indexed[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_rows = pool.map(_eval_chunk, [(market, manager, investor, ch) for ch in chunks])
-        rows = [row for rows_ in chunk_rows for row in rows_]
-    else:
-        rows = _eval_chunk((market, manager, investor, indexed))
-
-    rows.sort(key=lambda r: r[0])
-    phi_m = np.array([r[1] for r in rows])
-    phi_i = np.array([r[2] for r in rows])
-    sr = np.array([r[3] for r in rows])
-    case = tuple(r[4] for r in rows)
-    feasible = np.array([r[5] for r in rows], dtype=bool)
-    if not feasible.any():
+    batch = evaluate_fees(fees, market, manager, investor)
+    if not batch.feasible.any():
         raise InfeasibleReservation("no admissible fee on the lattice; check utility shifts")
-    return GridScan(steps=steps, fees=tuple(fees), phi_M=phi_m, phi_I=phi_i, sharpe=sr, case=case, feasible=feasible)
+    return GridScan(steps=steps, fees=tuple(fees), phi_M=batch.phi_M, phi_I=batch.phi_I, sharpe=batch.sharpe,
+                    case=tuple(batch.case.tolist()), feasible=batch.feasible)
 
 
 def _phi_M_only(fee: FeeStructure, market: MarketParams, manager: HaraParams) -> float:
@@ -399,7 +367,7 @@ def sweep_frontier(
     Per-level failures are recorded and the sweep continues.
     """
     if scan is None:
-        scan = grid_scan(market, manager, investor, steps, workers=workers)
+        scan = grid_scan(market, manager, investor, steps)
     levels = np.linspace(scan.phi_M_min, scan.phi_M_max, steps.n_phi + 1)
     indexed = list(enumerate(float(v) for v in levels))
     workers = default_workers() if workers is None else workers

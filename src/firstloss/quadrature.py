@@ -18,7 +18,10 @@ _MAX_DOUBLINGS = 10
 
 
 class QuadratureError(RuntimeError):
-    """Refinement did not converge; carries the achieved error estimate."""
+    """Refinement did not converge; carries the achieved error estimate and,
+    from integrate_lanes, the index of the lane that failed."""
+
+    lane: int | None = None
 
 
 @lru_cache(maxsize=None)
@@ -62,3 +65,54 @@ def integrate(
     raise QuadratureError(
         f"quadrature on [{lo}, {hi}] stalled at error estimate {abs(cur - prev):.3e}"
     )
+
+
+def _composite_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], edges: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    # _composite for each row of edges; einsum sums each panel's nodes in
+    # one loop, so a lane's value does not depend on which lanes share the call
+    x, w = _nodes(_ORDER)
+    half = 0.5 * np.diff(edges, axis=1)
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    pts = (mid[:, :, None] + half[:, :, None] * x).reshape(len(lanes), -1)
+    vals = np.asarray(f(pts, lanes), dtype=float).reshape(half.shape + (_ORDER,))
+    return np.sum(half * np.einsum("lpk,k->lp", vals, w), axis=1)
+
+
+def integrate_lanes(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    rel_tol: float = DEFAULT_REL_TOL,
+    abs_tol: float = DEFAULT_ABS_TOL,
+) -> np.ndarray:
+    """integrate for many integrands at once: lane i is the integral of
+    f(., i) over [lo[i], hi[i]], on the panels integrate would use.
+
+    f(x, lanes) gets the nodes x, one row per lane in ``lanes``, and returns
+    the integrand there.  A lane leaves the work once two levels agree; the
+    first lane still open after the last doubling raises QuadratureError.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    out = np.zeros(lo.shape)
+    lanes = np.flatnonzero(hi > lo)
+    if not lanes.size:
+        return out
+    edges = np.stack([lo[lanes], hi[lanes]], axis=1)
+    prev = _composite_lanes(f, edges, lanes)
+    err = np.full(len(lanes), np.inf)
+    for _ in range(_MAX_DOUBLINGS):
+        # the midpoints of every panel; what np.unique yields in integrate
+        refined = np.empty((len(lanes), 2 * edges.shape[1] - 1))
+        refined[:, ::2] = edges
+        refined[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        cur = _composite_lanes(f, refined, lanes)
+        err = np.abs(cur - prev)
+        done = err <= np.maximum(abs_tol, rel_tol * np.abs(cur))
+        out[lanes[done]] = cur[done]
+        lanes, edges, prev, err = lanes[~done], refined[~done], cur[~done], err[~done]
+        if not lanes.size:
+            return out
+    i = int(lanes[0])
+    exc = QuadratureError(f"quadrature on [{lo[i]}, {hi[i]}] stalled at error estimate {err[0]:.3e}")
+    exc.lane = i
+    raise exc

@@ -92,7 +92,7 @@ def run_pipeline(
     workers: int | None = None,
 ) -> PipelineResult:
     """Lattice scan, frontier sweep, and Sharpe selection in one shot."""
-    scan = grid_scan(market, manager, investor, steps, workers=workers)
+    scan = grid_scan(market, manager, investor, steps)
     frontier = sweep_frontier(market, manager, investor, steps, scan=scan, workers=workers)
     return PipelineResult(frontier=frontier, preferred=preferred_fee(frontier))
 
@@ -117,10 +117,12 @@ def sensitivity_sweep(
 
     axis: 'ba' (values are (b_M, b_I) pairs), 'r', or 'gamma'.  Each cell is
     a cold run; failures are recorded per cell and the sweep continues.
+    Every cell's parameters are checked before the first run, so a bad
+    value fails the sweep at once.
     """
     if axis not in ("ba", "r", "gamma"):
         raise SelectionError(f"unknown sensitivity axis {axis!r}")
-    cells: list[SweepCell] = []
+    inputs = []
     for value in values:
         mkt, man, inv = market, manager, investor
         if axis == "ba":
@@ -136,6 +138,9 @@ def sensitivity_sweep(
             mkt = MarketParams(r=market.r, gamma=float(value), horizon_T=market.horizon_T,
                                v0=market.v0, sigma=market.sigma)
             label = f"gamma={value}"
+        inputs.append((label, mkt, man, inv))
+    cells: list[SweepCell] = []
+    for label, mkt, man, inv in inputs:
         try:
             result = run_pipeline(mkt, man, inv, steps, workers=workers)
             cells.append(SweepCell(label=label, preferred=result.preferred))

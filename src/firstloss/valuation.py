@@ -6,24 +6,57 @@ with no closed form, E[(k Z^(-1/b_M) + l)^(1-b_I)] over the performance-fee
 band; it is integrated in the normal coordinate, where the integrand is
 smooth and the Gaussian tail truncation at |w| = 10 is far below the
 tolerances used anywhere in this package.
+
+evaluate_fee is the per-point path, which the frontier's optimizer calls one
+fee at a time.  evaluate_fees runs the same chain over many fees at once: the
+band tables become arrays, and the budget root, the closed forms and the
+quadrature work on all lanes together.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.optimize.elementwise import bracket_root, find_root
 
+from .concavify import build_envelope
 from .contract import ALPHA_MAX, ALPHA_MIN, M_MAX, FeeStructure
-from .market import MarketParams, _d_bound, partial_power_expectation
-from .preferences import CaseTag, HaraParams, _power, hara_utility, require_admissible
-from .quadrature import integrate
-from .wealth import OptimalWealthSolution, moments, sharpe_from_moments, solve_y_star
+from .market import (
+    MarketParams,
+    _d_bound,
+    kernel_bound_normal,
+    partial_power_expectation,
+    partial_power_expectation_normal,
+)
+from .preferences import CaseTag, HaraParams, _power, fee_admissible, hara_utility, require_admissible
+from .quadrature import QuadratureError, integrate, integrate_lanes
+from .wealth import (
+    _BUDGET_RTOL,
+    _EXPAND,
+    _MAX_EXPANSIONS,
+    _VAR_FLOOR,
+    OptimalWealthSolution,
+    SolveError,
+    moments,
+    sharpe_from_moments,
+    solve_y_star,
+)
 
 _W_CUTOFF = 10.0
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Fees per evaluate_fees block: bounds the (lanes, panels, nodes) arrays of
+# the quadrature and the envelopes held at once.
+_LANES = 512
+# solve_from_envelope's first bracket and its expansion limits, in t = log y
+_T_START = (math.log(1e-2), math.log(1e2))
+_T_LIMITS = (_T_START[0] - _MAX_EXPANSIONS * math.log(_EXPAND), _T_START[1] + _MAX_EXPANSIONS * math.log(_EXPAND))
+_ROOT_TOL = {"xrtol": 4.0 * np.finfo(float).eps, "fatol": 0.0, "frtol": 0.0}
+_NO_BAND = (0.0, 0.0, 0.0, 0.0)           # pads a band table to three bands; adds nothing
 
 
 @dataclass(frozen=True)
@@ -120,6 +153,158 @@ def evaluate_fee(
     )
 
 
+@dataclass(frozen=True)
+class FeeBatch:
+    """evaluate_fees's result, one entry per fee; an inadmissible fee is
+    infeasible, with NaN values and case '-'."""
+
+    phi_M: np.ndarray
+    phi_I: np.ndarray
+    sharpe: np.ndarray
+    case: np.ndarray
+    feasible: np.ndarray
+
+
+def _at_fee(exc: Exception, fee: FeeStructure) -> Exception:
+    exc.add_note(f"lattice evaluation failed at fee {fee}")
+    return exc
+
+
+def _require(ok: np.ndarray, fees: list[FeeStructure], error) -> None:
+    """Raise error(i), noted with the fee, for the first lane i not ok."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = int(bad[0])
+        raise _at_fee(error(i), fees[i])
+
+
+def evaluate_fees(
+    fees: np.ndarray | Sequence[tuple[float, float, float]],
+    market: MarketParams,
+    manager: HaraParams,
+    investor: HaraParams,
+) -> FeeBatch:
+    """evaluate_fee's phi_M, phi_I and Sharpe ratio for every fee, given as
+    rows (m, alpha, c), in blocks of lanes.
+
+    Inadmissible fees (possible only for b > 1 at the coverage edge) are
+    infeasible rather than an error.  A fee that fails raises the error the
+    per-point path raises for it, with a note naming the fee.
+    """
+    rows = np.asarray(fees, dtype=float).reshape(-1, 3)
+    n = len(rows)
+    out = FeeBatch(
+        phi_M=np.full(n, math.nan), phi_I=np.full(n, math.nan), sharpe=np.full(n, math.nan),
+        case=np.full(n, "-"), feasible=np.zeros(n, dtype=bool),
+    )
+    for start in range(0, n, _LANES):
+        block = [FeeStructure(*row) for row in rows[start:start + _LANES].tolist()]
+        ok = [fee_admissible(fee, manager, investor, market.v0) for fee in block]
+        out.feasible[start:start + len(block)] = ok
+        idx = start + np.flatnonzero(ok)
+        if idx.size:
+            out.phi_M[idx], out.phi_I[idx], out.sharpe[idx], out.case[idx] = _evaluate_block(
+                [fee for fee, keep in zip(block, ok) if keep], market, manager, investor)
+    return out
+
+
+def _evaluate_block(
+    fees: list[FeeStructure],
+    market: MarketParams,
+    manager: HaraParams,
+    investor: HaraParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    v0, mu, sig = market.v0, market.log_drift, market.log_vol
+    bM, aM, bI, aI = manager.b, manager.a, investor.b, investor.a
+    ppe = lambda k, d_a, d_b: partial_power_expectation_normal(market, k, d_a, d_b)
+
+    bands, lane_data, case = [], [], []
+    for fee in fees:
+        try:
+            env = build_envelope(fee, manager, v0)
+        except Exception as exc:                     # keep the type, name the fee
+            raise _at_fee(exc, fee)
+        bands.append(env.bands + (_NO_BAND,) * (3 - len(env.bands)))
+        lane_data.append((env.slope, env.u_at_zero, fee.m, fee.alpha, fee.c))
+        case.append(env.case_tag.value)
+    # the band tables as (3, lanes) arrays, edges as log u
+    u_lo, u_hi, coef, const = np.ascontiguousarray(np.array(bands).transpose(2, 1, 0))
+    with np.errstate(divide="ignore"):
+        log_lo, log_hi = np.log(u_lo), np.log(u_hi)
+    slope, u_at_zero, m, alpha, c = np.array(lane_data).T
+    log_slope = np.log(slope)
+
+    def budget_gap(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        # budget(e^t) - v0, as wealth.budget computes it, on the given lanes
+        d_lo = kernel_bound_normal(market, log_lo[:, lanes] - t)
+        d_hi = kernel_bound_normal(market, log_hi[:, lanes] - t)
+        power = coef[:, lanes] * np.exp((-1.0 / bM) * t) * ppe(1.0 - 1.0 / bM, d_lo, d_hi)
+        return np.sum(power + const[:, lanes] * ppe(1.0, d_lo, d_hi), axis=0) - v0
+
+    lanes = np.arange(len(fees))
+    bracket = bracket_root(budget_gap, *_T_START, xmin=_T_LIMITS[0], xmax=_T_LIMITS[1], factor=_EXPAND,
+                           args=(lanes,))
+    _require(bracket.status == 0, fees, lambda i: SolveError(
+        f"budget bracket expansion failed within y in [{math.exp(_T_LIMITS[0]):.3e}, "
+        f"{math.exp(_T_LIMITS[1]):.3e}] for fee {fees[i]}"))
+    root = find_root(budget_gap, bracket.bracket, args=(lanes,), tolerances=_ROOT_TOL)
+    _require((root.status == 0) & (np.abs(root.f_x) <= _BUDGET_RTOL * v0), fees, lambda i: SolveError(
+        f"budget root ended with status {root.status[i]} at residual {abs(root.f_x[i]):.3e} for fee {fees[i]}"))
+    t = root.x
+
+    d_lo = kernel_bound_normal(market, log_lo - t)
+    d_hi = kernel_bound_normal(market, log_hi - t)
+    d_support = kernel_bound_normal(market, log_slope - t)
+    p0 = ppe(0.0, d_lo, d_hi)
+    beyond_support = ppe(0.0, d_support, -math.inf)
+
+    # manager_value: coef u^((b-1)/b) / (1-b) on a power band, the utility of
+    # m v0 on the flat band
+    flat_u = (m * v0 + aM) ** (1.0 - bM) / (1.0 - bM)
+    power_u = coef * np.exp(((bM - 1.0) / bM) * t) / (1.0 - bM) * ppe(1.0 - 1.0 / bM, d_lo, d_hi)
+    phi_m = u_at_zero * beyond_support + np.sum(np.where(coef != 0.0, power_u, flat_u * p0), axis=0)
+
+    # moments: V = A z^(-1/b) + const on each band
+    A = coef * np.exp((-1.0 / bM) * t)
+    p1, p2 = ppe(-1.0 / bM, d_lo, d_hi), ppe(-2.0 / bM, d_lo, d_hi)
+    ev = np.sum(A * p1 + const * p0, axis=0)
+    ev2 = np.sum(A * A * p2 + 2.0 * A * const * p1 + const * const * p0, axis=0)
+    var = ev2 - ev * ev
+    _require(var > _VAR_FLOOR, fees, lambda i: SolveError(
+        f"fund value variance {var[i]:.3e} is numerically degenerate"))
+    sharpe = (ev - v0 * (1.0 + market.r)) / np.sqrt(var)
+
+    # investor_value: ruin, v0 on the bands after the first, and the mixed
+    # power term over the first band by quadrature
+    phi_i = (v0 * (c - m) + aI) ** (1.0 - bI) / (1.0 - bI) * beyond_support
+    phi_i += _power(v0 + aI, 1.0 - bI) / (1.0 - bI) * ppe(0.0, d_hi[0], d_support)
+    k_mix = (1.0 - alpha) * coef[0] * np.exp((-1.0 / bM) * t)
+    l_mix = (1.0 + m - m / alpha) * v0 + aM * (1.0 - 1.0 / alpha) + aI
+    quad = np.flatnonzero(d_hi[0] < _W_CUTOFF)
+    k_q, l_q = k_mix[quad, None], l_mix[quad, None]
+
+    def integrand(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # investor_value's integrand, in place: the node arrays are the
+        # largest of a block
+        out = np.exp((mu + sig * w) / bM)      # Z^(-1/b_M)
+        out *= k_q[rows]
+        out += l_q[rows]
+        out **= 1.0 - bI
+        out *= np.exp(-0.5 * w * w)
+        out *= _INV_SQRT_2PI
+        return out
+
+    try:
+        mixed = integrate_lanes(integrand, np.maximum(d_hi[0, quad], -_W_CUTOFF), _W_CUTOFF)
+    except QuadratureError as exc:
+        raise _at_fee(exc, fees[quad[exc.lane]])
+    phi_i[quad] += mixed / (1.0 - bI)
+
+    _require(np.isfinite(phi_m) & np.isfinite(phi_i) & np.isfinite(sharpe), fees, lambda i: SolveError(
+        f"non-finite value phi_M={phi_m[i]}, phi_I={phi_i[i]}, SR={sharpe[i]} for fee {fees[i]}"))
+    return phi_m, phi_i, sharpe, case
+
+
 def optimize_traditional(
     investor: HaraParams,
     manager: HaraParams,
@@ -135,7 +320,12 @@ def optimize_traditional(
 
     ms = np.round(np.arange(m_range[0], m_range[1] + dm / 2, dm), 10)
     alphas = np.round(np.arange(max(alpha_range[0], dalpha), alpha_range[1] + dalpha / 2, dalpha), 10)
-    best = max(((phi_i(m, a), m, a) for m in ms for a in alphas), key=lambda t: t[0])
+    grid = [(float(m), float(a), 0.0) for m in ms for a in alphas]
+    batch = evaluate_fees(grid, market, manager, investor)
+    if not batch.feasible.all():
+        require_admissible(FeeStructure(*grid[int(np.argmin(batch.feasible))]), manager, investor, market.v0)
+    i = int(np.argmax(batch.phi_I))
+    best = (batch.phi_I[i], *grid[i][:2])
 
     res = minimize(
         lambda x: -phi_i(x[0], x[1]),

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from firstloss import ConfigError, SolveError, load_config, pareto
+from firstloss import ConfigError, load_config, valuation
 from firstloss.cli import main
 from firstloss.pareto import default_workers
 
@@ -82,6 +83,22 @@ def test_cli_benchmark(tmp_path):
     assert rows[2].endswith(",1")        # pi = 0 row flagged degenerate
 
 
+def test_cli_benchmark_bad_pi_exits_1(tmp_path, capsys):
+    code = main(["--set", f"run.outdir={tmp_path}", "benchmark", "--fee", "5,35.5,26", "--pi", "x"])
+    assert code == 1
+    assert "--pi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--set", "market.r=nan", "value", "--fee", "5,35.5,26"],
+    ["--set", "market.r=inf", "value", "--fee", "5,35.5,26"],
+    ["sensitivity", "--axis", "r", "--values", "nan"],
+])
+def test_cli_non_finite_market_exits_1(argv, tmp_path, capsys):
+    assert main(["--set", f"run.outdir={tmp_path}", *argv]) == 1
+    assert "r must be finite" in capsys.readouterr().err
+
+
 def test_cli_frontier_byte_identical(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[sweep]\ndm = 0.025\ndalpha = 0.05\ndc = 0.05\nn_phi = 4\n")
@@ -127,26 +144,29 @@ def test_cli_non_integer_workers_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FIRSTLOSS_WORKERS", "two")
     with pytest.raises(ConfigError, match="FIRSTLOSS_WORKERS"):
         default_workers()
+    # the frontier's level pool reads the worker count; the lattice runs in one process
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[sweep]\ndm = 0.025\ndalpha = 0.1\ndc = 0.1\n")
-    assert main(["--config", str(cfg), "--set", f"run.outdir={tmp_path}", "grid"]) == 1
+    assert main(["--config", str(cfg), "--set", f"run.outdir={tmp_path}", "frontier"]) == 1
     assert "FIRSTLOSS_WORKERS" in capsys.readouterr().err
 
 
 def test_cli_grid_solve_error_exits_2(tmp_path, monkeypatch, capsys):
     # a failure inside the lattice keeps its type, so the CLI reports it as
-    # a numerical failure that names the fee
-    real = pareto.evaluate_fee
+    # a numerical failure that names the fee; a payoff worth nothing in
+    # every state cannot meet the budget at any multiplier
+    real = valuation.build_envelope
 
-    def failing(fee, *args):
+    def worthless(fee, *args):
+        env = real(fee, *args)
         if (fee.m, fee.alpha, fee.c) == (0.025, 0.3, 0.1):
-            raise SolveError("budget bracket expansion failed")
-        return real(fee, *args)
+            env = dataclasses.replace(env, bands=tuple(b._replace(coef=0.0, const=0.0) for b in env.bands))
+        return env
 
-    monkeypatch.setattr(pareto, "evaluate_fee", failing)
+    monkeypatch.setattr(valuation, "build_envelope", worthless)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[sweep]\ndm = 0.025\ndalpha = 0.1\ndc = 0.1\n")
-    assert main(["--config", str(cfg), "--set", f"run.outdir={tmp_path}", "--set", "run.workers=1", "grid"]) == 2
+    assert main(["--config", str(cfg), "--set", f"run.outdir={tmp_path}", "grid"]) == 2
     err = capsys.readouterr().err
     assert "budget bracket expansion failed" in err
     assert "lattice evaluation failed at fee (2.5000%, 30.0000%, 10.0000%)" in err

@@ -27,7 +27,11 @@ def test_gamma_zero_rejected():
         MarketParams(gamma=0.0)
 
 
-@pytest.mark.parametrize("bad", [dict(horizon_T=0.0), dict(v0=-1.0), dict(sigma=0.0)])
+@pytest.mark.parametrize("bad", [
+    dict(horizon_T=0.0), dict(v0=-1.0), dict(sigma=0.0),
+    dict(r=math.nan), dict(r=math.inf), dict(gamma=math.inf), dict(horizon_T=math.nan),
+    dict(v0=math.inf), dict(sigma=math.nan),
+])
 def test_invalid_params_rejected(bad):
     with pytest.raises(MarketError):
         MarketParams(**bad)

@@ -9,7 +9,7 @@ SMALL = GridSteps(dm=0.0125, dalpha=0.025, dc=0.025, n_phi=12)
 
 @pytest.fixture(scope="module")
 def small_scan(base_market, base_manager, base_investor):
-    return grid_scan(base_market, base_manager, base_investor, SMALL, workers=0)
+    return grid_scan(base_market, base_manager, base_investor, SMALL)
 
 
 @pytest.fixture(scope="module")
@@ -26,10 +26,11 @@ def test_lattice_size_is_cartesian_product(small_scan):
 
 
 def test_lattice_determinism(base_market, base_manager, base_investor, small_scan):
-    again = grid_scan(base_market, base_manager, base_investor, SMALL, workers=2)
+    again = grid_scan(base_market, base_manager, base_investor, SMALL)
     np.testing.assert_array_equal(small_scan.phi_M, again.phi_M)
     np.testing.assert_array_equal(small_scan.phi_I, again.phi_I)
     np.testing.assert_array_equal(small_scan.sharpe, again.sharpe)
+    assert small_scan.case == again.case
 
 
 def test_manager_max_at_aggressive_corner(small_scan):
@@ -40,7 +41,7 @@ def test_infeasible_sliver_recorded_not_fatal(base_market, base_investor):
     # b_M > 1 with the shift at the coverage bound: the (m=0, c=0.3) edge is
     # outside the utility domain and must be skipped, not raised
     manager = HaraParams(0.3, 2.5)
-    scan = grid_scan(base_market, manager, base_investor, SMALL, workers=0)
+    scan = grid_scan(base_market, manager, base_investor, SMALL)
     assert not scan.feasible.all()
     bad = [scan.fees[i] for i in np.flatnonzero(~scan.feasible)]
     assert all(f[0] == 0.0 and f[2] == 0.3 for f in bad)

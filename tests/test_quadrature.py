@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from firstloss import QuadratureError, integrate
+from firstloss.quadrature import integrate_lanes
 
 
 def test_gaussian_mass():
@@ -36,3 +37,25 @@ def test_rough_integrand_converges_or_raises():
     f = lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-300)
     with pytest.raises(QuadratureError):
         integrate(f, -1.0, 1.0, rel_tol=1e-13, abs_tol=1e-15)
+
+
+def test_lanes_match_scalar():
+    # one smooth integrand per lane on its own interval; the last is empty
+    scale = np.array([0.5, 1.0, 2.0, 4.0, 1.0])
+    lo = np.array([-10.0, -3.0, 0.5, 2.0, 10.0])
+    got = integrate_lanes(lambda x, lanes: np.exp(-scale[lanes, None] * x * x) * np.cos(x), lo, 10.0)
+    for i in range(len(lo)):
+        ref = integrate(lambda x: np.exp(-scale[i] * x * x) * np.cos(x), lo[i], 10.0)
+        assert got[i] == pytest.approx(ref, rel=1e-14, abs=1e-300)
+    assert got[-1] == 0.0
+    assert integrate_lanes(lambda x, lanes: x, [1.0, 2.0], 1.0).tolist() == [0.0, 0.0]
+
+
+def test_lanes_name_the_lane_that_stalls():
+    def f(x, lanes):
+        rough = 1.0 / np.sqrt(np.abs(x) + 1e-300)
+        return np.where(lanes[:, None] == 1, rough, x * x)
+
+    with pytest.raises(QuadratureError) as info:
+        integrate_lanes(f, np.full(3, -1.0), 1.0, rel_tol=1e-13, abs_tol=1e-15)
+    assert info.value.lane == 1

@@ -25,7 +25,7 @@ SMALL = GridSteps(dm=0.0125, dalpha=0.025, dc=0.025, n_phi=12)
 
 @pytest.fixture(scope="module")
 def small_frontier(base_market, base_manager, base_investor):
-    scan = grid_scan(base_market, base_manager, base_investor, SMALL, workers=0)
+    scan = grid_scan(base_market, base_manager, base_investor, SMALL)
     return sweep_frontier(base_market, base_manager, base_investor, SMALL, scan=scan, workers=0)
 
 
