@@ -82,11 +82,10 @@ def integrate_lanes(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
 ) -> np.ndarray:
     """integrate for many integrands at once: lane i is the integral of
-    f(., i) over [lo[i], hi[i]], on the panels integrate would use.
+    f(., i) over [lo[i], hi[i]], on the panels and at the default tolerances
+    integrate would use.
 
     f(x, lanes) gets the nodes x, one row per lane in ``lanes``, and returns
     the integrand there.  A lane leaves the work once two levels agree; the
@@ -107,7 +106,7 @@ def integrate_lanes(
         refined[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
         cur = _composite_lanes(f, refined, lanes)
         err = np.abs(cur - prev)
-        done = err <= np.maximum(abs_tol, rel_tol * np.abs(cur))
+        done = err <= np.maximum(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * np.abs(cur))
         out[lanes[done]] = cur[done]
         lanes, edges, prev, err = lanes[~done], refined[~done], cur[~done], err[~done]
         if not lanes.size:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.optimize.elementwise import bracket_root, find_root
 
 from .concavify import build_envelope
 from .contract import ALPHA_MAX, ALPHA_MIN, M_MAX, FeeStructure
@@ -214,6 +213,9 @@ def _evaluate_block(
     manager: HaraParams,
     investor: HaraParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    # imported here, so that commands which never batch do not load it
+    from scipy.optimize.elementwise import bracket_root, find_root
+
     v0, mu, sig = market.v0, market.log_drift, market.log_vol
     bM, aM, bI, aI = manager.b, manager.a, investor.b, investor.a
     ppe = lambda k, d_a, d_b: partial_power_expectation_normal(market, k, d_a, d_b)

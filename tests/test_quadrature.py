@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from firstloss import QuadratureError, integrate
+from firstloss import QuadratureError, integrate, quadrature
 from firstloss.quadrature import integrate_lanes
 
 
@@ -51,11 +51,14 @@ def test_lanes_match_scalar():
     assert integrate_lanes(lambda x, lanes: x, [1.0, 2.0], 1.0).tolist() == [0.0, 0.0]
 
 
-def test_lanes_name_the_lane_that_stalls():
+def test_lanes_name_the_lane_that_stalls(monkeypatch):
+    # x*x is exact on the first doubling; the singular lane is not
+    monkeypatch.setattr(quadrature, "_MAX_DOUBLINGS", 2)
+
     def f(x, lanes):
         rough = 1.0 / np.sqrt(np.abs(x) + 1e-300)
         return np.where(lanes[:, None] == 1, rough, x * x)
 
     with pytest.raises(QuadratureError) as info:
-        integrate_lanes(f, np.full(3, -1.0), 1.0, rel_tol=1e-13, abs_tol=1e-15)
+        integrate_lanes(f, np.full(3, -1.0), 1.0)
     assert info.value.lane == 1
