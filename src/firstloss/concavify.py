@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
 from scipy.optimize import brentq
 
-from .contract import FeeStructure, manager_kinks
+from .contract import FeeStructure, fee_label, manager_kinks
 from .preferences import (
     CaseTag,
     HaraParams,
@@ -25,13 +26,18 @@ from .preferences import (
     classify_case,
     manager_composite_utility,
     _power,
+    _power_lanes,
 )
+from .roots import bracketed_root
 
 _BRACKET_CAP = 2.0**60
 
 
 class EnvelopeError(RuntimeError):
-    """Root bracketing failed; carries the scanned interval."""
+    """Root bracketing failed; carries the scanned interval and, from
+    envelope_lanes, the index of the lane that failed."""
+
+    lane: int | None = None
 
 
 class Band(NamedTuple):
@@ -166,6 +172,110 @@ def build_envelope(fee: FeeStructure, p: HaraParams, v0: float) -> ConcaveEnvelo
         theta1=theta1, theta2=theta2, slope=slope, u_at_zero=u0,
         kink1=kink1, kink2=kink2, slope_i3=slope_i3, slope_i2=slope_i2, bands=bands,
     )
+
+
+class EnvelopeLanes(NamedTuple):
+    """build_envelope for many fees: ConcaveEnvelope.bands as (3, lanes)
+    arrays u_lo, u_hi, coef and const, zero after a lane's last band, and per
+    lane the case ('A', 'B' or 'C'), theta1, slope and u_at_zero."""
+
+    u_lo: np.ndarray
+    u_hi: np.ndarray
+    coef: np.ndarray
+    const: np.ndarray
+    case: np.ndarray
+    theta1: np.ndarray
+    slope: np.ndarray
+    u_at_zero: np.ndarray
+
+
+def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParams, v0: float) -> EnvelopeLanes:
+    """build_envelope for every fee (m[i], alpha[i], c[i]) at once: the
+    cases become masks, and the tangency roots of cases A and C are solved
+    lane-wise with brentq's tolerances.
+
+    A lane that fails raises build_envelope's error type (EnvelopeError or
+    PreferenceError), with the lane's index as ``lane``.
+    """
+    m, alpha, c = (np.asarray(x, dtype=float) for x in (m, alpha, c))
+    b, a = p.b, p.a
+
+    def require(ok: np.ndarray, lanes: np.ndarray, text) -> None:
+        # EnvelopeError for the first lane not ok, naming its fee
+        if not ok.all():
+            j = int(np.argmin(ok))
+            exc = EnvelopeError(f"{text(j)} for fee {fee_label(m[lanes[j]], alpha[lanes[j]], c[lanes[j]])}")
+            exc.lane = int(lanes[j])
+            raise exc
+
+    kink1, kink2 = (1.0 + m - c) * v0, (1.0 + m) * v0
+    ruin = v0 * (m - c) + a                    # utility base of the manager's payoff on the flat piece
+    u_ruin = _power_lanes(ruin, 1.0 - b)
+    # classify_case: the chord slope from zero to the upper kink against the
+    # one-sided marginals there, ties to B
+    h = (_power_lanes(m * v0 + a, 1.0 - b) - u_ruin) / ((1.0 - b) * (1.0 + m) * v0)
+    slope_i2 = _power_lanes(m * v0 + a, -b)
+    slope_i3 = alpha * slope_i2
+    case_a = h < slope_i3
+    case_c = ~case_a & ~(h <= slope_i2)
+    power_coef = _power_lanes(alpha, (1.0 - b) / b)
+    power_const = (1.0 + m - m / alpha) * v0 - a / alpha
+
+    theta1, slope = kink2.copy(), h.copy()
+    A = np.flatnonzero(case_a)
+    if A.size:
+        # tangency onto the last piece, beyond the upper kink; the bracket
+        # doubles until g changes sign, as it must for admissible inputs
+        al, X, rhs = alpha[A], (m[A] - alpha[A] * (1.0 + m[A])) * v0 + a, u_ruin[A]
+
+        def g_a(v: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+            return np.exp(-b * np.log(al[lanes] * v + X[lanes])) * (b * al[lanes] * v + X[lanes]) - rhs[lanes]
+
+        every = np.arange(A.size)
+        lo = kink2[A]
+        hi = 2.0 * lo
+        g_lo, g_hi = g_a(lo, every), g_a(hi, every)
+        grow = every[g_hi * g_lo > 0.0]
+        while grow.size:
+            hi[grow] *= 2.0
+            require(hi[grow] <= _BRACKET_CAP * v0, A[grow],
+                    lambda j: f"no tangency bracket in [{lo[grow[j]]}, {hi[grow[j]]}]")
+            g_hi[grow] = g_a(hi[grow], grow)
+            grow = grow[g_hi[grow] * g_lo[grow] > 0.0]
+        root, _, ok = bracketed_root(g_a, lo, g_lo, hi, g_hi, 1e-13 * v0)
+        require(ok, A, lambda j: f"tangency root not found in [{lo[j]}, {hi[j]}]")
+        theta1[A] = root
+        slope[A] = al * np.exp(-b * np.log(al * root + X))
+    C = np.flatnonzero(case_c)
+    if C.size:
+        # tangency onto the middle piece, strictly between the kinks
+        rhs = u_ruin[C]
+
+        def g_c(v: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+            return np.exp(-b * np.log(v - v0 + a)) * (b * v - v0 + a) - rhs[lanes]
+
+        every = np.arange(C.size)
+        lo = kink1[C] + np.where(ruin[C] <= 0.0, 1e-12 * v0, 0.0)   # marginal utility is infinite at the edge
+        hi = kink2[C]
+        g_lo, g_hi = g_c(lo, every), g_c(hi, every)
+        require(~(g_lo * g_hi > 0.0), C, lambda j: f"no tangency bracket in [{lo[j]}, {hi[j]}]")
+        root, _, ok = bracketed_root(g_c, lo, g_lo, hi, g_hi, 1e-13 * v0)
+        require(ok, C, lambda j: f"tangency root not found in [{lo[j]}, {hi[j]}]")
+        theta1[C] = root
+        slope[C] = np.exp(-b * np.log(root - v0 + a))
+    require(~(theta1 < kink1), np.arange(m.size), lambda i: f"theta1={theta1[i]} below the first kink {kink1[i]}")
+
+    # the band table, performance-fee piece first: case A has that piece
+    # alone, B adds the flat band at the upper kink, C the middle piece too
+    zero = np.zeros_like(m)
+    flat = ~case_a
+    u_lo = np.stack([zero, np.where(flat, slope_i3, 0.0), np.where(case_c, slope_i2, 0.0)])
+    u_hi = np.stack([np.where(case_a, slope, slope_i3), np.where(case_c, slope_i2, np.where(flat, slope, 0.0)),
+                     np.where(case_c, slope, 0.0)])
+    coef = np.stack([power_coef, zero, np.where(case_c, 1.0, 0.0)])
+    const = np.stack([power_const, np.where(flat, kink2, 0.0), np.where(case_c, v0 - a, 0.0)])
+    case = np.where(case_a, CaseTag.A.value, np.where(case_c, CaseTag.C.value, CaseTag.B.value))
+    return EnvelopeLanes(u_lo, u_hi, coef, const, case, theta1, slope, u_ruin / (1.0 - b))
 
 
 def envelope_eval(env: ConcaveEnvelope, v: float) -> float:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 # Admissible fee box: management fee up to 5%, performance fee 0.1%..50%
 # (a strictly positive performance fee is assumed throughout), coverage up
 # to 30%.
@@ -56,8 +58,22 @@ class FeeStructure:
         return (100.0 * self.m, 100.0 * self.alpha, 100.0 * self.c)
 
     def __str__(self) -> str:
-        m, a, c = self.as_percent()
-        return f"({m:.4f}%, {a:.4f}%, {c:.4f}%)"
+        return fee_label(self.m, self.alpha, self.c)
+
+
+def fee_label(m: float, alpha: float, c: float) -> str:
+    """A fee in percent, as messages quote it; takes values outside the box."""
+    return f"({100.0 * m:.4f}%, {100.0 * alpha:.4f}%, {100.0 * c:.4f}%)"
+
+
+def in_fee_box(m: np.ndarray, alpha: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """FeeStructure's box check over arrays: True where (m, alpha, c) is a
+    valid fee, with the same tolerance; NaN is outside."""
+    return (
+        (-_BOUND_TOL <= m) & (m <= M_MAX + _BOUND_TOL)
+        & (ALPHA_MIN - _BOUND_TOL <= alpha) & (alpha <= ALPHA_MAX + _BOUND_TOL)
+        & (-_BOUND_TOL <= c) & (c <= C_MAX + _BOUND_TOL)
+    )
 
 
 def investor_payoff(fee: FeeStructure, v0: float, vT: float) -> float:

@@ -7,13 +7,18 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .contract import C_MAX, M_MAX, FeeStructure, manager_payoff
 
 _TINY_BASE = 1e-300
 
 
 class PreferenceError(ValueError):
-    """Utility parameters incompatible with the wealth they must evaluate."""
+    """Utility parameters incompatible with the wealth they must evaluate;
+    raised for one lane of an array, it carries the lane's index."""
+
+    lane: int | None = None
 
 
 @dataclass(frozen=True)
@@ -28,6 +33,10 @@ class HaraParams:
     b: float
 
     def __post_init__(self) -> None:
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise PreferenceError(f"{name} must be finite (got {value})")
         if not self.b > 0.0:
             raise PreferenceError(f"risk aversion b must be > 0 (got {self.b})")
         if abs(self.b - 1.0) < 1e-9:
@@ -61,6 +70,23 @@ def _power(base: float, exponent: float) -> float:
     return math.exp(exponent * math.log(base))
 
 
+def _power_lanes(base: np.ndarray, exponent: float) -> np.ndarray:
+    # _power over an array of bases, with the same guard: the first lane it
+    # rejects raises, naming the lane
+    bad = (base < 0.0) | ((base == 0.0) & (exponent <= 0.0)) | ((base < _TINY_BASE) & (exponent < 0.0))
+    if bad.any():
+        lane = int(np.flatnonzero(bad)[0])
+        x = base[lane]
+        exc = PreferenceError(
+            f"negative utility base {x}" if x < 0.0 else
+            "zero utility base with non-positive exponent" if x == 0.0 else
+            f"utility base {x} too small for exponent {exponent}")
+        exc.lane = lane
+        raise exc
+    with np.errstate(divide="ignore"):
+        return np.exp(exponent * np.log(base))
+
+
 def hara_utility(p: HaraParams, wealth: float) -> float:
     """(wealth + a)^(1-b) / (1-b); requires wealth + a > 0 (= 0 only if b < 1)."""
     base = wealth + p.a
@@ -84,12 +110,17 @@ def fee_admissible(fee: FeeStructure, manager: HaraParams, investor: HaraParams,
     Manager needs a_M >= (c - m) v0 (strict for b_M > 1); investor the mirror
     image with m - c.
     """
-    worst_m = (fee.c - fee.m) * v0
-    worst_i = (fee.m - fee.c) * v0
+    return bool(admissible_lanes(fee.m, fee.c, manager, investor, v0))
+
+
+def admissible_lanes(m: np.ndarray, c: np.ndarray, manager: HaraParams, investor: HaraParams, v0: float) -> np.ndarray:
+    """fee_admissible for arrays of m and c (the check does not involve alpha)."""
+    worst_m = (c - m) * v0
+    worst_i = (m - c) * v0
     tol = 1e-12 * v0
     ok_m = manager.a > worst_m if manager.b > 1.0 else manager.a >= worst_m - tol
     ok_i = investor.a > worst_i if investor.b > 1.0 else investor.a >= worst_i - tol
-    return ok_m and ok_i
+    return ok_m & ok_i
 
 
 def require_admissible(fee: FeeStructure, manager: HaraParams, investor: HaraParams, v0: float) -> None:

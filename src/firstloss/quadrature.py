@@ -6,6 +6,7 @@ integrands are evaluated vectorized, which keeps dense fee sweeps cheap.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -56,15 +57,15 @@ def integrate(
         return 0.0
     edges = np.unique(np.concatenate([[lo, hi], [b for b in breakpoints if lo < b < hi]]))
     prev = _composite(f, edges)
+    err = math.inf
     for _ in range(_MAX_DOUBLINGS):
         refined = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
         cur = _composite(f, refined)
-        if abs(cur - prev) <= max(abs_tol, rel_tol * abs(cur)):
+        err = abs(cur - prev)
+        if err <= max(abs_tol, rel_tol * abs(cur)):
             return cur
         edges, prev = refined, cur
-    raise QuadratureError(
-        f"quadrature on [{lo}, {hi}] stalled at error estimate {abs(cur - prev):.3e}"
-    )
+    raise QuadratureError(f"quadrature on [{lo}, {hi}] stalled at error estimate {err:.3e}")
 
 
 def _composite_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], edges: np.ndarray, lanes: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ tolerances used anywhere in this package.
 
 evaluate_fee is the per-point path, which the frontier's optimizer calls one
 fee at a time.  evaluate_fees runs the same chain over many fees at once: the
-band tables become arrays, and the budget root, the closed forms and the
-quadrature work on all lanes together.
+envelope's band tables are built as arrays, and the tangency and budget
+roots, the closed forms and the quadrature work on all lanes together.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .concavify import build_envelope
-from .contract import ALPHA_MAX, ALPHA_MIN, M_MAX, FeeStructure
+from .concavify import EnvelopeError, envelope_lanes
+from .contract import ALPHA_MAX, ALPHA_MIN, M_MAX, ContractError, FeeStructure, fee_label, in_fee_box
 from .market import (
     MarketParams,
     _d_bound,
@@ -31,8 +31,18 @@ from .market import (
     partial_power_expectation,
     partial_power_expectation_normal,
 )
-from .preferences import CaseTag, HaraParams, _power, fee_admissible, hara_utility, require_admissible
+from .preferences import (
+    CaseTag,
+    HaraParams,
+    PreferenceError,
+    _power,
+    _power_lanes,
+    admissible_lanes,
+    hara_utility,
+    require_admissible,
+)
 from .quadrature import QuadratureError, integrate, integrate_lanes
+from .roots import bracketed_root
 from .wealth import (
     _BUDGET_RTOL,
     _EXPAND,
@@ -49,13 +59,11 @@ _W_CUTOFF = 10.0
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Fees per evaluate_fees block: bounds the (lanes, panels, nodes) arrays of
-# the quadrature and the envelopes held at once.
-_LANES = 512
-# solve_from_envelope's first bracket and its expansion limits, in t = log y
+# the quadrature held at once.
+_LANES = 1024
+# solve_from_envelope's first bracket and its expansion step, in t = log y
 _T_START = (math.log(1e-2), math.log(1e2))
-_T_LIMITS = (_T_START[0] - _MAX_EXPANSIONS * math.log(_EXPAND), _T_START[1] + _MAX_EXPANSIONS * math.log(_EXPAND))
-_ROOT_TOL = {"xrtol": 4.0 * np.finfo(float).eps, "fatol": 0.0, "frtol": 0.0}
-_NO_BAND = (0.0, 0.0, 0.0, 0.0)           # pads a band table to three bands; adds nothing
+_T_STEP = math.log(_EXPAND)
 
 
 @dataclass(frozen=True)
@@ -164,17 +172,17 @@ class FeeBatch:
     feasible: np.ndarray
 
 
-def _at_fee(exc: Exception, fee: FeeStructure) -> Exception:
-    exc.add_note(f"lattice evaluation failed at fee {fee}")
+def _at_fee(exc: Exception, row: np.ndarray) -> Exception:
+    exc.add_note(f"lattice evaluation failed at fee {fee_label(*row)}")
     return exc
 
 
-def _require(ok: np.ndarray, fees: list[FeeStructure], error) -> None:
+def _require(ok: np.ndarray, rows: np.ndarray, error) -> None:
     """Raise error(i), noted with the fee, for the first lane i not ok."""
     bad = np.flatnonzero(~ok)
     if bad.size:
         i = int(bad[0])
-        raise _at_fee(error(i), fees[i])
+        raise _at_fee(error(i), rows[i])
 
 
 def evaluate_fees(
@@ -188,53 +196,53 @@ def evaluate_fees(
 
     Inadmissible fees (possible only for b > 1 at the coverage edge) are
     infeasible rather than an error.  A fee that fails raises the error the
-    per-point path raises for it, with a note naming the fee.
+    per-point path raises for it (a row outside the fee box: ContractError),
+    with a note naming the fee.
     """
     rows = np.asarray(fees, dtype=float).reshape(-1, 3)
     n = len(rows)
+    m, alpha, c = np.ascontiguousarray(rows.T)
+    inside = in_fee_box(m, alpha, c)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        try:
+            FeeStructure(*rows[i])
+        except ContractError as exc:
+            raise _at_fee(exc, rows[i])
+    feasible = admissible_lanes(m, c, manager, investor, market.v0)
     out = FeeBatch(
         phi_M=np.full(n, math.nan), phi_I=np.full(n, math.nan), sharpe=np.full(n, math.nan),
-        case=np.full(n, "-"), feasible=np.zeros(n, dtype=bool),
+        case=np.full(n, "-"), feasible=feasible,
     )
-    for start in range(0, n, _LANES):
-        block = [FeeStructure(*row) for row in rows[start:start + _LANES].tolist()]
-        ok = [fee_admissible(fee, manager, investor, market.v0) for fee in block]
-        out.feasible[start:start + len(block)] = ok
-        idx = start + np.flatnonzero(ok)
-        if idx.size:
-            out.phi_M[idx], out.phi_I[idx], out.sharpe[idx], out.case[idx] = _evaluate_block(
-                [fee for fee, keep in zip(block, ok) if keep], market, manager, investor)
+    todo = np.flatnonzero(feasible)
+    for start in range(0, todo.size, _LANES):
+        idx = todo[start:start + _LANES]
+        out.phi_M[idx], out.phi_I[idx], out.sharpe[idx], out.case[idx] = _evaluate_block(
+            rows[idx], market, manager, investor)
     return out
 
 
 def _evaluate_block(
-    fees: list[FeeStructure],
+    rows: np.ndarray,
     market: MarketParams,
     manager: HaraParams,
     investor: HaraParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    # imported here, so that commands which never batch do not load it
-    from scipy.optimize.elementwise import bracket_root, find_root
-
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     v0, mu, sig = market.v0, market.log_drift, market.log_vol
     bM, aM, bI, aI = manager.b, manager.a, investor.b, investor.a
     ppe = lambda k, d_a, d_b: partial_power_expectation_normal(market, k, d_a, d_b)
+    m, alpha, c = np.ascontiguousarray(rows.T)
 
-    bands, lane_data, case = [], [], []
-    for fee in fees:
-        try:
-            env = build_envelope(fee, manager, v0)
-        except Exception as exc:                     # keep the type, name the fee
-            raise _at_fee(exc, fee)
-        bands.append(env.bands + (_NO_BAND,) * (3 - len(env.bands)))
-        lane_data.append((env.slope, env.u_at_zero, fee.m, fee.alpha, fee.c))
-        case.append(env.case_tag.value)
-    # the band tables as (3, lanes) arrays, edges as log u
-    u_lo, u_hi, coef, const = np.ascontiguousarray(np.array(bands).transpose(2, 1, 0))
+    try:
+        env = envelope_lanes(m, alpha, c, manager, v0)
+        ruin_i = _power_lanes(v0 * (c - m) + aI, 1.0 - bI)       # (1 - b_I) times her utility at ruin
+    except (EnvelopeError, PreferenceError) as exc:
+        raise _at_fee(exc, rows[exc.lane])
+    coef, const = env.coef, env.const
+    # the band edges as log u
     with np.errstate(divide="ignore"):
-        log_lo, log_hi = np.log(u_lo), np.log(u_hi)
-    slope, u_at_zero, m, alpha, c = np.array(lane_data).T
-    log_slope = np.log(slope)
+        log_lo, log_hi = np.log(env.u_lo), np.log(env.u_hi)
+    log_slope = np.log(env.slope)
 
     def budget_gap(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         # budget(e^t) - v0, as wealth.budget computes it, on the given lanes
@@ -243,16 +251,26 @@ def _evaluate_block(
         power = coef[:, lanes] * np.exp((-1.0 / bM) * t) * ppe(1.0 - 1.0 / bM, d_lo, d_hi)
         return np.sum(power + const[:, lanes] * ppe(1.0, d_lo, d_hi), axis=0) - v0
 
-    lanes = np.arange(len(fees))
-    bracket = bracket_root(budget_gap, *_T_START, xmin=_T_LIMITS[0], xmax=_T_LIMITS[1], factor=_EXPAND,
-                           args=(lanes,))
-    _require(bracket.status == 0, fees, lambda i: SolveError(
-        f"budget bracket expansion failed within y in [{math.exp(_T_LIMITS[0]):.3e}, "
-        f"{math.exp(_T_LIMITS[1]):.3e}] for fee {fees[i]}"))
-    root = find_root(budget_gap, bracket.bracket, args=(lanes,), tolerances=_ROOT_TOL)
-    _require((root.status == 0) & (np.abs(root.f_x) <= _BUDGET_RTOL * v0), fees, lambda i: SolveError(
-        f"budget root ended with status {root.status[i]} at residual {abs(root.f_x[i]):.3e} for fee {fees[i]}"))
-    t = root.x
+    # solve_from_envelope's bracket, lane by lane: budget(y) falls in y, so
+    # the lower end steps down until the budget reaches v0 and the upper end
+    # up until it falls to v0; each end is tried at most _MAX_EXPANSIONS times
+    every = np.arange(len(rows))
+    t_lo, t_hi = np.full(len(rows), _T_START[0]), np.full(len(rows), _T_START[1])
+    gap_lo, gap_hi = budget_gap(t_lo, every), budget_gap(t_hi, every)
+    for _ in range(_MAX_EXPANSIONS - 1):
+        low, high = every[gap_lo < 0.0], every[gap_hi > 0.0]
+        if not (low.size or high.size):
+            break
+        t_lo[low] -= _T_STEP
+        gap_lo[low] = budget_gap(t_lo[low], low)
+        t_hi[high] += _T_STEP
+        gap_hi[high] = budget_gap(t_hi[high], high)
+    _require((gap_lo >= 0.0) & (gap_hi <= 0.0), rows, lambda i: SolveError(
+        f"budget bracket expansion failed within y in [{math.exp(t_lo[i]):.3e}, {math.exp(t_hi[i]):.3e}] "
+        f"for fee {fee_label(*rows[i])}"))
+    t, gap, ok = bracketed_root(budget_gap, t_lo, gap_lo, t_hi, gap_hi, 0.0)
+    _require(ok & (np.abs(gap) <= _BUDGET_RTOL * v0), rows, lambda i: SolveError(
+        f"budget root ended at residual {abs(gap[i]):.3e} for fee {fee_label(*rows[i])}"))
 
     d_lo = kernel_bound_normal(market, log_lo - t)
     d_hi = kernel_bound_normal(market, log_hi - t)
@@ -264,7 +282,7 @@ def _evaluate_block(
     # m v0 on the flat band
     flat_u = (m * v0 + aM) ** (1.0 - bM) / (1.0 - bM)
     power_u = coef * np.exp(((bM - 1.0) / bM) * t) / (1.0 - bM) * ppe(1.0 - 1.0 / bM, d_lo, d_hi)
-    phi_m = u_at_zero * beyond_support + np.sum(np.where(coef != 0.0, power_u, flat_u * p0), axis=0)
+    phi_m = env.u_at_zero * beyond_support + np.sum(np.where(coef != 0.0, power_u, flat_u * p0), axis=0)
 
     # moments: V = A z^(-1/b) + const on each band
     A = coef * np.exp((-1.0 / bM) * t)
@@ -272,13 +290,13 @@ def _evaluate_block(
     ev = np.sum(A * p1 + const * p0, axis=0)
     ev2 = np.sum(A * A * p2 + 2.0 * A * const * p1 + const * const * p0, axis=0)
     var = ev2 - ev * ev
-    _require(var > _VAR_FLOOR, fees, lambda i: SolveError(
+    _require(var > _VAR_FLOOR, rows, lambda i: SolveError(
         f"fund value variance {var[i]:.3e} is numerically degenerate"))
     sharpe = (ev - v0 * (1.0 + market.r)) / np.sqrt(var)
 
     # investor_value: ruin, v0 on the bands after the first, and the mixed
     # power term over the first band by quadrature
-    phi_i = (v0 * (c - m) + aI) ** (1.0 - bI) / (1.0 - bI) * beyond_support
+    phi_i = ruin_i / (1.0 - bI) * beyond_support
     phi_i += _power(v0 + aI, 1.0 - bI) / (1.0 - bI) * ppe(0.0, d_hi[0], d_support)
     k_mix = (1.0 - alpha) * coef[0] * np.exp((-1.0 / bM) * t)
     l_mix = (1.0 + m - m / alpha) * v0 + aM * (1.0 - 1.0 / alpha) + aI
@@ -299,12 +317,12 @@ def _evaluate_block(
     try:
         mixed = integrate_lanes(integrand, np.maximum(d_hi[0, quad], -_W_CUTOFF), _W_CUTOFF)
     except QuadratureError as exc:
-        raise _at_fee(exc, fees[quad[exc.lane]])
+        raise _at_fee(exc, rows[quad[exc.lane]])
     phi_i[quad] += mixed / (1.0 - bI)
 
-    _require(np.isfinite(phi_m) & np.isfinite(phi_i) & np.isfinite(sharpe), fees, lambda i: SolveError(
-        f"non-finite value phi_M={phi_m[i]}, phi_I={phi_i[i]}, SR={sharpe[i]} for fee {fees[i]}"))
-    return phi_m, phi_i, sharpe, case
+    _require(np.isfinite(phi_m) & np.isfinite(phi_i) & np.isfinite(sharpe), rows, lambda i: SolveError(
+        f"non-finite value phi_M={phi_m[i]}, phi_I={phi_i[i]}, SR={sharpe[i]} for fee {fee_label(*rows[i])}"))
+    return phi_m, phi_i, sharpe, env.case
 
 
 def optimize_traditional(

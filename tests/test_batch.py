@@ -1,19 +1,22 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from firstloss import (
+    ContractError,
     EnvelopeError,
     HaraParams,
     PreferenceError,
     QuadratureError,
     SolveError,
+    build_envelope,
+    concavify,
     evaluate_fee,
     evaluate_fees,
     quadrature,
     valuation,
+    wealth,
 )
+from firstloss.concavify import envelope_lanes
 
 from conftest import fee_pct
 
@@ -70,31 +73,106 @@ def test_result_does_not_depend_on_batch(base_market, base_investor):
             np.testing.assert_array_equal(getattr(part, key), getattr(full, key)[rows], err_msg=key)
 
 
+@pytest.mark.parametrize("b_m", [0.65, 2.5, 5.0])
+def test_envelope_lanes_match_scalar(b_m, base_market):
+    manager, v0 = HaraParams(0.3, b_m), base_market.v0
+    built, refused = [], []
+    for fee in BOX + PUBLISHED:
+        try:
+            built.append((fee, build_envelope(fee, manager, v0)))
+        except PreferenceError:          # the utility is -inf at the worst payoff (b_M > 1)
+            refused.append(fee)
+    lanes = envelope_lanes(*np.array([(f.m, f.alpha, f.c) for f, _ in built]).T, manager, v0)
+    for i, (fee, env) in enumerate(built):
+        assert lanes.case[i] == env.case_tag.value, fee
+        for key in ("theta1", "slope", "u_at_zero"):
+            assert getattr(lanes, key)[i] == pytest.approx(getattr(env, key), rel=1e-12, abs=0.0), (fee, key)
+        table = np.array(env.bands + ((0.0, 0.0, 0.0, 0.0),) * (3 - len(env.bands)))
+        got = np.column_stack([lanes.u_lo[:, i], lanes.u_hi[:, i], lanes.coef[:, i], lanes.const[:, i]])
+        np.testing.assert_allclose(got, table, rtol=1e-12, atol=0.0, err_msg=str(fee))
+    assert {env.case_tag.value for _, env in built} == ({"A", "B"} if b_m < 1.0 else {"A", "B", "C"})
+    assert bool(refused) == (b_m > 1.0)
+    for fee in refused:
+        with pytest.raises(PreferenceError) as info:
+            envelope_lanes([0.0, fee.m], [0.2, fee.alpha], [0.0, fee.c], manager, v0)
+        assert info.value.lane == 1
+
+
+@pytest.mark.parametrize("row,field", [
+    ((0.06, 0.2, 0.0), "management fee"),
+    ((0.0, 0.0, 0.0), "performance fee"),
+    ((0.0, 0.2, -1e-9), "first-loss coverage"),
+    ((0.0, float("nan"), 0.1), "performance fee"),
+])
+def test_row_outside_box_names_fee(row, field, base_market, base_manager, base_investor):
+    with pytest.raises(ContractError, match=field) as info:
+        evaluate_fees([(0.0, 0.2, 0.0), row], base_market, base_manager, base_investor)
+    m, a, c = (100.0 * x for x in row)
+    assert info.value.__notes__ == [f"lattice evaluation failed at fee ({m:.4f}%, {a:.4f}%, {c:.4f}%)"]
+
+
+def test_utility_domain_edge_is_a_preference_error(base_market, base_manager):
+    # fee_admissible lets the investor's worst payoff fall 1e-12 v0 below her
+    # utility's domain; the per-point path then refuses the fee, and so must
+    # the batch
+    investor = HaraParams(0.05 - 1e-13, 0.65)
+    fee = fee_pct(5, 20, 0)
+    with pytest.raises(PreferenceError):
+        evaluate_fee(fee, base_market, base_manager, investor)
+    with pytest.raises(PreferenceError) as info:
+        evaluate_fees([(0.0, 0.2, 0.0), (fee.m, fee.alpha, fee.c)], base_market, base_manager, investor)
+    assert info.value.__notes__ == [f"lattice evaluation failed at fee {fee}"]
+
+
+def test_batch_builds_no_scalar_envelope(monkeypatch, base_market, base_investor):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_envelope(*args)
+
+    for module in (concavify, wealth, valuation):
+        monkeypatch.setattr(module, "build_envelope", counted, raising=False)
+    fees = BOX + PUBLISHED
+    batch = evaluate_fees([(f.m, f.alpha, f.c) for f in fees], base_market, HaraParams(0.3, 2.5), base_investor)
+    assert set(batch.case) == {"A", "B", "C", "-"}
+    assert calls == []
+
+
+FAILING = fee_pct(2.5, 30, 10)
+
+
+def _lanes_of(m, alpha, c, fee):
+    return (m == fee.m) & (alpha == fee.alpha) & (c == fee.c)
+
+
 def _worthless(real):
     # a payoff worth nothing in every state cannot meet the budget
-    def build(fee, *args):
-        env = real(fee, *args)
-        if fee == fee_pct(2.5, 30, 10):
-            env = dataclasses.replace(env, bands=tuple(b._replace(coef=0.0, const=0.0) for b in env.bands))
-        return env
+    def build(m, alpha, c, *args):
+        env = real(m, alpha, c, *args)
+        hit = _lanes_of(m, alpha, c, FAILING)
+        return env._replace(coef=np.where(hit, 0.0, env.coef), const=np.where(hit, 0.0, env.const))
     return build
 
 
 def _no_tangency(real):
-    def build(fee, *args):
-        if fee == fee_pct(2.5, 30, 10):
-            raise EnvelopeError("no tangency bracket")
-        return real(fee, *args)
+    def build(m, alpha, c, *args):
+        hit = np.flatnonzero(_lanes_of(m, alpha, c, FAILING))
+        if hit.size:
+            exc = EnvelopeError("no tangency bracket")
+            exc.lane = int(hit[0])
+            raise exc
+        return real(m, alpha, c, *args)
     return build
 
 
 @pytest.mark.parametrize("error,patch", [
-    (SolveError, lambda mp: mp.setattr(valuation, "build_envelope", _worthless(valuation.build_envelope))),
-    (EnvelopeError, lambda mp: mp.setattr(valuation, "build_envelope", _no_tangency(valuation.build_envelope))),
+    (SolveError, lambda mp: mp.setattr(valuation, "envelope_lanes", _worthless(valuation.envelope_lanes))),
+    (EnvelopeError, lambda mp: mp.setattr(valuation, "envelope_lanes", _no_tangency(valuation.envelope_lanes))),
     (QuadratureError, lambda mp: mp.setattr(quadrature, "_MAX_DOUBLINGS", 0)),
 ])
 def test_lane_failure_keeps_type_and_names_fee(error, patch, monkeypatch, base_market, base_manager, base_investor):
-    fees = [fee_pct(0, 20, 0), fee_pct(2.5, 30, 10), fee_pct(5, 35.5, 26)]
+    fees = [fee_pct(0, 20, 0), FAILING, fee_pct(5, 35.5, 26)]
     patch(monkeypatch)
     with pytest.raises(error) as info:
         evaluate_fees([(f.m, f.alpha, f.c) for f in fees], base_market, base_manager, base_investor)

@@ -1,7 +1,7 @@
-import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from firstloss import ConfigError, load_config, valuation
@@ -99,6 +99,13 @@ def test_cli_non_finite_market_exits_1(argv, tmp_path, capsys):
     assert "r must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override,name", [("investor.a=inf", "a"), ("manager.b=inf", "b"), ("investor.b=inf", "b")])
+def test_cli_non_finite_hara_exits_1(override, name, tmp_path, capsys):
+    assert main(["--set", f"run.outdir={tmp_path}", "--set", override, "value", "--fee", "5,35.5,26"]) == 1
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "value.json").exists()
+
+
 def test_cli_frontier_byte_identical(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[sweep]\ndm = 0.025\ndalpha = 0.05\ndc = 0.05\nn_phi = 4\n")
@@ -155,15 +162,14 @@ def test_cli_grid_solve_error_exits_2(tmp_path, monkeypatch, capsys):
     # a failure inside the lattice keeps its type, so the CLI reports it as
     # a numerical failure that names the fee; a payoff worth nothing in
     # every state cannot meet the budget at any multiplier
-    real = valuation.build_envelope
+    real = valuation.envelope_lanes
 
-    def worthless(fee, *args):
-        env = real(fee, *args)
-        if (fee.m, fee.alpha, fee.c) == (0.025, 0.3, 0.1):
-            env = dataclasses.replace(env, bands=tuple(b._replace(coef=0.0, const=0.0) for b in env.bands))
-        return env
+    def worthless(m, alpha, c, *args):
+        env = real(m, alpha, c, *args)
+        hit = (m == 0.025) & (alpha == 0.3) & (c == 0.1)
+        return env._replace(coef=np.where(hit, 0.0, env.coef), const=np.where(hit, 0.0, env.const))
 
-    monkeypatch.setattr(valuation, "build_envelope", worthless)
+    monkeypatch.setattr(valuation, "envelope_lanes", worthless)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[sweep]\ndm = 0.025\ndalpha = 0.1\ndc = 0.1\n")
     assert main(["--config", str(cfg), "--set", f"run.outdir={tmp_path}", "grid"]) == 2

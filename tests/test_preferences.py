@@ -27,6 +27,9 @@ def test_hara_domain_errors():
         HaraParams(0.3, 1.0 + 1e-10)
     with pytest.raises(PreferenceError):
         HaraParams(0.3, -0.2)
+    for a, b in ((math.inf, 0.65), (-math.inf, 2.5), (math.nan, 0.65), (0.3, math.inf), (0.3, math.nan)):
+        with pytest.raises(PreferenceError, match="must be finite"):
+            HaraParams(a, b)
 
 
 def test_hara_finite_difference_derivative():
