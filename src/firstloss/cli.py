@@ -23,7 +23,7 @@ import numpy as np
 from .concavify import EnvelopeError, build_envelope, envelope_eval
 from .config import ConfigError, RunConfig, load_config
 from .contract import ContractError, FeeStructure
-from .market import MarketError
+from .market import MarketError, MomentRangeError
 from .oracle import OracleError, brute_pointwise, mc_budget, mc_value
 from .pareto import Frontier, InfeasibleReservation, grid_scan, sweep_frontier
 from .preferences import PreferenceError
@@ -41,7 +41,7 @@ from .wealth import SolveError, moments, sharpe_from_moments, solve_y_star
 CONFIG_ENV = "FIRSTLOSS_CONFIG"
 
 _CONFIG_ERRORS = (ConfigError, ContractError, MarketError, PreferenceError, SelectionError, OracleError)
-_NUMERIC_ERRORS = (SolveError, EnvelopeError, QuadratureError, InfeasibleReservation)
+_NUMERIC_ERRORS = (SolveError, EnvelopeError, QuadratureError, InfeasibleReservation, MomentRangeError)
 
 
 def _parse_fee(text: str) -> FeeStructure:
@@ -178,21 +178,18 @@ def _frontier_rows(frontier: Frontier) -> list[list]:
 
 
 def cmd_frontier(config: RunConfig, args) -> str:
-    frontier = sweep_frontier(
-        config.market, config.manager, config.investor, config.steps, workers=config.workers
-    )
+    frontier = sweep_frontier(config.market, config.manager, config.investor, config.steps)
     path = _out(config, "frontier.csv")
     _write_csv(
         path, config,
         ["phi_min", "m_pct", "alpha_pct", "c_pct", "phi_M", "phi_I", "sharpe", "bound_flags"],
         _frontier_rows(frontier),
     )
-    note = f", {len(frontier.failures)} level(s) failed" if frontier.failures else ""
-    return f"frontier: {len(frontier.points)} points{note} -> {path}"
+    return f"frontier: {len(frontier.points)} points -> {path}"
 
 
 def cmd_preferred(config: RunConfig, args) -> str:
-    result = run_pipeline(config.market, config.manager, config.investor, config.steps, workers=config.workers)
+    result = run_pipeline(config.market, config.manager, config.investor, config.steps)
     chosen = result.preferred
     if args.floor is not None:
         floor_fee = _parse_fee(args.floor)
@@ -245,10 +242,7 @@ def _parse_axis_values(axis: str, text: str) -> list:
 
 def cmd_sensitivity(config: RunConfig, args) -> str:
     values = _parse_axis_values(args.axis, args.values) if args.values else _AXIS_DEFAULTS[args.axis]
-    cells = sensitivity_sweep(
-        args.axis, values, config.market, config.manager, config.investor,
-        config.steps, workers=config.workers,
-    )
+    cells = sensitivity_sweep(args.axis, values, config.market, config.manager, config.investor, config.steps)
     rows = []
     for cell in cells:
         if cell.preferred is None or cell.preferred.fee is None:

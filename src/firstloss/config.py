@@ -25,7 +25,6 @@ class RunConfig:
     seed: int = 20240901
     mc_draws: int = 1_000_000
     outdir: str = "out"
-    workers: int | None = None
 
     def as_items(self) -> list[tuple[str, str]]:
         """Flattened effective configuration, echoed into output headers."""
@@ -55,7 +54,7 @@ _FIELDS = {
     "manager": {"a": float, "b": float},
     "investor": {"a": float, "b": float},
     "sweep": {"dm": float, "dalpha": float, "dc": float, "n_phi": int},
-    "run": {"seed": int, "mc_draws": int, "outdir": str, "workers": int},
+    "run": {"seed": int, "mc_draws": int, "outdir": str},
 }
 
 
@@ -135,5 +134,4 @@ def load_config(path: str | Path | None = None, overrides: dict[str, str] | None
         seed=pick("run", "seed", 20240901),
         mc_draws=pick("run", "mc_draws", 1_000_000),
         outdir=pick("run", "outdir", "out"),
-        workers=pick("run", "workers", None),
     )

@@ -8,6 +8,7 @@ so that only one formula needs independent verification.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,10 @@ from scipy.special import ndtr
 
 class MarketError(ValueError):
     """Invalid market parameters or arguments."""
+
+
+class MomentRangeError(RuntimeError):
+    """A power moment of the pricing kernel beyond double range."""
 
 
 @dataclass(frozen=True)
@@ -81,19 +86,21 @@ def _d_bound(params: MarketParams, x: float) -> float:
     return (-math.log(x) - params.log_drift) / params.log_vol
 
 
-def _phi(d: float) -> float:
-    # Normal CDF with Phi(+inf)=1, Phi(-inf)=0; ndtr is erfc-based with
-    # absolute error below 1e-15.
-    if math.isinf(d):
-        return 1.0 if d > 0 else 0.0
-    return float(ndtr(d))
+def _moment_scale(params: MarketParams, k: float) -> float:
+    # E[Z_T^k] = exp(-k mu + (k sigma)^2 / 2), checked before exp overflows
+    exponent = -k * params.log_drift + 0.5 * (k * params.log_vol) ** 2
+    if exponent > math.log(sys.float_info.max):
+        raise MomentRangeError(
+            f"E[Z_T^k] at k={k:.6g} is exp({exponent:.6g}), beyond double range (horizon_T={params.horizon_T})")
+    return math.exp(exponent)
 
 
 def partial_power_expectation(params: MarketParams, k: float, a: float, b: float) -> float:
     """E[Z_T^k 1{a < Z_T < b}] at time zero, in closed form.
 
     Z_T is lognormal, so the truncated power moment reduces to two normal CDF
-    evaluations.  a = 0 and b = +inf are legal; a > b is rejected.
+    evaluations (partial_power_expectation_normal at the bounds' normal
+    coordinates).  a = 0 and b = +inf are legal; a > b is rejected.
     """
     if a < 0.0:
         raise MarketError(f"lower bound must be >= 0 (got {a})")
@@ -101,13 +108,7 @@ def partial_power_expectation(params: MarketParams, k: float, a: float, b: float
         raise MarketError(f"empty kernel interval: a={a} > b={b}")
     if a == b:
         return 0.0
-    mu, sig = params.log_drift, params.log_vol
-    d_a = _d_bound(params, a)
-    d_b = _d_bound(params, b)
-    scale = math.exp(-k * mu + 0.5 * (k * sig) ** 2)
-    lo = _phi(d_a + k * sig) if math.isfinite(d_a) else 1.0
-    hi = _phi(d_b + k * sig) if math.isfinite(d_b) else 0.0
-    return scale * (lo - hi)
+    return float(partial_power_expectation_normal(params, k, _d_bound(params, a), _d_bound(params, b)))
 
 
 def kernel_bound_normal(params: MarketParams, log_x: np.ndarray) -> np.ndarray:
@@ -125,8 +126,7 @@ def partial_power_expectation_normal(params: MarketParams, k: float, d_a: np.nda
     (d_a = d_b) gives exactly 0.
     """
     sig = params.log_vol
-    scale = math.exp(-k * params.log_drift + 0.5 * (k * sig) ** 2)
-    return scale * (ndtr(d_a + k * sig) - ndtr(d_b + k * sig))
+    return _moment_scale(params, k) * (ndtr(d_a + k * sig) - ndtr(d_b + k * sig))
 
 
 def sample_z(params: MarketParams, seed: int, n: int) -> np.ndarray:

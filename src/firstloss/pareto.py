@@ -1,34 +1,45 @@
-"""First-best Pareto-optimal fees: lattice scan, per-reservation-level
-constrained maximization, and the frontier sweep.
+"""First-best Pareto-optimal fees: the lattice scan and the frontier.
 
 For a reservation level phi_min, the frontier point maximizes the investor's
-value subject to the manager's value staying above phi_min, over the fee box.
-The investor surface is multimodal in corners of the parameter space (small
-fees under high manager risk aversion), so refinement is seeded from the
-dense lattice, run from several seeds, and finished with a deterministic
-polish along the binding constraint; the refined point never falls below its
-seed.
+value phi_I subject to the manager's value phi_M >= phi_min over the fee box
+(the epsilon-constraint method).  phi_M rises monotonically in m and alpha
+and falls in the coverage c, so at fixed (m, alpha) the constraint holds for
+c up to c_bind(m, alpha).  Where it binds, c is eliminated through it and
+G(m, alpha) = phi_I(m, alpha, c_bind) is maximized over the two fees left;
+where c_bind leaves the coverage range, the fee on that face of c that meets
+the constraint with the lowest m (then alpha) competes, so that the search
+can follow a face or vertex of the box along which the constraint binds.
+
+All levels are solved in the same batched evaluations.  One unconstrained
+maximum x_u of phi_I serves the levels it satisfies; the others run a
+lane-wise pattern search on G from their three best feasible lattice fees
+(the best of them after four steps), every binding fee found by a lane-wise
+bracketed root.
+A level's answer is the better of the search's result and its best feasible
+lattice fee, so it never falls below the lattice.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize, minimize_scalar
 
-from .contract import ALPHA_MAX, ALPHA_MIN, C_MAX, M_MAX, FeeStructure
+from .contract import ALPHA_MAX, ALPHA_MIN, C_MAX, M_MAX, FeeStructure, fee_label
 from .market import MarketParams
-from .preferences import HaraParams
-from .valuation import FeeMetrics, evaluate_fee, evaluate_fees, manager_value
-from .wealth import solve_y_star
+from .preferences import HaraParams, admissible_lanes
+from .roots import XRTOL, bracketed_root, pattern_search
+from .valuation import evaluate_fees, manager_values
+from .wealth import SolveError
 
 _SEED_TOL = 1e-12
 _BOUND_SNAP = 1e-7
-_POLISH_WINDOW = 0.04
+# a root's first bracket around the lane's last fee, in steps of the search
+_WIDTH = 8.0
+# steps from each of a level's lattice starts before only its best goes on
+_START_STEPS = 4
+_BOX = np.array([0.0, ALPHA_MIN, 0.0]), np.array([M_MAX, ALPHA_MAX, C_MAX])
 
 
 class InfeasibleReservation(ValueError):
@@ -95,7 +106,7 @@ class ParetoPoint:
     phi_I: float
     sharpe: float
     bound_flags: tuple[str, ...] = ()
-    seed_phi_I: float = math.nan
+    seed_phi_I: float = math.nan        # the level's best feasible lattice value
 
 
 @dataclass(frozen=True)
@@ -104,19 +115,13 @@ class Frontier:
     steps: GridSteps
     phi_M_min: float
     phi_M_max: float
-    failures: tuple[tuple[float, str], ...] = ()
+    failures: tuple[tuple[float, str], ...] = ()      # always empty: a failing level raises
 
 
 def default_workers() -> int:
-    from .config import ConfigError              # config imports this module
-
-    env = os.environ.get("FIRSTLOSS_WORKERS")
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            raise ConfigError(f"FIRSTLOSS_WORKERS must be an integer (got {env!r})") from None
-    return min(os.cpu_count() or 1, 8)
+    """Processes a frontier runs on: 1, as every level is solved in the same
+    batched evaluations; kept for callers that record it with their results."""
+    return 1
 
 
 def grid_scan(
@@ -144,109 +149,161 @@ def grid_scan(
                     case=tuple(batch.case.tolist()), feasible=batch.feasible)
 
 
-def _phi_M_only(fee: FeeStructure, market: MarketParams, manager: HaraParams) -> float:
-    return manager_value(solve_y_star(fee, manager, market))
-
-
-def _c_bounds(m: float, manager: HaraParams, investor: HaraParams, v0: float) -> tuple[float, float]:
-    # b > 1 needs the worst payoff strictly inside the utility domain
-    lo = 0.0
-    hi = C_MAX
-    if manager.b > 1.0:
-        hi = min(hi, manager.a / v0 + m - 1e-9)
-    if investor.b > 1.0:
-        lo = max(lo, m - investor.a / v0 + 1e-9)
+def _span(rows: np.ndarray, axis: int, manager: HaraParams, investor: HaraParams, v0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The range of fee coordinate axis (0 m, 1 alpha, 2 c) at each row's
+    other two: the box, cut where c - m leaves [-a_I, a_M] / v0, and 1e-9
+    inside a cut that is itself inadmissible (b > 1, or b < 1 by rounding)."""
+    lo = np.full(len(rows), (0.0, ALPHA_MIN, 0.0)[axis])
+    hi = np.full(len(rows), (M_MAX, ALPHA_MAX, C_MAX)[axis])
+    if axis != 1:
+        held = rows[:, 2 - axis]
+        d_lo, d_hi = (-investor.a / v0, manager.a / v0) if axis == 2 else (-manager.a / v0, investor.a / v0)
+        lo, hi = np.maximum(lo, held + d_lo), np.minimum(hi, held + d_hi)
+        for end, inward in ((lo, 1e-9), (hi, -1e-9)):
+            m, c = (held, end) if axis == 2 else (end, held)
+            end += np.where(admissible_lanes(m, c, manager, investor, v0), 0.0, inward)
     return lo, hi
 
 
-def _best_c_on_slice(
-    m: float,
-    alpha: float,
-    phi_min: float,
-    market: MarketParams,
-    manager: HaraParams,
-    investor: HaraParams,
-) -> tuple[float, float] | None:
-    """Max of phi_I over the feasible coverage range at fixed (m, alpha).
-
-    The manager's value decreases in c, so the feasible set is an interval
-    [c_lo, c_bind]; returns (phi_I, c) or None when even c_lo is infeasible.
-    """
-    c_lo, c_hi = _c_bounds(m, manager, investor, market.v0)
-    if c_hi <= c_lo:
-        return None
-    gap = lambda c: _phi_M_only(FeeStructure(m, alpha, c), market, manager) - phi_min
-    if gap(c_lo) < 0.0:
-        return None
-    if gap(c_hi) < 0.0:
-        c_hi = brentq(gap, c_lo, c_hi, xtol=1e-10)
-    if c_hi - c_lo < 1e-12:
-        c_best = c_lo
-    else:
-        res = minimize_scalar(
-            lambda c: -evaluate_fee(FeeStructure(m, alpha, c), market, manager, investor).phi_I,
-            bounds=(c_lo, c_hi),
-            method="bounded",
-            options={"xatol": 1e-8},
-        )
-        c_best = float(res.x)
-    val = evaluate_fee(FeeStructure(m, alpha, c_best), market, manager, investor).phi_I
-    # the binding edge itself is often the optimum; keep whichever wins
-    val_edge = evaluate_fee(FeeStructure(m, alpha, c_hi), market, manager, investor).phi_I
-    if val_edge > val:
-        return val_edge, float(c_hi)
-    return val, c_best
-
-
-def _polish(
-    point: tuple[float, float, float],
-    phi_min: float,
-    market: MarketParams,
-    manager: HaraParams,
-    investor: HaraParams,
-) -> tuple[float, tuple[float, float, float]] | None:
-    """Deterministic refinement near a candidate: with m held (snapped to a
-    bound when already there), maximize over alpha the slice value
-    max_c phi_I s.t. phi_M >= phi_min."""
-    m, alpha0, _ = point
-    if m < _BOUND_SNAP:
-        m = 0.0
-    elif m > M_MAX - _BOUND_SNAP:
-        m = M_MAX
-
-    lo = max(ALPHA_MIN, alpha0 - _POLISH_WINDOW)
-    hi = min(ALPHA_MAX, alpha0 + _POLISH_WINDOW)
-
-    def g(alpha: float) -> float:
-        r = _best_c_on_slice(m, float(alpha), phi_min, market, manager, investor)
-        return -1e18 if r is None else r[0]
-
-    res = minimize_scalar(lambda a: -g(a), bounds=(lo, hi), method="bounded", options={"xatol": 1e-7})
-    alpha = float(res.x)
-    r = _best_c_on_slice(m, alpha, phi_min, market, manager, investor)
-    if r is None:
-        return None
-    return r[0], (m, alpha, r[1])
-
-
-def _select_seeds(scan: GridScan, phi_min: float, n_seeds: int = 3) -> list[tuple[float, float, float]]:
-    ok = scan.feasible & (scan.phi_M >= phi_min - _SEED_TOL)
-    idx = np.flatnonzero(ok)
-    if idx.size == 0:
-        return []
-    order = idx[np.argsort(-scan.phi_I[idx], kind="stable")]
-    seeds: list[tuple[float, float, float]] = []
-    buckets: set[tuple[int, int, int]] = set()
-    for i in order:
-        m, a, c = scan.fees[int(i)]
-        key = (round(m / 0.0125), round(a / 0.025), round(c / 0.025))
-        if key in buckets:
-            continue
-        buckets.add(key)
-        seeds.append((m, a, c))
-        if len(seeds) >= n_seeds:
-            break
+def _select_seeds(scan: GridScan, levels: np.ndarray, n_seeds: int = 3) -> list[list[int]]:
+    """Per level, the lattice indices of its best feasible fees by phi_I,
+    at most one from each bucket of (1.25%, 2.5%, 2.5%)."""
+    order = np.flatnonzero(scan.feasible)
+    order = order[np.argsort(-scan.phi_I[order], kind="stable")]
+    keys = np.round(np.asarray(scan.fees)[order] / (0.0125, 0.025, 0.025))
+    phi_M, seeds = scan.phi_M[order], []
+    for level in levels.tolist():
+        found, buckets = [], set()
+        for j in np.flatnonzero(phi_M >= level - _SEED_TOL):
+            if len(found) == n_seeds:
+                break
+            if tuple(keys[j]) not in buckets:
+                buckets.add(tuple(keys[j]))
+                found.append(int(order[j]))
+        if not found:
+            raise InfeasibleReservation(f"no feasible lattice seed for phi_min={level}")
+        seeds.append(found)
     return seeds
+
+
+def _bind(rows: np.ndarray, axis: int, width: np.ndarray, phi_min: np.ndarray, market: MarketParams,
+          manager: HaraParams, investor: HaraParams) -> np.ndarray:
+    """Each row moved along fee coordinate axis, within its span, to where
+    phi_M = phi_min (phi_M rises along m and alpha, falls along c); to the
+    span's end with the lowest phi_M where all of the span meets phi_min,
+    NaN where none does.  The root's bracket starts at the row's coordinate
+    +- width and widens to the span's end on a side where it misses."""
+    lo_s, hi_s = _span(rows, axis, manager, investor, market.v0)
+    rises = axis != 2
+
+    def gap(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        fees = rows[lanes].copy()
+        fees[:, axis] = x
+        return manager_values(fees, market, manager, investor) - phi_min[lanes]
+
+    # both ends of every bracket in one call, then the ends that missed
+    n, lanes = len(rows), np.tile(np.arange(len(rows)), 2)
+    end = np.clip(np.concatenate([rows[:, axis] - width, rows[:, axis] + width]), lo_s[lanes], hi_s[lanes])
+    g = gap(end, lanes)
+    edge = np.concatenate([lo_s, hi_s])
+    short = np.repeat([rises, not rises], n)               # where phi_M < phi_min belongs
+    miss = np.flatnonzero(((g < 0.0) != short) & (end != edge))
+    end[miss] = edge[miss]
+    g[miss] = gap(end[miss], lanes[miss])
+    lo, hi, g_lo, g_hi = end[:n], end[n:], g[:n], g[n:]
+    out = rows.copy()
+    out[:, axis] = np.where((g_lo >= 0.0) & (g_hi >= 0.0) & (lo_s <= hi_s), lo if rises else hi, math.nan)
+    root = np.flatnonzero(((g_lo < 0.0) == rises) & ((g_hi < 0.0) != rises) & (lo_s <= hi_s))
+    # xatol 1e-15: about where phi_M's own rounding takes over
+    x, fx, ok = bracketed_root(lambda x, lanes: gap(x, root[lanes]), lo[root], g_lo[root], hi[root], g_hi[root],
+                               1e-15)
+    if not ok.all():
+        i = root[int(np.argmin(ok))]
+        exc = SolveError(f"root of phi_M = {phi_min[i]!r} not found in [{lo[i]!r}, {hi[i]!r}] along fee axis {axis}")
+        exc.add_note(f"frontier search failed at fee {fee_label(*rows[i])}")
+        raise exc
+    # a best point on the short side of the root steps past its bracket's other end
+    out[root, axis] = x + np.where(fx < 0.0, 1.0 if rises else -1.0, 0.0) * (XRTOL * np.abs(x) + 1e-15)
+    return out
+
+
+def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, manager: HaraParams,
+                  investor: HaraParams) -> list[ParetoPoint]:
+    """The frontier point of every reservation level, in one batched search."""
+    steps, v0 = scan.steps, market.v0
+    seeds = _select_seeds(scan, levels)
+    seed_phi_I = scan.phi_I[[found[0] for found in seeds]]
+
+    def phi_I(rows: np.ndarray) -> np.ndarray:
+        # -inf where a fee is NaN or inadmissible
+        ok = ~np.isnan(rows).any(axis=1)
+        values = np.full(len(rows), -math.inf)
+        batch = evaluate_fees(rows[ok], market, manager, investor)
+        values[ok] = np.where(batch.feasible, batch.phi_I, -math.inf)
+        return values
+
+    # the unconstrained maximum over (m, alpha, c), from the best lattice fee
+    x_u = np.array([scan.fees[int(np.argmax(np.where(scan.feasible, scan.phi_I, -np.inf)))]])
+    f_u = phi_I(x_u)
+    pattern_search(lambda points, *_: (phi_I(points), points), x_u, f_u, x_u.copy(),
+                   np.array([[steps.dm, steps.dalpha, steps.dc]]), *_BOX)
+    slack = levels <= evaluate_fees(x_u, market, manager, investor).phi_M[0]
+    fees = np.where(slack[:, None], x_u, math.nan)
+    found = np.where(slack, f_u[0], -math.inf)
+
+    # every other level: a pattern search on G(m, alpha) from its lattice starts
+    owner = np.array([i for i in np.flatnonzero(~slack) for _ in seeds[i]], dtype=int)
+    starts = np.array([scan.fees[j] for i in np.flatnonzero(~slack) for j in seeds[i]]).reshape(-1, 3)
+    lane_min = levels[owner]
+    bind = lambda rows, axis, width, lanes: _bind(rows, axis, width, lane_min[lanes], market, manager, investor)
+
+    def G(points, lanes, center, step):
+        # the fee at (m, alpha) with c bound by the constraint, from the lane's last c
+        width = _WIDTH * step
+        fee = bind(np.column_stack([points, center[:, 2]]), 2, width, lanes)
+        # a point, or its lane's fee, on a face of c (c at its cap with phi_M
+        # to spare, or at its floor with phi_M short): the fee on that face
+        # that meets the constraint with the lowest m, then alpha, competes
+        lo_c, hi_c = _span(fee, 2, manager, investor, v0)
+        short = np.isnan(fee[:, 2])
+        top = ~short & ((fee[:, 2] == hi_c) | (center[:, 2] == hi_c))
+        face = np.flatnonzero(short | top | (center[:, 2] == lo_c))
+        moved = np.full_like(fee, math.nan)
+        moved[face] = np.column_stack([fee[face, :2], np.where(top, hi_c, lo_c)[face]])
+        moved[face] = bind(moved[face], 0, width[face], lanes[face])
+        still = face[np.isnan(moved[face, 0])]
+        moved[still, 0] = _span(moved[still], 0, manager, investor, v0)[1]
+        moved[still] = bind(moved[still], 1, width[still], lanes[still])
+        # the better of the two, the first on a tie
+        values = phi_I(np.concatenate([fee, moved])).reshape(2, -1)
+        return values.max(axis=0), np.where(np.argmax(values, axis=0)[:, None] == 1, moved, fee)
+
+    # the starts' own binding fees, bracketed by the lattice step in c, then
+    # a few steps from each before only the level's best (the first on a tie)
+    fx, fee = G(starts[:, :2], np.arange(owner.size), starts, np.full(owner.size, steps.dc / _WIDTH))
+    h, box = np.tile([steps.dm, steps.dalpha], (owner.size, 1)), (_BOX[0][:2], _BOX[1][:2])
+    pattern_search(G, fee[:, :2].copy(), fx, fee, h, *box, max_steps=_START_STEPS)
+    order = np.lexsort((-fx, owner))
+    keep = order[np.unique(owner[order], return_index=True)[1]]
+    owner, lane_min, fx, fee, h = owner[keep], lane_min[keep], fx[keep], fee[keep], h[keep]
+    pattern_search(G, fee[:, :2].copy(), fx, fee, h, *box)
+    fees[owner], found[owner] = fee, fx
+
+    # a level's best feasible lattice fee stands where the search did not beat it
+    lattice = np.flatnonzero(found <= seed_phi_I)
+    fees[lattice] = np.reshape([scan.fees[seeds[i][0]] for i in lattice], (-1, 3))
+    final = evaluate_fees(fees, market, manager, investor)
+    c_top = _span(np.array([[M_MAX, ALPHA_MAX, 0.0]]), 2, manager, investor, v0)[1][0]
+    points = []
+    for i, level in enumerate(levels.tolist()):
+        fee = FeeStructure(*fees[i].tolist())
+        bounds = (("m_low", fee.m <= _BOUND_SNAP), ("m_high", fee.m >= M_MAX - _BOUND_SNAP),
+                  ("alpha_low", fee.alpha <= ALPHA_MIN + _BOUND_SNAP), ("alpha_high", fee.alpha >= ALPHA_MAX - _BOUND_SNAP),
+                  ("c_low", fee.c <= _BOUND_SNAP), ("c_high", fee.c >= c_top - _BOUND_SNAP))
+        points.append(ParetoPoint(phi_min=level, fee=fee, phi_M=float(final.phi_M[i]), phi_I=float(final.phi_I[i]),
+                                  sharpe=float(final.sharpe[i]), bound_flags=tuple(name for name, hit in bounds if hit),
+                                  seed_phi_I=float(seed_phi_I[i])))
+    return points
 
 
 def solve_fbpo(
@@ -256,102 +313,12 @@ def solve_fbpo(
     manager: HaraParams,
     investor: HaraParams,
 ) -> ParetoPoint:
-    """Constrained maximization of phi_I at one reservation level.
-
-    Grid seed, SLSQP from each seed, then the binding-curve polish; the
-    result is the best feasible candidate and never falls below the seed.
-    """
+    """The frontier point at one reservation level: sweep_frontier's search
+    on this level alone, which gives the sweep's point for it."""
     if phi_min > scan.phi_M_max + 1e-9 or phi_min < scan.phi_M_min - 1e-9:
-        raise InfeasibleReservation(
-            f"phi_min={phi_min} outside attained manager range "
-            f"[{scan.phi_M_min}, {scan.phi_M_max}]"
-        )
-    feas_tol = 1e-8 * max(1.0, abs(phi_min))
-    seeds = _select_seeds(scan, phi_min)
-    if not seeds:
-        raise InfeasibleReservation(f"no feasible lattice seed for phi_min={phi_min}")
-
-    cache: dict[tuple[float, float, float], FeeMetrics] = {}
-
-    def metrics_at(x) -> FeeMetrics:
-        key = (float(x[0]), float(x[1]), float(x[2]))
-        hit = cache.get(key)
-        if hit is None:
-            hit = evaluate_fee(FeeStructure(*key), market, manager, investor)
-            cache[key] = hit
-        return hit
-
-    c_lo0, c_hi0 = _c_bounds(M_MAX, manager, investor, market.v0)
-    bounds = [(0.0, M_MAX), (ALPHA_MIN, ALPHA_MAX), (0.0, C_MAX)]
-
-    candidates: list[tuple[float, tuple[float, float, float]]] = []
-    for seed in seeds:
-        candidates.append((metrics_at(seed).phi_I, seed))
-        try:
-            res = minimize(
-                lambda x: -metrics_at(x).phi_I,
-                seed,
-                method="SLSQP",
-                bounds=bounds,
-                constraints=[{"type": "ineq", "fun": lambda x: metrics_at(x).phi_M - phi_min}],
-                options={"ftol": 1e-12, "eps": 1e-6, "maxiter": 300},
-            )
-        except Exception:
-            continue
-        x = tuple(float(v) for v in res.x)
-        try:
-            mx = metrics_at(x)
-        except Exception:
-            continue
-        if mx.phi_M >= phi_min - feas_tol:
-            candidates.append((mx.phi_I, x))
-
-    best_val, best_x = max(candidates, key=lambda t: t[0])
-    polished = _polish(best_x, phi_min, market, manager, investor)
-    if polished is not None and polished[0] > best_val:
-        best_val, best_x = polished
-
-    fee = FeeStructure(*best_x)
-    final = evaluate_fee(fee, market, manager, investor)
-    seed_phi_I = candidates[0][0]
-    if final.phi_M < phi_min - feas_tol or final.phi_I < seed_phi_I - 1e-12:
-        # deterministic fall-back: the seed is always feasible
-        fee = FeeStructure(*seeds[0])
-        final = evaluate_fee(fee, market, manager, investor)
-
-    flags = []
-    if fee.m <= _BOUND_SNAP:
-        flags.append("m_low")
-    if fee.m >= M_MAX - _BOUND_SNAP:
-        flags.append("m_high")
-    if fee.alpha <= ALPHA_MIN + _BOUND_SNAP:
-        flags.append("alpha_low")
-    if fee.alpha >= ALPHA_MAX - _BOUND_SNAP:
-        flags.append("alpha_high")
-    if fee.c <= _BOUND_SNAP:
-        flags.append("c_low")
-    if fee.c >= min(C_MAX, c_hi0) - _BOUND_SNAP:
-        flags.append("c_high")
-    return ParetoPoint(
-        phi_min=phi_min,
-        fee=fee,
-        phi_M=final.phi_M,
-        phi_I=final.phi_I,
-        sharpe=final.sharpe,
-        bound_flags=tuple(flags),
-        seed_phi_I=seed_phi_I,
-    )
-
-
-def _fbpo_chunk(args) -> list[tuple[int, ParetoPoint | None, str]]:
-    scan, market, manager, investor, indexed_levels = args
-    out = []
-    for idx, phi_min in indexed_levels:
-        try:
-            out.append((idx, solve_fbpo(phi_min, scan, market, manager, investor), ""))
-        except Exception as exc:
-            out.append((idx, None, f"{type(exc).__name__}: {exc}"))
-    return out
+        raise InfeasibleReservation(f"phi_min={phi_min} outside attained manager range "
+                                    f"[{scan.phi_M_min}, {scan.phi_M_max}]")
+    return _solve_levels(np.array([float(phi_min)]), scan, market, manager, investor)[0]
 
 
 def sweep_frontier(
@@ -360,33 +327,11 @@ def sweep_frontier(
     investor: HaraParams,
     steps: GridSteps = GridSteps(),
     scan: GridScan | None = None,
-    workers: int | None = None,
 ) -> Frontier:
-    """Trace the Pareto frontier over an even grid of reservation levels.
-
-    Per-level failures are recorded and the sweep continues.
-    """
+    """Trace the Pareto frontier over an even grid of reservation levels in
+    one batched search; a numerical failure raises, noted with the fee."""
     if scan is None:
         scan = grid_scan(market, manager, investor, steps)
     levels = np.linspace(scan.phi_M_min, scan.phi_M_max, steps.n_phi + 1)
-    indexed = list(enumerate(float(v) for v in levels))
-    workers = default_workers() if workers is None else workers
-
-    if workers and workers > 1 and len(indexed) >= 8:
-        chunks = [indexed[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_fbpo_chunk, [(scan, market, manager, investor, ch) for ch in chunks])
-        rows = [row for rows_ in results for row in rows_]
-    else:
-        rows = _fbpo_chunk((scan, market, manager, investor, indexed))
-
-    rows.sort(key=lambda r: r[0])
-    points = tuple(r[1] for r in rows if r[1] is not None)
-    failures = tuple((indexed[r[0]][1], r[2]) for r in rows if r[1] is None)
-    return Frontier(
-        points=points,
-        steps=steps,
-        phi_M_min=scan.phi_M_min,
-        phi_M_max=scan.phi_M_max,
-        failures=failures,
-    )
+    return Frontier(points=tuple(_solve_levels(levels, scan, market, manager, investor)), steps=steps,
+                    phi_M_min=scan.phi_M_min, phi_M_max=scan.phi_M_max)

@@ -70,10 +70,15 @@ def _power(base: float, exponent: float) -> float:
     return math.exp(exponent * math.log(base))
 
 
+def _in_power_domain(base: np.ndarray, exponent: float) -> np.ndarray:
+    # the bases _power and _power_lanes accept: >= 0, and not tiny if exponent < 0
+    return (base >= 0.0) & ((base > 0.0) | (exponent > 0.0)) & ((base >= _TINY_BASE) | (exponent >= 0.0))
+
+
 def _power_lanes(base: np.ndarray, exponent: float) -> np.ndarray:
     # _power over an array of bases, with the same guard: the first lane it
     # rejects raises, naming the lane
-    bad = (base < 0.0) | ((base == 0.0) & (exponent <= 0.0)) | ((base < _TINY_BASE) & (exponent < 0.0))
+    bad = ~_in_power_domain(base, exponent)
     if bad.any():
         lane = int(np.flatnonzero(bad)[0])
         x = base[lane]
@@ -107,20 +112,17 @@ def hara_marginal(p: HaraParams, wealth: float) -> float:
 def fee_admissible(fee: FeeStructure, manager: HaraParams, investor: HaraParams, v0: float) -> bool:
     """Whether both utilities are finite at the parties' minimal payoffs.
 
-    Manager needs a_M >= (c - m) v0 (strict for b_M > 1); investor the mirror
-    image with m - c.
+    The utility bases there, v0 (m - c) + a_M for the manager and
+    v0 (c - m) + a_I for the investor, must pass _power's own guard: >= 0
+    for b < 1, at least 1e-300 for b > 1.
     """
     return bool(admissible_lanes(fee.m, fee.c, manager, investor, v0))
 
 
 def admissible_lanes(m: np.ndarray, c: np.ndarray, manager: HaraParams, investor: HaraParams, v0: float) -> np.ndarray:
     """fee_admissible for arrays of m and c (the check does not involve alpha)."""
-    worst_m = (c - m) * v0
-    worst_i = (m - c) * v0
-    tol = 1e-12 * v0
-    ok_m = manager.a > worst_m if manager.b > 1.0 else manager.a >= worst_m - tol
-    ok_i = investor.a > worst_i if investor.b > 1.0 else investor.a >= worst_i - tol
-    return ok_m & ok_i
+    return (_in_power_domain(v0 * (m - c) + manager.a, 1.0 - manager.b)
+            & _in_power_domain(v0 * (c - m) + investor.a, 1.0 - investor.b))
 
 
 def require_admissible(fee: FeeStructure, manager: HaraParams, investor: HaraParams, v0: float) -> None:

@@ -1,9 +1,10 @@
-"""Bracketed root finding for many functions at once.
+"""Bracketed root finding and pattern search for many functions at once.
 
 One root per lane by Chandrupatla's method (inverse quadratic interpolation
 where it is safe, bisection otherwise), with numpy over every lane still
 open.  The batched fee engine solves its tangency and budget equations with
-it.
+it, and the frontier its binding fees.  The frontier and the traditional
+fee maximize by the lane-wise pattern search.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 _MAX_ITER = 100
 XRTOL = 4.0 * math.ulp(1.0)              # brentq's rtol in the scalar path
+MIN_STEP = 1e-8                          # pattern_search's last step in every coordinate
 
 
 def bracketed_root(
@@ -48,7 +50,7 @@ def bracketed_root(
         tol = XRTOL * np.abs(xm) + xatol
         met = (fm == 0.0) | (np.abs(d) < tol)
         stop = met if step < _MAX_ITER else np.ones_like(met)
-        if stop.any():
+        if stop.any() or not lanes.size:          # a call with no lanes returns at once
             # a bracket end whose value is NaN leaves the lane unsolved
             done = lanes[stop]
             x[done], fx[done] = xm[stop], fm[stop]
@@ -77,3 +79,29 @@ def bracketed_root(
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = xt, ft
         step += 1
+
+
+def pattern_search(objective: Callable, x: np.ndarray, fx: np.ndarray, fee: np.ndarray, h: np.ndarray,
+                   lo: np.ndarray, hi: np.ndarray, max_steps: int = -1) -> None:
+    """Maximize objective from each lane's point x (lanes, dims), valued fx
+    at fee, in place: a lane whose step h is not below MIN_STEP everywhere
+    tries the pattern x + s h, s in {-1, 0, 1}^dims, clipped to [lo, hi], and
+    moves to its best point if that beats fx, else halves h; max_steps >= 0
+    caps the steps.  objective(points, lanes, fee, step) gives each point's
+    value (-inf if infeasible) and the fee it stands for (whose first dims
+    coordinates the lane moves to), from its lane, that fee and largest step."""
+    dims = x.shape[1]
+    grid = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * dims, indexing="ij"), axis=-1).reshape(-1, dims)
+    pattern = grid[np.any(grid != 0.0, axis=1)]
+    while (live := np.flatnonzero(h.max(axis=1) >= MIN_STEP)).size and max_steps != 0:
+        max_steps -= 1
+        points = np.clip(x[live, None, :] + pattern * h[live, None, :], lo, hi).reshape(-1, dims)
+        lanes = np.repeat(live, len(pattern))
+        values, fees = objective(points, lanes, fee[lanes], h[lanes].max(axis=1))
+        values, fees = values.reshape(live.size, -1), fees.reshape(live.size, len(pattern), -1)
+        pick = np.arange(live.size), np.argmax(values, axis=1)
+        up = values[pick] > fx[live]
+        moved = live[up]
+        fx[moved], fee[moved] = values[pick][up], fees[pick][up]
+        x[moved] = fee[moved, :dims]
+        h[live[~up]] *= 0.5

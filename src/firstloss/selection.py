@@ -8,12 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .concavify import EnvelopeError
 from .contract import FeeStructure, investor_payoff, manager_payoff
-from .market import MarketParams
-from .pareto import Frontier, GridSteps, grid_scan, sweep_frontier
-from .preferences import HaraParams, hara_utility
-from .quadrature import integrate
+from .market import MarketParams, MomentRangeError
+from .pareto import Frontier, GridSteps, InfeasibleReservation, grid_scan, sweep_frontier
+from .preferences import HaraParams, PreferenceError, hara_utility
+from .quadrature import QuadratureError, integrate
 from .valuation import evaluate_fee
+from .wealth import SolveError
 
 _W_CUTOFF = 10.0
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -21,6 +23,11 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 class SelectionError(ValueError):
     pass
+
+
+# the errors one sensitivity cell can raise from its own parameters
+_CELL_ERRORS = (SolveError, EnvelopeError, QuadratureError, InfeasibleReservation, MomentRangeError,
+                PreferenceError, SelectionError)
 
 
 @dataclass(frozen=True)
@@ -89,11 +96,10 @@ def run_pipeline(
     manager: HaraParams,
     investor: HaraParams,
     steps: GridSteps = GridSteps(),
-    workers: int | None = None,
 ) -> PipelineResult:
     """Lattice scan, frontier sweep, and Sharpe selection in one shot."""
     scan = grid_scan(market, manager, investor, steps)
-    frontier = sweep_frontier(market, manager, investor, steps, scan=scan, workers=workers)
+    frontier = sweep_frontier(market, manager, investor, steps, scan=scan)
     return PipelineResult(frontier=frontier, preferred=preferred_fee(frontier))
 
 
@@ -111,12 +117,12 @@ def sensitivity_sweep(
     manager: HaraParams,
     investor: HaraParams,
     steps: GridSteps = GridSteps(),
-    workers: int | None = None,
 ) -> list[SweepCell]:
     """Rerun the full pipeline per grid value of one model parameter.
 
     axis: 'ba' (values are (b_M, b_I) pairs), 'r', or 'gamma'.  Each cell is
-    a cold run; failures are recorded per cell and the sweep continues.
+    a cold run; a cell's numerical or preference error is recorded in that
+    cell and the sweep continues.  Any other error propagates.
     Every cell's parameters are checked before the first run, so a bad
     value fails the sweep at once.
     """
@@ -142,9 +148,9 @@ def sensitivity_sweep(
     cells: list[SweepCell] = []
     for label, mkt, man, inv in inputs:
         try:
-            result = run_pipeline(mkt, man, inv, steps, workers=workers)
+            result = run_pipeline(mkt, man, inv, steps)
             cells.append(SweepCell(label=label, preferred=result.preferred))
-        except Exception as exc:
+        except _CELL_ERRORS as exc:
             cells.append(SweepCell(label=label, preferred=None, error=f"{type(exc).__name__}: {exc}"))
     return cells
 

@@ -20,7 +20,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .concavify import EnvelopeError, envelope_lanes
 from .contract import ALPHA_MAX, ALPHA_MIN, M_MAX, ContractError, FeeStructure, fee_label, in_fee_box
@@ -42,7 +41,7 @@ from .preferences import (
     require_admissible,
 )
 from .quadrature import QuadratureError, integrate, integrate_lanes
-from .roots import bracketed_root
+from .roots import bracketed_root, pattern_search
 from .wealth import (
     _BUDGET_RTOL,
     _EXPAND,
@@ -185,6 +184,23 @@ def _require(ok: np.ndarray, rows: np.ndarray, error) -> None:
         raise _at_fee(error(i), rows[i])
 
 
+def _blocks(fees, market: MarketParams, manager: HaraParams, investor: HaraParams) -> tuple:
+    """Rows (m, alpha, c), their admissibility, and the admissible indices in
+    blocks of _LANES; a row outside the box raises ContractError, noted."""
+    rows = np.asarray(fees, dtype=float).reshape(-1, 3)
+    m, alpha, c = rows.T
+    inside = in_fee_box(m, alpha, c)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        try:
+            FeeStructure(*rows[i])
+        except ContractError as exc:
+            raise _at_fee(exc, rows[i])
+    feasible = admissible_lanes(m, c, manager, investor, market.v0)
+    todo = np.flatnonzero(feasible)
+    return rows, feasible, [todo[start:start + _LANES] for start in range(0, todo.size, _LANES)]
+
+
 def evaluate_fees(
     fees: np.ndarray | Sequence[tuple[float, float, float]],
     market: MarketParams,
@@ -199,43 +215,37 @@ def evaluate_fees(
     per-point path raises for it (a row outside the fee box: ContractError),
     with a note naming the fee.
     """
-    rows = np.asarray(fees, dtype=float).reshape(-1, 3)
+    rows, feasible, blocks = _blocks(fees, market, manager, investor)
     n = len(rows)
-    m, alpha, c = np.ascontiguousarray(rows.T)
-    inside = in_fee_box(m, alpha, c)
-    if not inside.all():
-        i = int(np.argmin(inside))
-        try:
-            FeeStructure(*rows[i])
-        except ContractError as exc:
-            raise _at_fee(exc, rows[i])
-    feasible = admissible_lanes(m, c, manager, investor, market.v0)
     out = FeeBatch(
         phi_M=np.full(n, math.nan), phi_I=np.full(n, math.nan), sharpe=np.full(n, math.nan),
         case=np.full(n, "-"), feasible=feasible,
     )
-    todo = np.flatnonzero(feasible)
-    for start in range(0, todo.size, _LANES):
-        idx = todo[start:start + _LANES]
+    for idx in blocks:
         out.phi_M[idx], out.phi_I[idx], out.sharpe[idx], out.case[idx] = _evaluate_block(
             rows[idx], market, manager, investor)
     return out
 
 
-def _evaluate_block(
-    rows: np.ndarray,
-    market: MarketParams,
-    manager: HaraParams,
-    investor: HaraParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    v0, mu, sig = market.v0, market.log_drift, market.log_vol
-    bM, aM, bI, aI = manager.b, manager.a, investor.b, investor.a
+def manager_values(fees, market: MarketParams, manager: HaraParams, investor: HaraParams) -> np.ndarray:
+    """evaluate_fees's phi_M alone, lane for lane the same, without the
+    moments and the investor's quadrature; NaN at an inadmissible fee."""
+    rows, _, blocks = _blocks(fees, market, manager, investor)
+    out = np.full(len(rows), math.nan)
+    for idx in blocks:
+        out[idx] = _manager_block(rows[idx], market, manager)[-1]
+    return out
+
+
+def _manager_block(rows: np.ndarray, market: MarketParams, manager: HaraParams) -> tuple:
+    """Per row: envelope, t = log y*, the bands' and support's kernel bounds
+    d_lo, d_hi, d_support, P(band) p0, P(beyond support), and phi_M."""
+    v0, bM, aM = market.v0, manager.b, manager.a
     ppe = lambda k, d_a, d_b: partial_power_expectation_normal(market, k, d_a, d_b)
     m, alpha, c = np.ascontiguousarray(rows.T)
 
     try:
         env = envelope_lanes(m, alpha, c, manager, v0)
-        ruin_i = _power_lanes(v0 * (c - m) + aI, 1.0 - bI)       # (1 - b_I) times her utility at ruin
     except (EnvelopeError, PreferenceError) as exc:
         raise _at_fee(exc, rows[exc.lane])
     coef, const = env.coef, env.const
@@ -275,14 +285,35 @@ def _evaluate_block(
     d_lo = kernel_bound_normal(market, log_lo - t)
     d_hi = kernel_bound_normal(market, log_hi - t)
     d_support = kernel_bound_normal(market, log_slope - t)
-    p0 = ppe(0.0, d_lo, d_hi)
-    beyond_support = ppe(0.0, d_support, -math.inf)
 
     # manager_value: coef u^((b-1)/b) / (1-b) on a power band, the utility of
     # m v0 on the flat band
     flat_u = (m * v0 + aM) ** (1.0 - bM) / (1.0 - bM)
     power_u = coef * np.exp(((bM - 1.0) / bM) * t) / (1.0 - bM) * ppe(1.0 - 1.0 / bM, d_lo, d_hi)
+    p0, beyond_support = ppe(0.0, d_lo, d_hi), ppe(0.0, d_support, -math.inf)
     phi_m = env.u_at_zero * beyond_support + np.sum(np.where(coef != 0.0, power_u, flat_u * p0), axis=0)
+    _require(np.isfinite(phi_m), rows, lambda i: SolveError(
+        f"non-finite value phi_M={phi_m[i]} for fee {fee_label(*rows[i])}"))
+    return env, t, d_lo, d_hi, d_support, p0, beyond_support, phi_m
+
+
+def _evaluate_block(
+    rows: np.ndarray,
+    market: MarketParams,
+    manager: HaraParams,
+    investor: HaraParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    v0, mu, sig = market.v0, market.log_drift, market.log_vol
+    bM, aM, bI, aI = manager.b, manager.a, investor.b, investor.a
+    ppe = lambda k, d_a, d_b: partial_power_expectation_normal(market, k, d_a, d_b)
+    m, alpha, c = np.ascontiguousarray(rows.T)
+
+    env, t, d_lo, d_hi, d_support, p0, beyond_support, phi_m = _manager_block(rows, market, manager)
+    try:
+        ruin_i = _power_lanes(v0 * (c - m) + aI, 1.0 - bI)       # (1 - b_I) times her utility at ruin
+    except PreferenceError as exc:
+        raise _at_fee(exc, rows[exc.lane])
+    coef, const = env.coef, env.const
 
     # moments: V = A z^(-1/b) + const on each band
     A = coef * np.exp((-1.0 / bM) * t)
@@ -334,10 +365,8 @@ def optimize_traditional(
     dm: float = 0.0025,
     dalpha: float = 0.0025,
 ) -> tuple[float, float]:
-    """Investor-optimal traditional fee (c = 0): dense grid, then local polish."""
-    def phi_i(m: float, alpha: float) -> float:
-        return evaluate_fee(FeeStructure(m, alpha, 0.0), market, manager, investor).phi_I
-
+    """Investor-optimal traditional fee (c = 0): dense grid, then the
+    lane-wise pattern search from its best fee, which it never falls below."""
     ms = np.round(np.arange(m_range[0], m_range[1] + dm / 2, dm), 10)
     alphas = np.round(np.arange(max(alpha_range[0], dalpha), alpha_range[1] + dalpha / 2, dalpha), 10)
     grid = [(float(m), float(a), 0.0) for m in ms for a in alphas]
@@ -345,15 +374,12 @@ def optimize_traditional(
     if not batch.feasible.all():
         require_admissible(FeeStructure(*grid[int(np.argmin(batch.feasible))]), manager, investor, market.v0)
     i = int(np.argmax(batch.phi_I))
-    best = (batch.phi_I[i], *grid[i][:2])
 
-    res = minimize(
-        lambda x: -phi_i(x[0], x[1]),
-        [best[1], best[2]],
-        method="SLSQP",
-        bounds=[m_range, alpha_range],
-        options={"ftol": 1e-12, "eps": 1e-6, "maxiter": 200},
-    )
-    if res.success and -res.fun >= best[0]:
-        return float(res.x[0]), float(res.x[1])
-    return best[1], best[2]
+    def phi_i(points, lanes, fee, step):
+        fees = np.column_stack([points, np.zeros(len(points))])
+        return evaluate_fees(fees, market, manager, investor).phi_I, fees
+
+    x = np.array([grid[i][:2]])
+    pattern_search(phi_i, x, batch.phi_I[i:i + 1].copy(), np.array([grid[i]]), np.array([[dm, dalpha]]),
+                   np.array([m_range[0], alpha_range[0]]), np.array([m_range[1], alpha_range[1]]))
+    return float(x[0, 0]), float(x[0, 1])

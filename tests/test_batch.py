@@ -111,17 +111,17 @@ def test_row_outside_box_names_fee(row, field, base_market, base_manager, base_i
     assert info.value.__notes__ == [f"lattice evaluation failed at fee ({m:.4f}%, {a:.4f}%, {c:.4f}%)"]
 
 
-def test_utility_domain_edge_is_a_preference_error(base_market, base_manager):
-    # fee_admissible lets the investor's worst payoff fall 1e-12 v0 below her
-    # utility's domain; the per-point path then refuses the fee, and so must
-    # the batch
+def test_utility_domain_edge_is_inadmissible(base_market, base_manager):
+    # the investor's worst payoff at (5%, 20%, 0) is 1e-13 v0 below her
+    # utility's domain: admissibility tests the base _power evaluates, so the
+    # per-point path refuses the fee and the batch marks it infeasible
     investor = HaraParams(0.05 - 1e-13, 0.65)
     fee = fee_pct(5, 20, 0)
-    with pytest.raises(PreferenceError):
+    with pytest.raises(PreferenceError, match="outside the utility domain"):
         evaluate_fee(fee, base_market, base_manager, investor)
-    with pytest.raises(PreferenceError) as info:
-        evaluate_fees([(0.0, 0.2, 0.0), (fee.m, fee.alpha, fee.c)], base_market, base_manager, investor)
-    assert info.value.__notes__ == [f"lattice evaluation failed at fee {fee}"]
+    batch = evaluate_fees([(0.0, 0.2, 0.0), (fee.m, fee.alpha, fee.c)], base_market, base_manager, investor)
+    assert batch.feasible.tolist() == [True, False]
+    assert np.isfinite(batch.phi_I[0]) and np.isnan(batch.phi_I[1]) and batch.case[1] == "-"
 
 
 def test_batch_builds_no_scalar_envelope(monkeypatch, base_market, base_investor):

@@ -4,9 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from firstloss import ConfigError, load_config, valuation
+from firstloss import ConfigError, load_config, pareto, valuation
 from firstloss.cli import main
-from firstloss.pareto import default_workers
 
 
 def test_defaults_are_base_case():
@@ -147,15 +146,37 @@ def test_cli_sensitivity_bad_values_exits_1(axis, values, tmp_path, capsys):
     assert "--values" in capsys.readouterr().err
 
 
-def test_cli_non_integer_workers_exits_1(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FIRSTLOSS_WORKERS", "two")
-    with pytest.raises(ConfigError, match="FIRSTLOSS_WORKERS"):
-        default_workers()
-    # the frontier's level pool reads the worker count; the lattice runs in one process
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("[sweep]\ndm = 0.025\ndalpha = 0.1\ndc = 0.1\n")
-    assert main(["--config", str(cfg), "--set", f"run.outdir={tmp_path}", "frontier"]) == 1
-    assert "FIRSTLOSS_WORKERS" in capsys.readouterr().err
+def test_cli_workers_is_an_unknown_field(tmp_path, capsys):
+    # every frontier level is solved in one batched search: no worker count
+    assert main(["--set", f"run.outdir={tmp_path}", "--set", "run.workers=2", "frontier"]) == 1
+    assert "unknown override field run.workers" in capsys.readouterr().err
+
+
+# an investor shift 1e-13 short of the management fee: her worst payoff at
+# (m, c) = (5%, 0) is below her utility domain, so those fees are inadmissible
+EDGE_SHIFT = ["--set", "investor.a=0.0499999999999", "--set", "sweep.dm=0.025"]
+
+
+def test_cli_grid_marks_fees_outside_the_domain_infeasible(tmp_path):
+    assert main(["--set", f"run.outdir={tmp_path}", *EDGE_SHIFT, "grid"]) == 0
+    rows = [l.split(",") for l in (tmp_path / "grid.csv").read_text().splitlines() if not l.startswith("#")][1:]
+    infeasible = {(r[0], r[2]) for r in rows if r[-1] == "0"}
+    assert infeasible == {("5.0", "0.0")}
+
+
+def test_cli_value_outside_the_domain_exits_1(tmp_path, capsys):
+    assert main(["--set", f"run.outdir={tmp_path}", *EDGE_SHIFT, "value", "--fee", "5,20,0"]) == 1
+    assert "leave a party's worst payoff outside the utility domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["value", "--fee", "5,50,30"], ["wealth", "--fee", "5,50,30"], ["grid"]])
+def test_cli_moment_beyond_double_range_exits_2(command, tmp_path, capsys):
+    # E[Z^k] at k = -2/b_M = -20 over 30 years is exp(1020)
+    argv = ["--set", f"run.outdir={tmp_path}", "--set", "market.horizon=30", "--set", "manager.b=0.1",
+            "--set", "sweep.dm=0.025", "--set", "sweep.dalpha=0.1", "--set", "sweep.dc=0.1", *command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "k=-20" in err and "exp(1020)" in err
 
 
 def test_cli_grid_solve_error_exits_2(tmp_path, monkeypatch, capsys):
@@ -176,3 +197,21 @@ def test_cli_grid_solve_error_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "budget bracket expansion failed" in err
     assert "lattice evaluation failed at fee (2.5000%, 30.0000%, 10.0000%)" in err
+
+
+def test_cli_frontier_search_failure_exits_2(tmp_path, monkeypatch, capsys):
+    # a coverage root that does not converge inside the batched frontier
+    # search raises, naming the fee, instead of becoming a failed level
+    real = pareto.bracketed_root
+
+    def stalled(f, x1, f1, x2, f2, xatol):
+        x, fx, ok = real(f, x1, f1, x2, f2, xatol)
+        return x, fx, np.zeros_like(ok)
+
+    monkeypatch.setattr(pareto, "bracketed_root", stalled)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sweep]\ndm = 0.025\ndalpha = 0.1\ndc = 0.1\nn_phi = 4\n")
+    assert main(["--config", str(cfg), "--set", f"run.outdir={tmp_path}", "frontier"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: root of phi_M" in err and "frontier search failed at fee (" in err
+    assert not (tmp_path / "frontier.csv").exists()

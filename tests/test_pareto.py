@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from firstloss import GridSteps, HaraParams, grid_scan, solve_fbpo, sweep_frontier
+from firstloss import GridSteps, HaraParams, MarketParams, evaluate_fees, grid_scan, solve_fbpo, sweep_frontier
 from firstloss.pareto import InfeasibleReservation
 
 SMALL = GridSteps(dm=0.0125, dalpha=0.025, dc=0.025, n_phi=12)
@@ -14,9 +14,7 @@ def small_scan(base_market, base_manager, base_investor):
 
 @pytest.fixture(scope="module")
 def small_frontier(base_market, base_manager, base_investor, small_scan):
-    return sweep_frontier(
-        base_market, base_manager, base_investor, SMALL, scan=small_scan, workers=0
-    )
+    return sweep_frontier(base_market, base_manager, base_investor, SMALL, scan=small_scan)
 
 
 def test_lattice_size_is_cartesian_product(small_scan):
@@ -75,9 +73,9 @@ def test_solve_fbpo_dominates_feasible_lattice(base_market, base_manager, base_i
 def test_frontier_invariants(small_frontier):
     points = small_frontier.points
     assert len(points) == SMALL.n_phi + 1
-    # feasibility with relative slack
+    # feasibility: c_bind meets the constraint to rounding
     for p in points:
-        assert p.phi_M >= p.phi_min - 1e-8 * max(1.0, abs(p.phi_min))
+        assert p.phi_M >= p.phi_min - 1e-12 * max(1.0, abs(p.phi_min))
         assert p.phi_I >= p.seed_phi_I - 1e-12
     # tightening the reservation level cannot raise the investor's optimum
     phi_is = [p.phi_I for p in points]
@@ -95,11 +93,119 @@ def test_frontier_no_lattice_dominance(small_scan, small_frontier):
 
 
 def test_frontier_determinism(base_market, base_manager, base_investor, small_scan, small_frontier):
-    again = sweep_frontier(
-        base_market, base_manager, base_investor, SMALL, scan=small_scan, workers=2
-    )
+    again = sweep_frontier(base_market, base_manager, base_investor, SMALL, scan=small_scan)
     assert len(again.points) == len(small_frontier.points)
     for a, b in zip(again.points, small_frontier.points):
         assert a.fee == b.fee
         assert a.phi_I == b.phi_I
         assert a.sharpe == b.sharpe
+
+
+def test_one_level_alone_equals_the_sweep(base_market, base_manager, base_investor, small_scan, small_frontier):
+    # the levels of a sweep never mix, so a level solved alone is the same point
+    for p in small_frontier.points[::4]:
+        alone = solve_fbpo(p.phi_min, small_scan, base_market, base_manager, base_investor)
+        assert alone == p
+
+
+# The SMALL frontier of the SLSQP multistart solver that preceded the batched
+# search, at the base market with investor HaraParams(0.3, 0.65), per manager
+# b_M: (phi_min, phi_I, phi_M - phi_min) at each level.  A negative slack is
+# where that solver broke the constraint, so it could reach a higher phi_I.
+FROZEN_SLSQP_FRONTIER = {
+    0.65: [
+        (1.8777672252192494, 3.2786165087807566, 0.05177650402790812),
+        (1.9393371418728669, 3.277766842544838, -1.6724399642953358e-12),
+        (2.0009070585264843, 3.2548268172826704, 0.0),
+        (2.0624769751801018, 3.2265038508554134, 2.190914116795284e-11),
+        (2.124046891833719, 3.1801258410865003, 4.440892098500626e-16),
+        (2.1856168084873366, 3.1307984339641557, -3.599978093404843e-10),
+        (2.2471867251409536, 3.082306219032183, 0.0),
+        (2.308756641794571, 3.032042044006586, -2.686739719592879e-13),
+        (2.3703265584481885, 2.974973920332197, -2.9531932455029164e-13),
+        (2.431896475101806, 2.9099973047158016, -4.884981308350689e-14),
+        (2.4934663917554234, 2.8360626430311946, -4.263256414560601e-14),
+        (2.555036308409041, 2.751514346160217, -4.6629367034256575e-14),
+        (2.6166062250626583, 2.6537535905875878, 0.0),
+    ],
+    2.5: [
+        (-4.03341858965876, 3.268600137898219, 0.09433450800956722),
+        (-3.8355445059556885, 3.2639736923334763, -1.554312234475219e-14),
+        (-3.6376704222526164, 3.253468080761352, 4.7126746949288645e-12),
+        (-3.4397963385495447, 3.2418479479785525, 1.5902834604730742e-12),
+        (-3.241922254846473, 3.2289121115671, -3.879119248040297e-12),
+        (-3.044048171143401, 3.2046215911182, -3.373249679583523e-09),
+        (-2.846174087440329, 3.1649727043509706, 1.3873346915715956e-12),
+        (-2.6483000037372575, 3.1335127128878177, -5.029043848026049e-11),
+        (-2.450425920034186, 3.1020090853405797, 1.2803091919977305e-12),
+        (-2.2525518363311137, 3.0678814628776916, -7.426503856322597e-12),
+        (-2.054677752628042, 3.029292694267057, -7.638334409421077e-14),
+        (-1.8568036689249703, 2.9841834426420406, -1.7763568394002505e-15),
+        (-1.6589295852218984, 2.9267417321546976, 0.0),
+    ],
+    5.0: [
+        (-30.428331142195752, 3.2657850316095596, 0.7005491058367568),
+        (-28.306736797989156, 3.262310618413852, -6.547651310029323e-12),
+        (-26.18514245378256, 3.2564788390858554, -1.0516032489249483e-12),
+        (-24.06354810957596, 3.2499827023043357, -1.2379075542412465e-09),
+        (-21.941953765369366, 3.242675116799803, -1.7691448306322854e-10),
+        (-19.82035942116277, 3.234357326286922, -6.409095476556104e-12),
+        (-17.69876507695617, 3.2247524853591756, -3.552713678800501e-15),
+        (-15.577170732749575, 3.2031641578397796, -9.876544027065393e-13),
+        (-13.45557638854298, 3.159792450539654, -1.3994139180795173e-11),
+        (-11.333982044336384, 3.13104757277189, 5.329070518200751e-15),
+        (-9.212387700129788, 3.1004996438861867, -1.5081269566508126e-12),
+        (-7.090793355923189, 3.062433305491865, -8.881784197001252e-16),
+        (-4.9691990117165945, 3.007469928461137, -2.6645352591003757e-15),
+    ],
+}
+
+
+@pytest.mark.parametrize("b_m", sorted(FROZEN_SLSQP_FRONTIER))
+def test_frozen_slsqp_frontier(b_m, base_market, base_investor):
+    manager = HaraParams(0.3, b_m)
+    frontier = sweep_frontier(base_market, manager, base_investor, SMALL)
+    frozen = FROZEN_SLSQP_FRONTIER[b_m]
+    assert len(frontier.points) == len(frozen)
+    for p, (phi_min, phi_i, _) in zip(frontier.points, frozen):
+        assert p.phi_min == pytest.approx(phi_min, rel=1e-12, abs=0.0)
+        assert p.phi_I >= phi_i - 1e-9
+        assert p.phi_M >= p.phi_min - 1e-12 * max(1.0, abs(p.phi_min))
+    assert frontier.failures == ()
+
+
+# Levels of the SMALL frontier whose optimum lies on a face of the fee box
+# where the constraint binds: the coverage cap c = 30%, the face m = 5%, or
+# the vertex of m = 5% and c = 0.  (r, gamma, b_M, b_I, phi_min, phi_I of the
+# SLSQP solver that preceded the batched search, which met the constraint
+# there, the bound flags of the optimum.)
+FACE_LEVELS = [
+    (0.02, 0.40, 0.65, 2.5, 2.0009070585264843, -0.4922190121448641, {"alpha_high", "c_high"}),
+    (0.02, 0.40, 0.65, 2.5, 2.0624769751801018, -0.5574152688405897, {"alpha_high", "c_high"}),
+    (0.02, 0.40, 0.35, 0.65, 0.8992133160427083, 3.2083263083389513, {"c_high"}),
+    (-0.02, 0.70, 1.25, 0.35, -4.562143009867103, 2.22925668901311, {"m_high", "c_low"}),
+    (0.0, 0.60, 5.0, 0.45, -10.891878171208635, 2.3712922608404288, {"m_high"}),
+]
+
+
+@pytest.mark.parametrize("r,gamma,b_m,b_i,phi_min,phi_i,flags", FACE_LEVELS)
+def test_frontier_follows_faces_of_the_box(r, gamma, b_m, b_i, phi_min, phi_i, flags):
+    market, manager, investor = MarketParams(r=r, gamma=gamma), HaraParams(0.3, b_m), HaraParams(0.3, b_i)
+    point = solve_fbpo(phi_min, grid_scan(market, manager, investor, SMALL), market, manager, investor)
+    assert point.phi_I >= phi_i - 1e-9
+    assert point.phi_M >= phi_min - 1e-12 * max(1.0, abs(phi_min))
+    assert set(point.bound_flags) == flags
+
+
+def test_frontier_level_beats_a_feasible_fee_off_the_lattice(base_market):
+    # the level's lattice starts lie in two basins of G, and the start that is
+    # best by G alone leads to the worse one (phi_I -0.45134, against -0.44837
+    # near (0, 40.37%, 30%)), so every start takes a few steps before the
+    # level keeps its best
+    manager, investor = HaraParams(0.3, 0.65), HaraParams(0.3, 2.5)
+    scan = grid_scan(base_market, manager, investor, SMALL)
+    level = float(np.linspace(scan.phi_M_min, scan.phi_M_max, SMALL.n_phi + 1)[1])
+    known = evaluate_fees([(0.0, 0.405, 0.3)], base_market, manager, investor)
+    assert known.phi_M[0] >= level
+    point = solve_fbpo(level, scan, base_market, manager, investor)
+    assert point.phi_I >= known.phi_I[0] - 1e-9

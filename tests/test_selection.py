@@ -15,8 +15,10 @@ from firstloss import (
     sensitivity_sweep,
     sweep_frontier,
 )
+from firstloss import selection
 from firstloss.pareto import Frontier
 from firstloss.selection import SelectionError
+from firstloss.wealth import SolveError
 
 from conftest import fee_pct
 
@@ -26,7 +28,7 @@ SMALL = GridSteps(dm=0.0125, dalpha=0.025, dc=0.025, n_phi=12)
 @pytest.fixture(scope="module")
 def small_frontier(base_market, base_manager, base_investor):
     scan = grid_scan(base_market, base_manager, base_investor, SMALL)
-    return sweep_frontier(base_market, base_manager, base_investor, SMALL, scan=scan, workers=0)
+    return sweep_frontier(base_market, base_manager, base_investor, SMALL, scan=scan)
 
 
 def test_preferred_is_sharpe_argmax(small_frontier):
@@ -84,11 +86,39 @@ def test_constrained_preferred_empty_is_result(small_frontier, base_market, base
 
 def test_sensitivity_sweep_smoke(base_market, base_manager, base_investor):
     tiny = GridSteps(dm=0.025, dalpha=0.05, dc=0.05, n_phi=6)
-    cells = sensitivity_sweep("r", [0.02], base_market, base_manager, base_investor, tiny, workers=0)
+    cells = sensitivity_sweep("r", [0.02], base_market, base_manager, base_investor, tiny)
     assert len(cells) == 1 and cells[0].preferred is not None
     assert cells[0].preferred.fee.m == pytest.approx(0.05, abs=0.02)
     with pytest.raises(SelectionError):
         sensitivity_sweep("bad-axis", [1], base_market, base_manager, base_investor, tiny)
+
+
+def _failing_cell(monkeypatch, error):
+    # run_pipeline raises error in the cell r = 0.03 and runs the others
+    real = selection.run_pipeline
+
+    def run(market, *args):
+        if market.r == 0.03:
+            raise error
+        return real(market, *args)
+
+    monkeypatch.setattr(selection, "run_pipeline", run)
+
+
+def test_sensitivity_records_a_cells_numerical_error(monkeypatch, base_market, base_manager, base_investor):
+    _failing_cell(monkeypatch, SolveError("budget bracket expansion failed"))
+    tiny = GridSteps(dm=0.025, dalpha=0.05, dc=0.05, n_phi=2)
+    cells = sensitivity_sweep("r", [0.02, 0.03], base_market, base_manager, base_investor, tiny)
+    assert cells[0].preferred is not None and cells[0].error == ""
+    assert cells[1].preferred is None
+    assert cells[1].error == "SolveError: budget bracket expansion failed"
+
+
+def test_sensitivity_propagates_other_errors(monkeypatch, base_market, base_manager, base_investor):
+    _failing_cell(monkeypatch, TypeError("a bug, not a cell's result"))
+    tiny = GridSteps(dm=0.025, dalpha=0.05, dc=0.05, n_phi=2)
+    with pytest.raises(TypeError, match="a bug"):
+        sensitivity_sweep("r", [0.02, 0.03], base_market, base_manager, base_investor, tiny)
 
 
 def test_constant_mix_sharpe_table(base_market, base_manager, base_investor):
