@@ -17,7 +17,6 @@ from .preferences import (
     CaseTag,
     HaraParams,
     PreferenceError,
-    classify_case,
     hara_utility,
     manager_composite_utility,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "SolveError",
     "brute_pointwise",
     "build_envelope",
-    "classify_case",
     "constant_mix_benchmark",
     "constrained_preferred_fee",
     "envelope_eval",

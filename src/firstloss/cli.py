@@ -105,6 +105,10 @@ def _fee_percent_fields(fee: FeeStructure) -> dict:
 
 
 def cmd_envelope(config: RunConfig, args) -> str:
+    if not (math.isfinite(args.vmax) and args.vmax > 0.0):
+        raise ConfigError(f"--vmax must be a finite number > 0 (got {args.vmax})")
+    if args.grid_n < 2:
+        raise ConfigError(f"--grid-n must be at least 2 (got {args.grid_n})")
     fee = _parse_fee(args.fee)
     env = build_envelope(fee, config.manager, config.market.v0)
     grid = np.linspace(0.0, args.vmax, args.grid_n)
@@ -129,7 +133,7 @@ def cmd_wealth(config: RunConfig, args) -> str:
         "z_thresholds": list(sol.thresholds()),
         "expected_value": ev,
         "variance": ev2 - ev * ev,
-        "sharpe": sharpe_from_moments(config.market, ev, ev2),
+        "sharpe": float(sharpe_from_moments(config.market, ev, ev2)),
     }
     path = _out(config, "wealth.json")
     _write_json(path, config, payload)

@@ -4,26 +4,24 @@ dual maximizer.
 The composite utility is flat on [0, Theta1), then concave increasing with a
 concave kink at Theta2.  Its envelope replaces [0, theta1) by a chord from
 (0, U(0)); theta1 >= Theta1 is unique.  Where theta1 falls determines the
-regime (CaseTag), and build_envelope turns the regime into the band table
-that every closed form downstream loops over.
+regime (CaseTag), and the regime the band table that every closed form
+downstream sums over.  envelope_lanes builds the envelopes of many fees at
+once; ConcaveEnvelope reads one of them as floats, and pointwise_argmax
+maximizes over it point by point, independently of the band table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .contract import FeeStructure, fee_label, manager_kinks
+from .contract import FeeStructure, fee_label
 from .preferences import (
     CaseTag,
     HaraParams,
     PreferenceError,
-    chord_slope_h,
-    classify_case,
     manager_composite_utility,
     _power,
     _power_lanes,
@@ -34,8 +32,7 @@ _BRACKET_CAP = 2.0**60
 
 
 class EnvelopeError(RuntimeError):
-    """Root bracketing failed; carries the scanned interval and, from
-    envelope_lanes, the index of the lane that failed."""
+    """Root bracketing failed; carries the index of the lane that failed."""
 
     lane: int | None = None
 
@@ -51,9 +48,34 @@ class Band(NamedTuple):
     const: float
 
 
+class EnvelopeLanes(NamedTuple):
+    """The concave envelopes of many fees (m[i], alpha[i], c[i]): the band
+    tables as (3, lanes) arrays u_lo, u_hi, coef and const, zero after a
+    lane's last band, and per lane the case ('A', 'B' or 'C') and the scalars
+    ConcaveEnvelope names."""
+
+    u_lo: np.ndarray
+    u_hi: np.ndarray
+    coef: np.ndarray
+    const: np.ndarray
+    case: np.ndarray
+    theta1: np.ndarray
+    theta2: np.ndarray
+    slope: np.ndarray
+    u_at_zero: np.ndarray
+    kink1: np.ndarray
+    kink2: np.ndarray
+    slope_i3: np.ndarray
+    slope_i2: np.ndarray
+    m: np.ndarray
+    alpha: np.ndarray
+    c: np.ndarray
+
+
 @dataclass(frozen=True)
 class ConcaveEnvelope:
-    """Concave envelope data for one (fee, manager utility, v0) triple.
+    """Concave envelope data for one (fee, manager utility, v0) triple, read
+    from the one lane of ``lanes``.
 
     theta1 is the right end of the linear segment, slope its gradient
     (= chord slope from zero); the envelope coincides with the composite
@@ -78,6 +100,7 @@ class ConcaveEnvelope:
     # contiguous from u = 0 to u = slope, the performance-fee piece first;
     # V = 0 for u >= slope
     bands: tuple[Band, ...] = field(repr=False)
+    lanes: EnvelopeLanes = field(repr=False, compare=False)
 
     def utility(self, v: float) -> float:
         """The original (non-concave) composite utility."""
@@ -94,108 +117,26 @@ class ConcaveEnvelope:
         return fee.alpha * _power(base, -self.hara.b)
 
 
-def _theta1_case_a(fee: FeeStructure, p: HaraParams, v0: float) -> tuple[float, float]:
-    # Tangency of the chord from zero onto the last utility piece, beyond the
-    # upper kink.  The bracket expands geometrically; a sign change is
-    # guaranteed for admissible inputs, so hitting the cap means bad inputs.
-    X = (fee.m - fee.alpha * (1.0 + fee.m)) * v0 + p.a
-    rhs = _power(v0 * (fee.m - fee.c) + p.a, 1.0 - p.b)
-
-    def g(v: float) -> float:
-        return _power(fee.alpha * v + X, -p.b) * (p.b * fee.alpha * v + X) - rhs
-
-    lo = (1.0 + fee.m) * v0
-    g_lo = g(lo)
-    hi = 2.0 * lo
-    while g(hi) * g_lo > 0.0:
-        hi *= 2.0
-        if hi > _BRACKET_CAP * v0:
-            raise EnvelopeError(f"no tangency bracket in [{lo}, {hi}] for fee {fee}")
-    theta1 = brentq(g, lo, hi, xtol=1e-13 * v0, rtol=4.0 * math.ulp(1.0))
-    slope = fee.alpha * _power(fee.alpha * theta1 + X, -p.b)
-    return theta1, slope
-
-
-def _theta1_case_c(fee: FeeStructure, p: HaraParams, v0: float) -> tuple[float, float]:
-    # Tangency onto the middle piece, strictly between the kinks.
-    rhs = _power(v0 * (fee.m - fee.c) + p.a, 1.0 - p.b)
-
-    def g(v: float) -> float:
-        return _power(v - v0 + p.a, -p.b) * (p.b * v - v0 + p.a) - rhs
-
-    lo, hi = manager_kinks(fee, v0)
-    if v0 * (fee.m - fee.c) + p.a <= 0.0:
-        lo += 1e-12 * v0            # marginal utility is infinite at the edge
-    if g(lo) * g(hi) > 0.0:
-        raise EnvelopeError(f"no tangency bracket in [{lo}, {hi}] for fee {fee}")
-    theta1 = brentq(g, lo, hi, xtol=1e-13 * v0, rtol=4.0 * math.ulp(1.0))
-    slope = _power(theta1 - v0 + p.a, -p.b)
-    return theta1, slope
+_SCALARS = ("theta1", "theta2", "slope", "u_at_zero", "kink1", "kink2", "slope_i3", "slope_i2")
 
 
 def build_envelope(fee: FeeStructure, p: HaraParams, v0: float) -> ConcaveEnvelope:
-    """Construct the concave envelope; classifies the regime and solves the
-    tangency equation of that regime."""
-    kink1, kink2 = manager_kinks(fee, v0)
-    case = classify_case(fee, p, v0)
-    u0 = manager_composite_utility(fee, p, v0, 0.0)
-
-    slope_i3 = fee.alpha * _power(fee.m * v0 + p.a, -p.b)
-    slope_i2 = _power(fee.m * v0 + p.a, -p.b)
-    # performance-fee piece: the inverse marginal of the last utility piece
-    power_coef = _power(fee.alpha, (1.0 - p.b) / p.b)
-    power_const = (1.0 + fee.m - fee.m / fee.alpha) * v0 - p.a / fee.alpha
-    if case is CaseTag.A:
-        theta1, slope = _theta1_case_a(fee, p, v0)
-        theta2 = theta1
-        bands = (Band(0.0, slope, power_coef, power_const),)
-    elif case is CaseTag.B:
-        theta1 = theta2 = kink2
-        slope = chord_slope_h(fee, p, v0)
-        bands = (Band(0.0, slope_i3, power_coef, power_const), Band(slope_i3, slope, 0.0, kink2))
-    else:
-        theta1, slope = _theta1_case_c(fee, p, v0)
-        theta2 = kink2
-        bands = (
-            Band(0.0, slope_i3, power_coef, power_const),
-            Band(slope_i3, slope_i2, 0.0, kink2),
-            Band(slope_i2, slope, 1.0, v0 - p.a),          # the middle piece's inverse marginal
-        )
-
-    # The flat first piece makes the chord slope from zero vanish at kink1,
-    # so the envelope's line can never stop exactly there.
-    if theta1 < kink1:
-        raise EnvelopeError(f"theta1={theta1} below the first kink {kink1}")
-
-    return ConcaveEnvelope(
-        fee=fee, hara=p, v0=v0, case_tag=case,
-        theta1=theta1, theta2=theta2, slope=slope, u_at_zero=u0,
-        kink1=kink1, kink2=kink2, slope_i3=slope_i3, slope_i2=slope_i2, bands=bands,
-    )
-
-
-class EnvelopeLanes(NamedTuple):
-    """build_envelope for many fees: ConcaveEnvelope.bands as (3, lanes)
-    arrays u_lo, u_hi, coef and const, zero after a lane's last band, and per
-    lane the case ('A', 'B' or 'C'), theta1, slope and u_at_zero."""
-
-    u_lo: np.ndarray
-    u_hi: np.ndarray
-    coef: np.ndarray
-    const: np.ndarray
-    case: np.ndarray
-    theta1: np.ndarray
-    slope: np.ndarray
-    u_at_zero: np.ndarray
+    """The concave envelope of one fee: envelope_lanes on a single lane."""
+    lanes = envelope_lanes(np.array([fee.m]), np.array([fee.alpha]), np.array([fee.c]), p, v0)
+    case = CaseTag(lanes.case[0])
+    # case A has one band, B two, C three
+    bands = tuple(Band(*(float(x[j, 0]) for x in lanes[:4])) for j in range("ABC".index(case.value) + 1))
+    return ConcaveEnvelope(fee=fee, hara=p, v0=v0, case_tag=case, bands=bands, lanes=lanes,
+                           **{name: float(getattr(lanes, name)[0]) for name in _SCALARS})
 
 
 def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParams, v0: float) -> EnvelopeLanes:
-    """build_envelope for every fee (m[i], alpha[i], c[i]) at once: the
-    cases become masks, and the tangency roots of cases A and C are solved
-    lane-wise with brentq's tolerances.
+    """The concave envelope of every fee (m[i], alpha[i], c[i]) at once.
 
-    A lane that fails raises build_envelope's error type (EnvelopeError or
-    PreferenceError), with the lane's index as ``lane``.
+    The regime is read off the chord slope from zero to the upper kink
+    against the one-sided marginals there (ties to B), and the tangency roots
+    of cases A and C are solved lane-wise.  A lane that fails raises
+    EnvelopeError or PreferenceError, with the lane's index as ``lane``.
     """
     m, alpha, c = (np.asarray(x, dtype=float) for x in (m, alpha, c))
     b, a = p.b, p.a
@@ -211,7 +152,7 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
     kink1, kink2 = (1.0 + m - c) * v0, (1.0 + m) * v0
     ruin = v0 * (m - c) + a                    # utility base of the manager's payoff on the flat piece
     u_ruin = _power_lanes(ruin, 1.0 - b)
-    # classify_case: the chord slope from zero to the upper kink against the
+    # the regime: the chord slope from zero to the upper kink against the
     # one-sided marginals there, ties to B
     h = (_power_lanes(m * v0 + a, 1.0 - b) - u_ruin) / ((1.0 - b) * (1.0 + m) * v0)
     slope_i2 = _power_lanes(m * v0 + a, -b)
@@ -275,7 +216,8 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
     coef = np.stack([power_coef, zero, np.where(case_c, 1.0, 0.0)])
     const = np.stack([power_const, np.where(flat, kink2, 0.0), np.where(case_c, v0 - a, 0.0)])
     case = np.where(case_a, CaseTag.A.value, np.where(case_c, CaseTag.C.value, CaseTag.B.value))
-    return EnvelopeLanes(u_lo, u_hi, coef, const, case, theta1, slope, u_ruin / (1.0 - b))
+    return EnvelopeLanes(u_lo, u_hi, coef, const, case, theta1, np.where(case_a, theta1, kink2), slope,
+                         u_ruin / (1.0 - b), kink1, kink2, slope_i3, slope_i2, m, alpha, c)
 
 
 def envelope_eval(env: ConcaveEnvelope, v: float) -> float:

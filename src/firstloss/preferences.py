@@ -1,5 +1,6 @@
-"""HARA utilities, the manager's composite (non-concave) utility, and the
-classification of a fee structure into the three concavification regimes."""
+"""HARA utilities, the manager's composite (non-concave) utility, the
+admissibility of a fee, and the three concavification regimes (CaseTag),
+which concavify.envelope_lanes tells apart."""
 
 from __future__ import annotations
 
@@ -153,26 +154,3 @@ def manager_composite_utility(fee: FeeStructure, p: HaraParams, v0: float, vT: f
     continuously; the middle/last pieces meet with a concave kink.
     """
     return hara_utility(p, manager_payoff(fee, v0, vT))
-
-
-def chord_slope_h(fee: FeeStructure, p: HaraParams, v0: float) -> float:
-    """Average utility slope of the manager from 0 to the upper kink (1+m)v0."""
-    top = _power(fee.m * v0 + p.a, 1.0 - p.b)
-    bottom = _power(v0 * (fee.m - fee.c) + p.a, 1.0 - p.b)
-    return (top - bottom) / ((1.0 - p.b) * (1.0 + fee.m) * v0)
-
-
-def classify_case(fee: FeeStructure, p: HaraParams, v0: float) -> CaseTag:
-    """Concavification regime of (fee, utility): compares the chord slope H
-    with the one-sided marginal utilities at the upper kink.
-
-    Ties (H equal to either bound) belong to B.
-    """
-    h = chord_slope_h(fee, p, v0)
-    upper_after = fee.alpha * _power(fee.m * v0 + p.a, -p.b)
-    upper_before = _power(fee.m * v0 + p.a, -p.b)
-    if h < upper_after:
-        return CaseTag.A
-    if h <= upper_before:
-        return CaseTag.B
-    return CaseTag.C

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 _MAX_ITER = 100
-XRTOL = 4.0 * math.ulp(1.0)              # brentq's rtol in the scalar path
+XRTOL = 4.0 * math.ulp(1.0)              # relative bracket width at which a lane stops
 MIN_STEP = 1e-8                          # pattern_search's last step in every coordinate
 
 

@@ -7,10 +7,11 @@ band; it is integrated in the normal coordinate, where the integrand is
 smooth and the Gaussian tail truncation at |w| = 10 is far below the
 tolerances used anywhere in this package.
 
-evaluate_fee is the per-point path, which the frontier's optimizer calls one
-fee at a time.  evaluate_fees runs the same chain over many fees at once: the
-envelope's band tables are built as arrays, and the tangency and budget
-roots, the closed forms and the quadrature work on all lanes together.
+Every formula runs over many fees at once: evaluate_fees builds the
+envelopes as arrays, and the tangency and budget roots, the closed forms and
+the quadrature work on all lanes together.  The lattice, the frontier and the
+traditional optimizer call it (or manager_values, its first half);
+evaluate_fee, manager_value and investor_value read a single lane.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ import numpy as np
 
 from .concavify import EnvelopeError, envelope_lanes
 from .contract import ALPHA_MAX, ALPHA_MIN, M_MAX, ContractError, FeeStructure, fee_label, in_fee_box
-from .market import (
-    MarketParams,
-    _d_bound,
-    kernel_bound_normal,
-    partial_power_expectation,
-    partial_power_expectation_normal,
-)
+from .market import MarketParams, partial_power_expectation_normal as ppe
 from .preferences import (
     CaseTag,
     HaraParams,
@@ -37,21 +32,19 @@ from .preferences import (
     _power,
     _power_lanes,
     admissible_lanes,
-    hara_utility,
     require_admissible,
 )
-from .quadrature import QuadratureError, integrate, integrate_lanes
-from .roots import bracketed_root, pattern_search
+from .quadrature import QuadratureError, integrate_lanes
+from .roots import pattern_search
 from .wealth import (
-    _BUDGET_RTOL,
-    _EXPAND,
-    _MAX_EXPANSIONS,
-    _VAR_FLOOR,
     OptimalWealthSolution,
     SolveError,
-    moments,
+    WealthLanes,
+    _require,
+    moment_lanes,
     sharpe_from_moments,
-    solve_y_star,
+    solve_budget,
+    wealth_lanes,
 )
 
 _W_CUTOFF = 10.0
@@ -60,9 +53,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Fees per evaluate_fees block: bounds the (lanes, panels, nodes) arrays of
 # the quadrature held at once.
 _LANES = 1024
-# solve_from_envelope's first bracket and its expansion step, in t = log y
-_T_START = (math.log(1e-2), math.log(1e2))
-_T_STEP = math.log(_EXPAND)
 
 
 @dataclass(frozen=True)
@@ -80,82 +70,87 @@ class FeeMetrics:
     sharpe: float
 
 
-def manager_value(sol: OptimalWealthSolution) -> float:
-    """E[U_M(V)] in closed form: the ruin constant plus one term per kernel
-    band.  On a power band the manager's utility is coef u^((b-1)/b) / (1-b),
-    on a flat band the utility of her constant payoff."""
-    env, market, y = sol.envelope, sol.market, sol.y_star
-    b = env.hara.b
-    y_pow = _power(y, (b - 1.0) / b)
-    out = env.u_at_zero * partial_power_expectation(market, 0.0, sol.z_support, math.inf)
-    for u_lo, u_hi, coef, _ in env.bands:
-        lo, hi = u_lo / y, u_hi / y
-        if coef:
-            out += coef * y_pow / (1.0 - b) * partial_power_expectation(market, 1.0 - 1.0 / b, lo, hi)
-        else:
-            # V sits at the upper kink (1+m) v0, which pays the manager m v0;
-            # taken directly, as (1+m) v0 - m v0 need not round back to v0
-            out += hara_utility(env.hara, env.fee.m * env.v0) * partial_power_expectation(market, 0.0, lo, hi)
-    return out
+def manager_value_lanes(w: WealthLanes, manager: HaraParams) -> np.ndarray:
+    """E[U_M(V)] per lane in closed form: the ruin constant plus one term per
+    kernel band.  On a power band the manager's utility is
+    coef u^((b-1)/b) / (1-b); on the flat band V sits at the upper kink
+    (1+m) v0, which pays her m v0 (taken directly, as (1+m) v0 - m v0 need
+    not round back to v0)."""
+    bM, coef = manager.b, w.env.coef
+    flat_u = (w.env.m * w.market.v0 + manager.a) ** (1.0 - bM) / (1.0 - bM)
+    power_u = coef * np.exp(((bM - 1.0) / bM) * w.t) / (1.0 - bM) * ppe(w.market, 1.0 - 1.0 / bM, w.d_lo, w.d_hi)
+    return w.env.u_at_zero * w.beyond_support + np.sum(np.where(coef != 0.0, power_u, flat_u * w.p0), axis=0)
 
 
-def investor_mixed_coefficients(sol: OptimalWealthSolution, investor: HaraParams) -> tuple[float, float]:
-    """(k, l) of the investor's payoff on the performance-fee band:
+def investor_mixed_coefficients(w: WealthLanes, manager: HaraParams, investor: HaraParams) -> tuple:
+    """(k, l) per lane of the investor's payoff on the performance-fee band:
     I(V(z)) + a_I = k z^(-1/b_M) + l."""
-    fee, p = sol.fee, sol.envelope.hara
-    k = (1.0 - fee.alpha) * sol.envelope.bands[0].coef * _power(sol.y_star, -1.0 / p.b)
-    l = (1.0 + fee.m - fee.m / fee.alpha) * sol.envelope.v0 + p.a * (1.0 - 1.0 / fee.alpha) + investor.a
+    m, alpha = w.env.m, w.env.alpha
+    k = (1.0 - alpha) * w.env.coef[0] * np.exp((-1.0 / manager.b) * w.t)
+    l = (1.0 + m - m / alpha) * w.market.v0 + manager.a * (1.0 - 1.0 / alpha) + investor.a
     return k, l
 
 
-def investor_value(sol: OptimalWealthSolution, investor: HaraParams) -> float:
-    """E[U_I(I(V))]: ruin constant, the guaranteed v0 on every band after the
-    first, and the mixed power expectation over the first band by quadrature."""
-    env, market = sol.envelope, sol.market
-    fee, v0 = env.fee, env.v0
-    bI = investor.b
-    ppe = lambda k, lo, hi: partial_power_expectation(market, k, lo, hi)
+def investor_value_lanes(w: WealthLanes, manager: HaraParams, investor: HaraParams) -> np.ndarray:
+    """E[U_I(I(V))] per lane: ruin constant, the guaranteed v0 on every band
+    after the first, and the mixed power expectation over the first band by
+    quadrature."""
+    market, env = w.market, w.env
+    v0, mu, sig = market.v0, market.log_drift, market.log_vol
+    bM, bI, aI = manager.b, investor.b, investor.a
 
-    ruin_base = v0 * (fee.c - fee.m) + investor.a
-    out = _power(ruin_base, 1.0 - bI) / (1.0 - bI) * ppe(0.0, sol.z_support, math.inf)
+    phi_i = _power_lanes(v0 * (env.c - env.m) + aI, 1.0 - bI) / (1.0 - bI) * w.beyond_support
     # the bands after the first (flat band, loss absorption) are contiguous
     # and pay the investor exactly v0; the range is empty with a single band
-    out += _power(v0 + investor.a, 1.0 - bI) / (1.0 - bI) * ppe(0.0, sol.z_power_end, sol.z_support)
+    phi_i += _power(v0 + aI, 1.0 - bI) / (1.0 - bI) * ppe(market, 0.0, w.d_hi[0], w.d_support)
+    k_mix, l_mix = investor_mixed_coefficients(w, manager, investor)
+    quad = np.flatnonzero(w.d_hi[0] < _W_CUTOFF)
+    k_q, l_q = k_mix[quad, None], l_mix[quad, None]
 
-    k, l = investor_mixed_coefficients(sol, investor)
-    w_lo = _d_bound(market, sol.z_power_end)
-    if w_lo < _W_CUTOFF:
-        mu, sig = market.log_drift, market.log_vol
-        bM = env.hara.b
+    def integrand(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # in place: the node arrays are the largest of a block
+        out = np.exp((mu + sig * x) / bM)      # Z^(-1/b_M)
+        out *= k_q[rows]
+        out += l_q[rows]
+        out **= 1.0 - bI
+        out *= np.exp(-0.5 * x * x)
+        out *= _INV_SQRT_2PI
+        return out
 
-        def integrand(w: np.ndarray) -> np.ndarray:
-            zpow = np.exp((mu + sig * w) / bM)     # Z^(-1/b_M)
-            return (k * zpow + l) ** (1.0 - bI) * np.exp(-0.5 * w * w) * _INV_SQRT_2PI
+    try:
+        mixed = integrate_lanes(integrand, np.maximum(w.d_hi[0, quad], -_W_CUTOFF), _W_CUTOFF)
+    except QuadratureError as exc:
+        exc.lane = int(quad[exc.lane])
+        raise
+    phi_i[quad] += mixed / (1.0 - bI)
+    return phi_i
 
-        out += integrate(integrand, max(w_lo, -_W_CUTOFF), _W_CUTOFF) / (1.0 - bI)
-    return out
+
+def manager_value(sol: OptimalWealthSolution) -> float:
+    """E[U_M(V)] of one solution."""
+    return float(manager_value_lanes(sol.lanes(), sol.envelope.hara)[0])
 
 
-def evaluate_fee(
-    fee: FeeStructure,
-    market: MarketParams,
-    manager: HaraParams,
-    investor: HaraParams,
-) -> FeeMetrics:
-    """Solve once, then read off both value functions and the Sharpe ratio."""
+def investor_value(sol: OptimalWealthSolution, investor: HaraParams) -> float:
+    """E[U_I(I(V))] of one solution."""
+    return float(investor_value_lanes(sol.lanes(), sol.envelope.hara, investor)[0])
+
+
+def evaluate_fee(fee: FeeStructure, market: MarketParams, manager: HaraParams, investor: HaraParams) -> FeeMetrics:
+    """Solve once, then read off both value functions and the Sharpe ratio:
+    evaluate_fees's chain on a single lane."""
     require_admissible(fee, manager, investor, market.v0)
-    sol = solve_y_star(fee, manager, market)
-    ev, ev2 = moments(sol)
+    w, phi_m, phi_i, ev, ev2, sharpe = _evaluate_block(np.array([[fee.m, fee.alpha, fee.c]]), market, manager, investor)
     return FeeMetrics(
         fee=fee,
-        case_tag=sol.case_tag,
-        y_star=sol.y_star,
-        theta1=sol.theta1,
-        phi_M=manager_value(sol),
-        phi_I=investor_value(sol, investor),
-        expected_value=ev,
-        variance=ev2 - ev * ev,
-        sharpe=sharpe_from_moments(market, ev, ev2),
+        case_tag=CaseTag(w.env.case[0]),
+        y_star=math.exp(w.t[0]),
+        theta1=float(w.env.theta1[0]),
+        phi_M=float(phi_m[0]),
+        phi_I=float(phi_i[0]),
+        expected_value=float(ev[0]),
+        variance=float(ev2[0] - ev[0] * ev[0]),
+        sharpe=float(sharpe[0]),
     )
 
 
@@ -174,14 +169,6 @@ class FeeBatch:
 def _at_fee(exc: Exception, row: np.ndarray) -> Exception:
     exc.add_note(f"lattice evaluation failed at fee {fee_label(*row)}")
     return exc
-
-
-def _require(ok: np.ndarray, rows: np.ndarray, error) -> None:
-    """Raise error(i), noted with the fee, for the first lane i not ok."""
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        i = int(bad[0])
-        raise _at_fee(error(i), rows[i])
 
 
 def _blocks(fees, market: MarketParams, manager: HaraParams, investor: HaraParams) -> tuple:
@@ -207,13 +194,12 @@ def evaluate_fees(
     manager: HaraParams,
     investor: HaraParams,
 ) -> FeeBatch:
-    """evaluate_fee's phi_M, phi_I and Sharpe ratio for every fee, given as
-    rows (m, alpha, c), in blocks of lanes.
+    """phi_M, phi_I and the Sharpe ratio for every fee, given as rows
+    (m, alpha, c), in blocks of lanes.
 
     Inadmissible fees (possible only for b > 1 at the coverage edge) are
-    infeasible rather than an error.  A fee that fails raises the error the
-    per-point path raises for it (a row outside the fee box: ContractError),
-    with a note naming the fee.
+    infeasible rather than an error.  A fee that fails raises its typed error
+    (a row outside the fee box: ContractError), with a note naming the fee.
     """
     rows, feasible, blocks = _blocks(fees, market, manager, investor)
     n = len(rows)
@@ -222,8 +208,9 @@ def evaluate_fees(
         case=np.full(n, "-"), feasible=feasible,
     )
     for idx in blocks:
-        out.phi_M[idx], out.phi_I[idx], out.sharpe[idx], out.case[idx] = _evaluate_block(
+        w, out.phi_M[idx], out.phi_I[idx], _, _, out.sharpe[idx] = _evaluate_block(
             rows[idx], market, manager, investor)
+        out.case[idx] = w.env.case
     return out
 
 
@@ -233,127 +220,37 @@ def manager_values(fees, market: MarketParams, manager: HaraParams, investor: Ha
     rows, _, blocks = _blocks(fees, market, manager, investor)
     out = np.full(len(rows), math.nan)
     for idx in blocks:
-        out[idx] = _manager_block(rows[idx], market, manager)[-1]
+        out[idx] = _manager_block(rows[idx], market, manager)[1]
     return out
 
 
 def _manager_block(rows: np.ndarray, market: MarketParams, manager: HaraParams) -> tuple:
-    """Per row: envelope, t = log y*, the bands' and support's kernel bounds
-    d_lo, d_hi, d_support, P(band) p0, P(beyond support), and phi_M."""
-    v0, bM, aM = market.v0, manager.b, manager.a
-    ppe = lambda k, d_a, d_b: partial_power_expectation_normal(market, k, d_a, d_b)
+    """Per row: the optimal fund value's lanes and phi_M."""
     m, alpha, c = np.ascontiguousarray(rows.T)
-
     try:
-        env = envelope_lanes(m, alpha, c, manager, v0)
-    except (EnvelopeError, PreferenceError) as exc:
+        env = envelope_lanes(m, alpha, c, manager, market.v0)
+        w = wealth_lanes(env, market, solve_budget(env, market, manager.b))
+        phi_m = manager_value_lanes(w, manager)
+        _require(np.isfinite(phi_m), lambda i: SolveError(
+            f"non-finite value phi_M={phi_m[i]} for fee {fee_label(*rows[i])}"))
+    except (EnvelopeError, PreferenceError, SolveError) as exc:
         raise _at_fee(exc, rows[exc.lane])
-    coef, const = env.coef, env.const
-    # the band edges as log u
-    with np.errstate(divide="ignore"):
-        log_lo, log_hi = np.log(env.u_lo), np.log(env.u_hi)
-    log_slope = np.log(env.slope)
-
-    def budget_gap(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        # budget(e^t) - v0, as wealth.budget computes it, on the given lanes
-        d_lo = kernel_bound_normal(market, log_lo[:, lanes] - t)
-        d_hi = kernel_bound_normal(market, log_hi[:, lanes] - t)
-        power = coef[:, lanes] * np.exp((-1.0 / bM) * t) * ppe(1.0 - 1.0 / bM, d_lo, d_hi)
-        return np.sum(power + const[:, lanes] * ppe(1.0, d_lo, d_hi), axis=0) - v0
-
-    # solve_from_envelope's bracket, lane by lane: budget(y) falls in y, so
-    # the lower end steps down until the budget reaches v0 and the upper end
-    # up until it falls to v0; each end is tried at most _MAX_EXPANSIONS times
-    every = np.arange(len(rows))
-    t_lo, t_hi = np.full(len(rows), _T_START[0]), np.full(len(rows), _T_START[1])
-    gap_lo, gap_hi = budget_gap(t_lo, every), budget_gap(t_hi, every)
-    for _ in range(_MAX_EXPANSIONS - 1):
-        low, high = every[gap_lo < 0.0], every[gap_hi > 0.0]
-        if not (low.size or high.size):
-            break
-        t_lo[low] -= _T_STEP
-        gap_lo[low] = budget_gap(t_lo[low], low)
-        t_hi[high] += _T_STEP
-        gap_hi[high] = budget_gap(t_hi[high], high)
-    _require((gap_lo >= 0.0) & (gap_hi <= 0.0), rows, lambda i: SolveError(
-        f"budget bracket expansion failed within y in [{math.exp(t_lo[i]):.3e}, {math.exp(t_hi[i]):.3e}] "
-        f"for fee {fee_label(*rows[i])}"))
-    t, gap, ok = bracketed_root(budget_gap, t_lo, gap_lo, t_hi, gap_hi, 0.0)
-    _require(ok & (np.abs(gap) <= _BUDGET_RTOL * v0), rows, lambda i: SolveError(
-        f"budget root ended at residual {abs(gap[i]):.3e} for fee {fee_label(*rows[i])}"))
-
-    d_lo = kernel_bound_normal(market, log_lo - t)
-    d_hi = kernel_bound_normal(market, log_hi - t)
-    d_support = kernel_bound_normal(market, log_slope - t)
-
-    # manager_value: coef u^((b-1)/b) / (1-b) on a power band, the utility of
-    # m v0 on the flat band
-    flat_u = (m * v0 + aM) ** (1.0 - bM) / (1.0 - bM)
-    power_u = coef * np.exp(((bM - 1.0) / bM) * t) / (1.0 - bM) * ppe(1.0 - 1.0 / bM, d_lo, d_hi)
-    p0, beyond_support = ppe(0.0, d_lo, d_hi), ppe(0.0, d_support, -math.inf)
-    phi_m = env.u_at_zero * beyond_support + np.sum(np.where(coef != 0.0, power_u, flat_u * p0), axis=0)
-    _require(np.isfinite(phi_m), rows, lambda i: SolveError(
-        f"non-finite value phi_M={phi_m[i]} for fee {fee_label(*rows[i])}"))
-    return env, t, d_lo, d_hi, d_support, p0, beyond_support, phi_m
+    return w, phi_m
 
 
-def _evaluate_block(
-    rows: np.ndarray,
-    market: MarketParams,
-    manager: HaraParams,
-    investor: HaraParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    v0, mu, sig = market.v0, market.log_drift, market.log_vol
-    bM, aM, bI, aI = manager.b, manager.a, investor.b, investor.a
-    ppe = lambda k, d_a, d_b: partial_power_expectation_normal(market, k, d_a, d_b)
-    m, alpha, c = np.ascontiguousarray(rows.T)
-
-    env, t, d_lo, d_hi, d_support, p0, beyond_support, phi_m = _manager_block(rows, market, manager)
+def _evaluate_block(rows: np.ndarray, market: MarketParams, manager: HaraParams, investor: HaraParams) -> tuple:
+    """Per row: the optimal fund value's lanes, phi_M, phi_I, E[V], E[V^2]
+    and the Sharpe ratio."""
+    w, phi_m = _manager_block(rows, market, manager)
     try:
-        ruin_i = _power_lanes(v0 * (c - m) + aI, 1.0 - bI)       # (1 - b_I) times her utility at ruin
-    except PreferenceError as exc:
+        ev, ev2 = moment_lanes(w, manager.b)
+        sharpe = sharpe_from_moments(market, ev, ev2)
+        phi_i = investor_value_lanes(w, manager, investor)
+        _require(np.isfinite(phi_i) & np.isfinite(sharpe), lambda i: SolveError(
+            f"non-finite value phi_M={phi_m[i]}, phi_I={phi_i[i]}, SR={sharpe[i]} for fee {fee_label(*rows[i])}"))
+    except (PreferenceError, SolveError, QuadratureError) as exc:
         raise _at_fee(exc, rows[exc.lane])
-    coef, const = env.coef, env.const
-
-    # moments: V = A z^(-1/b) + const on each band
-    A = coef * np.exp((-1.0 / bM) * t)
-    p1, p2 = ppe(-1.0 / bM, d_lo, d_hi), ppe(-2.0 / bM, d_lo, d_hi)
-    ev = np.sum(A * p1 + const * p0, axis=0)
-    ev2 = np.sum(A * A * p2 + 2.0 * A * const * p1 + const * const * p0, axis=0)
-    var = ev2 - ev * ev
-    _require(var > _VAR_FLOOR, rows, lambda i: SolveError(
-        f"fund value variance {var[i]:.3e} is numerically degenerate"))
-    sharpe = (ev - v0 * (1.0 + market.r)) / np.sqrt(var)
-
-    # investor_value: ruin, v0 on the bands after the first, and the mixed
-    # power term over the first band by quadrature
-    phi_i = ruin_i / (1.0 - bI) * beyond_support
-    phi_i += _power(v0 + aI, 1.0 - bI) / (1.0 - bI) * ppe(0.0, d_hi[0], d_support)
-    k_mix = (1.0 - alpha) * coef[0] * np.exp((-1.0 / bM) * t)
-    l_mix = (1.0 + m - m / alpha) * v0 + aM * (1.0 - 1.0 / alpha) + aI
-    quad = np.flatnonzero(d_hi[0] < _W_CUTOFF)
-    k_q, l_q = k_mix[quad, None], l_mix[quad, None]
-
-    def integrand(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # investor_value's integrand, in place: the node arrays are the
-        # largest of a block
-        out = np.exp((mu + sig * w) / bM)      # Z^(-1/b_M)
-        out *= k_q[rows]
-        out += l_q[rows]
-        out **= 1.0 - bI
-        out *= np.exp(-0.5 * w * w)
-        out *= _INV_SQRT_2PI
-        return out
-
-    try:
-        mixed = integrate_lanes(integrand, np.maximum(d_hi[0, quad], -_W_CUTOFF), _W_CUTOFF)
-    except QuadratureError as exc:
-        raise _at_fee(exc, rows[quad[exc.lane]])
-    phi_i[quad] += mixed / (1.0 - bI)
-
-    _require(np.isfinite(phi_m) & np.isfinite(phi_i) & np.isfinite(sharpe), rows, lambda i: SolveError(
-        f"non-finite value phi_M={phi_m[i]}, phi_I={phi_i[i]}, SR={sharpe[i]} for fee {fee_label(*rows[i])}"))
-    return phi_m, phi_i, sharpe, env.case
+    return w, phi_m, phi_i, ev, ev2, sharpe
 
 
 def optimize_traditional(

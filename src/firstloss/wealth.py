@@ -1,51 +1,173 @@
 """Optimal terminal fund value: budget multiplier, closed-form evaluator,
-moments and Sharpe ratio.
+moments and Sharpe ratio, for many fees at once.
 
 The dual maximizer maps the kernel into bands (power branch, flat band,
 second power branch, ruin) whose edges are marginal slopes divided by the
 multiplier y.  The envelope's band table lists them with V's form on each,
-and every function here is a loop over that table.  The budget
-h(y) = E[Z V(y, Z)] is strictly decreasing, so the multiplier solving
-h(y) = v0 is found by bracketed root finding, and every expectation is a sum
-of truncated power moments of the kernel over the bands.
+and every function here sums over that table, lane by lane, in t = log y.
+The budget h(y) = E[Z V(y, Z)] is strictly decreasing, so the multiplier
+solving h(y) = v0 is found by a bracketed root on every lane together, and
+every expectation is a sum of truncated power moments of the kernel over the
+bands.  OptimalWealthSolution, budget and moments read one lane.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .concavify import ConcaveEnvelope, build_envelope
-from .contract import FeeStructure
-from .market import MarketParams, partial_power_expectation
-from .preferences import CaseTag, HaraParams, _power
+from .concavify import ConcaveEnvelope, EnvelopeLanes, build_envelope
+from .contract import FeeStructure, fee_label
+from .market import MarketParams, kernel_bound_normal, partial_power_expectation_normal as ppe
+from .preferences import CaseTag, HaraParams
+from .roots import bracketed_root
 
 _EXPAND = 16.0
 _MAX_EXPANSIONS = 16          # 16 x factor-16 steps ~ 2^64 range each way
 _BUDGET_RTOL = 1e-11
 _VAR_FLOOR = 1e-16
+# the budget root's first bracket and its expansion step, in t = log y
+_T_START = (math.log(1e-2), math.log(1e2))
+_T_STEP = math.log(_EXPAND)
 
 
 class SolveError(RuntimeError):
-    """Budget equation could not be bracketed or met its tolerance."""
+    """Budget equation could not be bracketed or met its tolerance; raised
+    for one lane of an array, it carries the lane's index."""
+
+    lane: int | None = None
+
+
+def _require(ok: np.ndarray, error) -> None:
+    """Raise error(i), carrying the lane i, for the first lane i not ok."""
+    bad = np.flatnonzero(np.logical_not(ok))
+    if bad.size:
+        exc = error(int(bad[0]))
+        exc.lane = int(bad[0])
+        raise exc
+
+
+class WealthLanes(NamedTuple):
+    """The optimal fund value of every lane of an envelope at the multiplier
+    e^t: the bands' and the support's kernel bounds in the normal coordinate
+    (d_lo, d_hi: (3, lanes); d_support: lanes), P(band) p0 and
+    P(beyond the support)."""
+
+    env: EnvelopeLanes
+    market: MarketParams
+    t: np.ndarray
+    d_lo: np.ndarray
+    d_hi: np.ndarray
+    d_support: np.ndarray
+    p0: np.ndarray
+    beyond_support: np.ndarray
+
+
+def _log_edges(env: EnvelopeLanes) -> tuple[np.ndarray, np.ndarray]:
+    # the band edges as log u, -inf at u = 0
+    with np.errstate(divide="ignore"):
+        return np.log(env.u_lo), np.log(env.u_hi)
+
+
+def _budget(market: MarketParams, b: float, coef, const, log_lo, log_hi, t: np.ndarray) -> np.ndarray:
+    # h(e^t) per lane, from the band table with its edges as log u
+    d_lo = kernel_bound_normal(market, log_lo - t)
+    d_hi = kernel_bound_normal(market, log_hi - t)
+    power = coef * np.exp((-1.0 / b) * t) * ppe(market, 1.0 - 1.0 / b, d_lo, d_hi)
+    return np.sum(power + const * ppe(market, 1.0, d_lo, d_hi), axis=0)
+
+
+def solve_budget(env: EnvelopeLanes, market: MarketParams, b: float) -> np.ndarray:
+    """t = log y* per lane, the root of h(e^t) = v0 for a manager with risk
+    aversion b.
+
+    The bracket starts at y in [1e-2, 1e2]: h falls in y, so the lower end
+    steps down until h reaches v0 and the upper end up until it falls to v0,
+    each at most _MAX_EXPANSIONS times.  A lane that fails raises SolveError
+    naming its fee.
+    """
+    log_lo, log_hi = _log_edges(env)
+    coef, const, v0 = env.coef, env.const, market.v0
+    label = lambda i: fee_label(env.m[i], env.alpha[i], env.c[i])
+
+    def gap(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        return _budget(market, b, coef[:, lanes], const[:, lanes], log_lo[:, lanes], log_hi[:, lanes], t) - v0
+
+    every = np.arange(env.m.size)
+    t_lo, t_hi = np.full(every.size, _T_START[0]), np.full(every.size, _T_START[1])
+    gap_lo, gap_hi = gap(t_lo, every), gap(t_hi, every)
+    for _ in range(_MAX_EXPANSIONS - 1):
+        low, high = every[gap_lo < 0.0], every[gap_hi > 0.0]
+        if not (low.size or high.size):
+            break
+        t_lo[low] -= _T_STEP
+        gap_lo[low] = gap(t_lo[low], low)
+        t_hi[high] += _T_STEP
+        gap_hi[high] = gap(t_hi[high], high)
+    _require((gap_lo >= 0.0) & (gap_hi <= 0.0), lambda i: SolveError(
+        f"budget bracket expansion failed within y in [{math.exp(t_lo[i]):.3e}, {math.exp(t_hi[i]):.3e}] "
+        f"for fee {label(i)}"))
+    t, gap_t, ok = bracketed_root(gap, t_lo, gap_lo, t_hi, gap_hi, 0.0)
+    _require(ok & (np.abs(gap_t) <= _BUDGET_RTOL * v0), lambda i: SolveError(
+        f"budget root ended at residual {abs(gap_t[i]):.3e} for fee {label(i)}"))
+    return t
+
+
+def wealth_lanes(env: EnvelopeLanes, market: MarketParams, t: np.ndarray) -> WealthLanes:
+    """The fund value of every lane of env at the multiplier e^t."""
+    log_lo, log_hi = _log_edges(env)
+    d_lo = kernel_bound_normal(market, log_lo - t)
+    d_hi = kernel_bound_normal(market, log_hi - t)
+    d_support = kernel_bound_normal(market, np.log(env.slope) - t)
+    return WealthLanes(env, market, t, d_lo, d_hi, d_support,
+                       ppe(market, 0.0, d_lo, d_hi), ppe(market, 0.0, d_support, -math.inf))
+
+
+def moment_lanes(w: WealthLanes, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(E[V], E[V^2]) per lane: V = A z^(-1/b) + const on each band, a flat
+    band has A = 0."""
+    coef, const, market = w.env.coef, w.env.const, w.market
+    A = coef * np.exp((-1.0 / b) * w.t)
+    p1, p2 = ppe(market, -1.0 / b, w.d_lo, w.d_hi), ppe(market, -2.0 / b, w.d_lo, w.d_hi)
+    ev = np.sum(A * p1 + const * w.p0, axis=0)
+    ev2 = np.sum(A * A * p2 + 2.0 * A * const * p1 + const * const * w.p0, axis=0)
+    return ev, ev2
+
+
+def sharpe_from_moments(market: MarketParams, ev: np.ndarray, ev2: np.ndarray) -> np.ndarray:
+    """(E[V] - v0 (1+r)) / std(V) per lane; a numerically deterministic fund
+    raises SolveError."""
+    var = ev2 - ev * ev
+    _require(var > _VAR_FLOOR, lambda i: SolveError(
+        f"fund value variance {np.ravel(var)[i]:.3e} is numerically degenerate"))
+    return (ev - market.v0 * (1.0 + market.r)) / np.sqrt(var)
 
 
 @dataclass(frozen=True)
 class OptimalWealthSolution:
-    """Solved optimal terminal value for one (fee, manager utility, market).
-
-    z_power_end  -- kernel value where the performance-fee power branch ends
-    z_support    -- kernel value from which on the fund is worth 0
-    """
+    """Solved optimal terminal value for one (fee, manager utility, market):
+    the envelope and t = log y* of the multiplier."""
 
     envelope: ConcaveEnvelope
     market: MarketParams
-    y_star: float
-    z_power_end: float
-    z_support: float
+    t: float
+
+    @property
+    def y_star(self) -> float:
+        return math.exp(self.t)
+
+    @property
+    def z_power_end(self) -> float:
+        """Kernel value where the performance-fee power branch ends."""
+        return self.envelope.bands[0].u_hi / self.y_star
+
+    @property
+    def z_support(self) -> float:
+        """Kernel value from which on the fund is worth 0."""
+        return self.envelope.slope / self.y_star
 
     @property
     def case_tag(self) -> CaseTag:
@@ -63,52 +185,24 @@ class OptimalWealthSolution:
         """Right edges of the kernel bands, the support edge last."""
         return tuple(band.u_hi / self.y_star for band in self.envelope.bands)
 
+    def lanes(self) -> WealthLanes:
+        """The solution as the one lane of wealth_lanes."""
+        return wealth_lanes(self.envelope.lanes, self.market, np.array([self.t]))
+
 
 def budget(envelope: ConcaveEnvelope, market: MarketParams, y: float) -> float:
-    """h(y) = E[Z V(y, Z)] assembled from truncated kernel moments."""
-    k = 1.0 - 1.0 / envelope.hara.b
-    y_pow = _power(y, -1.0 / envelope.hara.b)
-    out = 0.0
-    for u_lo, u_hi, coef, const in envelope.bands:
-        lo, hi = u_lo / y, u_hi / y
-        if coef:
-            out += coef * y_pow * partial_power_expectation(market, k, lo, hi)
-        out += const * partial_power_expectation(market, 1.0, lo, hi)
-    return out
+    """h(y) = E[Z V(y, Z)] of one envelope."""
+    env = envelope.lanes
+    return float(_budget(market, envelope.hara.b, env.coef, env.const, *_log_edges(env), np.log([y]))[0])
 
 
 def solve_y_star(fee: FeeStructure, manager: HaraParams, market: MarketParams) -> OptimalWealthSolution:
     """Find the unique multiplier with E[Z V] = v0 and package the solution."""
-    env = build_envelope(fee, manager, market.v0)
-    return solve_from_envelope(env, market)
+    return solve_from_envelope(build_envelope(fee, manager, market.v0), market)
 
 
 def solve_from_envelope(env: ConcaveEnvelope, market: MarketParams) -> OptimalWealthSolution:
-    v0 = market.v0
-    h = lambda y: budget(env, market, y)
-
-    lo, hi = 1e-2, 1e2
-    for _ in range(_MAX_EXPANSIONS):
-        if h(lo) >= v0:
-            break
-        lo /= _EXPAND
-    else:
-        raise SolveError(f"budget bracket expansion failed below y={lo} for fee {env.fee}")
-    for _ in range(_MAX_EXPANSIONS):
-        if h(hi) <= v0:
-            break
-        hi *= _EXPAND
-    else:
-        raise SolveError(f"budget bracket expansion failed above y={hi} for fee {env.fee}")
-
-    y = brentq(lambda t: h(t) - v0, lo, hi, xtol=1e-300, rtol=4.0 * math.ulp(1.0))
-    if abs(h(y) - v0) > _BUDGET_RTOL * v0:
-        raise SolveError(f"budget residual {abs(h(y) - v0):.3e} above tolerance for fee {env.fee}")
-
-    return OptimalWealthSolution(
-        envelope=env, market=market, y_star=y,
-        z_power_end=env.bands[0].u_hi / y, z_support=env.slope / y,
-    )
+    return OptimalWealthSolution(env, market, float(solve_budget(env.lanes, market, env.hara.b)[0]))
 
 
 def terminal_value_array(sol: OptimalWealthSolution, z: np.ndarray) -> np.ndarray:
@@ -130,31 +224,11 @@ def terminal_value_array(sol: OptimalWealthSolution, z: np.ndarray) -> np.ndarra
 
 
 def moments(sol: OptimalWealthSolution) -> tuple[float, float]:
-    """(E[V], E[V^2]) in closed form from truncated kernel moments."""
-    env, market, y = sol.envelope, sol.market, sol.y_star
-    b = env.hara.b
-    y_pow = _power(y, -1.0 / b)
-    ev = ev2 = 0.0
-    for u_lo, u_hi, coef, const in env.bands:
-        lo, hi = u_lo / y, u_hi / y
-        # V = A z^(-1/b) + const on the band; a flat band has A = 0
-        A = coef * y_pow
-        p0 = partial_power_expectation(market, 0.0, lo, hi)
-        p1 = partial_power_expectation(market, -1.0 / b, lo, hi) if coef else 0.0
-        p2 = partial_power_expectation(market, -2.0 / b, lo, hi) if coef else 0.0
-        ev += A * p1 + const * p0
-        ev2 += A * A * p2 + 2.0 * A * const * p1 + const * const * p0
-    return ev, ev2
-
-
-def sharpe_from_moments(market: MarketParams, ev: float, ev2: float) -> float:
-    """(E[V] - v0 (1+r)) / std(V); rejects a numerically deterministic fund."""
-    var = ev2 - ev * ev
-    if var <= _VAR_FLOOR:
-        raise SolveError(f"fund value variance {var:.3e} is numerically degenerate")
-    return (ev - market.v0 * (1.0 + market.r)) / math.sqrt(var)
+    """(E[V], E[V^2]) of one solution."""
+    ev, ev2 = moment_lanes(sol.lanes(), sol.envelope.hara.b)
+    return float(ev[0]), float(ev2[0])
 
 
 def sharpe_ratio(sol: OptimalWealthSolution) -> float:
     """Sharpe ratio of the optimal fund value."""
-    return sharpe_from_moments(sol.market, *moments(sol))
+    return float(sharpe_from_moments(sol.market, *moments(sol)))

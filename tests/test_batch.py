@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from firstloss import (
     ContractError,
     EnvelopeError,
+    FeeStructure,
     HaraParams,
     PreferenceError,
     QuadratureError,
@@ -16,7 +23,9 @@ from firstloss import (
     valuation,
     wealth,
 )
+from firstloss.cli import main
 from firstloss.concavify import envelope_lanes
+from firstloss.wealth import solve_budget
 
 from conftest import fee_pct
 
@@ -36,26 +45,38 @@ PUBLISHED = [
 ]
 
 
+# The outputs of the scalar chain (build_envelope, solve_y_star and
+# evaluate_fee, one fee at a time, with brentq roots) that preceded the lane
+# engine, at the base market with investor HaraParams(0.3, 0.65): per b_M, for
+# each fee of BOX + PUBLISHED, its case ('-' where the fee is inadmissible),
+# theta1, slope, u_at_zero, band table, y*, phi_M, phi_I and Sharpe ratio; and
+# the value and wealth JSON (without the config echo) of two published fees.
+SCALAR_CHAIN = json.loads((Path(__file__).with_name("scalar_chain.json")).read_text())
+
+
+def _frozen_lanes(b_m):
+    frozen = SCALAR_CHAIN["lanes"][str(b_m)]
+    assert [tuple(r["fee"]) for r in frozen] == [(f.m, f.alpha, f.c) for f in BOX + PUBLISHED]
+    return frozen, [r for r in frozen if r["case"] != "-"]
+
+
 @pytest.mark.parametrize("b_m", [0.65, 2.5, 5.0])
 def test_matches_scalar_path(b_m, base_market, base_investor):
+    frozen, solved = _frozen_lanes(b_m)
     manager = HaraParams(0.3, b_m)
-    fees = BOX + PUBLISHED
-    batch = evaluate_fees([(f.m, f.alpha, f.c) for f in fees], base_market, manager, base_investor)
-    cases = set()
-    for i, fee in enumerate(fees):
-        try:
-            ref = evaluate_fee(fee, base_market, manager, base_investor)
-        except PreferenceError:
-            assert not batch.feasible[i] and batch.case[i] == "-", fee
-            assert np.isnan([batch.phi_M[i], batch.phi_I[i], batch.sharpe[i]]).all()
-            continue
-        assert batch.feasible[i] and batch.case[i] == ref.case_tag.value, fee
-        assert batch.phi_M[i] == pytest.approx(ref.phi_M, rel=1e-10, abs=0.0), fee
-        assert batch.phi_I[i] == pytest.approx(ref.phi_I, rel=1e-10, abs=0.0), fee
-        assert batch.sharpe[i] == pytest.approx(ref.sharpe, rel=1e-10, abs=0.0), fee
-        cases.add(ref.case_tag.value)
-    assert cases == ({"A", "B"} if b_m < 1.0 else {"A", "B", "C"})
-    assert (~batch.feasible).any() == (b_m > 1.0)
+    batch = evaluate_fees([r["fee"] for r in frozen], base_market, manager, base_investor)
+    assert batch.case.tolist() == [r["case"] for r in frozen]
+    ok = batch.feasible
+    assert ok.tolist() == [r["case"] != "-" for r in frozen]
+    assert np.isnan([batch.phi_M[~ok], batch.phi_I[~ok], batch.sharpe[~ok]]).all()
+    # the Sharpe ratio keeps 1e-10: its variance cancels at SR near 0.05
+    for key, rtol in (("phi_M", 1e-12), ("phi_I", 1e-12), ("sharpe", 1e-10)):
+        np.testing.assert_allclose(getattr(batch, key)[ok], [r[key] for r in solved], rtol=rtol, atol=0.0,
+                                   err_msg=key)
+    env = envelope_lanes(*np.array([r["fee"] for r in solved]).T, manager, base_market.v0)
+    np.testing.assert_allclose(np.exp(solve_budget(env, base_market, b_m)), [r["y_star"] for r in solved],
+                               rtol=1e-12, atol=0.0)
+    assert set(batch.case) == ({"A", "B"} if b_m < 1.0 else {"A", "B", "C", "-"})
 
 
 def test_result_does_not_depend_on_batch(base_market, base_investor):
@@ -75,27 +96,49 @@ def test_result_does_not_depend_on_batch(base_market, base_investor):
 
 @pytest.mark.parametrize("b_m", [0.65, 2.5, 5.0])
 def test_envelope_lanes_match_scalar(b_m, base_market):
+    frozen, solved = _frozen_lanes(b_m)
     manager, v0 = HaraParams(0.3, b_m), base_market.v0
-    built, refused = [], []
-    for fee in BOX + PUBLISHED:
-        try:
-            built.append((fee, build_envelope(fee, manager, v0)))
-        except PreferenceError:          # the utility is -inf at the worst payoff (b_M > 1)
-            refused.append(fee)
-    lanes = envelope_lanes(*np.array([(f.m, f.alpha, f.c) for f, _ in built]).T, manager, v0)
-    for i, (fee, env) in enumerate(built):
-        assert lanes.case[i] == env.case_tag.value, fee
+    lanes = envelope_lanes(*np.array([r["fee"] for r in solved]).T, manager, v0)
+    assert lanes.case.tolist() == [r["case"] for r in solved]
+    for i, r in enumerate(solved):
         for key in ("theta1", "slope", "u_at_zero"):
-            assert getattr(lanes, key)[i] == pytest.approx(getattr(env, key), rel=1e-12, abs=0.0), (fee, key)
-        table = np.array(env.bands + ((0.0, 0.0, 0.0, 0.0),) * (3 - len(env.bands)))
+            assert getattr(lanes, key)[i] == pytest.approx(r[key], rel=1e-12, abs=0.0), (r["fee"], key)
+        table = np.array(r["bands"] + [[0.0, 0.0, 0.0, 0.0]] * (3 - len(r["bands"])))
         got = np.column_stack([lanes.u_lo[:, i], lanes.u_hi[:, i], lanes.coef[:, i], lanes.const[:, i]])
-        np.testing.assert_allclose(got, table, rtol=1e-12, atol=0.0, err_msg=str(fee))
-    assert {env.case_tag.value for _, env in built} == ({"A", "B"} if b_m < 1.0 else {"A", "B", "C"})
+        np.testing.assert_allclose(got, table, rtol=1e-12, atol=0.0, err_msg=str(r["fee"]))
+        # the one-fee envelope is this lane
+        env = build_envelope(FeeStructure(*r["fee"]), manager, v0)
+        assert (env.case_tag.value, env.theta1, env.slope) == (r["case"], lanes.theta1[i], lanes.slope[i])
+    # the utility is -inf at the worst payoff of the refused fees (b_M > 1)
+    refused = [r["fee"] for r in frozen if r["case"] == "-"]
     assert bool(refused) == (b_m > 1.0)
-    for fee in refused:
+    for m, alpha, c in refused:
         with pytest.raises(PreferenceError) as info:
-            envelope_lanes([0.0, fee.m], [0.2, fee.alpha], [0.0, fee.c], manager, v0)
+            envelope_lanes([0.0, m], [0.2, alpha], [0.0, c], manager, v0)
         assert info.value.lane == 1
+
+
+@pytest.mark.parametrize("key", sorted(SCALAR_CHAIN["cli"]))
+def test_cli_json_matches_scalar_path(key, tmp_path):
+    command, fee = key.split()
+    assert main(["--set", f"run.outdir={tmp_path}", command, "--fee", fee]) == 0
+    doc = json.loads((tmp_path / f"{command}.json").read_text())
+    frozen = SCALAR_CHAIN["cli"][key]
+    assert doc.keys() == frozen.keys() | {"config"}
+    for name, value in frozen.items():
+        if isinstance(value, (str, dict)):
+            assert doc[name] == value, name
+        else:
+            assert doc[name] == pytest.approx(value, rel=1e-10 if name == "sharpe" else 1e-12, abs=0.0), name
+
+
+def test_package_does_not_load_scipy_optimize():
+    # the package's only scipy dependency is scipy.special.ndtr
+    code = "import sys, firstloss.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("row,field", [

@@ -74,6 +74,20 @@ def test_cli_envelope_and_wealth(tmp_path):
     assert doc["theta1"] == pytest.approx(1.05, abs=1e-12)
 
 
+@pytest.mark.parametrize("flags,name", [
+    (["--vmax", "nan"], "--vmax"),
+    (["--vmax", "inf"], "--vmax"),
+    (["--vmax", "-1"], "--vmax"),
+    (["--vmax", "0"], "--vmax"),
+    (["--grid-n", "-5"], "--grid-n"),
+    (["--grid-n", "1"], "--grid-n"),
+])
+def test_cli_envelope_bad_grid_exits_1(flags, name, tmp_path, capsys):
+    assert main(["--set", f"run.outdir={tmp_path}", "envelope", "--fee", "0,20,0", *flags]) == 1
+    assert f"config error: {name} must be" in capsys.readouterr().err
+    assert not (tmp_path / "envelope.csv").exists()
+
+
 def test_cli_benchmark(tmp_path):
     out = tmp_path / "out"
     assert main(["--set", f"run.outdir={out}", "benchmark", "--fee", "5,35.5,26", "--pi", "1,0"]) == 0

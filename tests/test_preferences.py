@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from firstloss import CaseTag, HaraParams, PreferenceError, classify_case, hara_utility, manager_composite_utility
+from firstloss import HaraParams, PreferenceError, hara_utility, manager_composite_utility
+from firstloss.concavify import envelope_lanes
 from firstloss.contract import manager_kinks
 from firstloss.preferences import fee_admissible, hara_marginal, sweep_admissible
 
@@ -80,23 +81,24 @@ def test_composite_concave_kink(base_manager):
     assert left >= right
 
 
+def _cases(fees, manager):
+    # the concavification regime of each fee (m, alpha, c), in one call
+    m, alpha, c = np.array(fees).T
+    return envelope_lanes(m, alpha, c, manager, 1.0).case.tolist()
+
+
 def test_classify_examples(base_manager):
-    assert classify_case(fee_pct(3, 20, 0), base_manager, 1.0) is CaseTag.A
-    assert classify_case(fee_pct(5, 37.5, 26), base_manager, 1.0) is CaseTag.A
-    assert classify_case(fee_pct(5, 10, 26), base_manager, 1.0) is CaseTag.B
+    fees = [(0.03, 0.2, 0.0), (0.05, 0.375, 0.26), (0.05, 0.1, 0.26)]
+    assert _cases(fees, base_manager) == ["A", "A", "B"]
     # high manager risk aversion with high coverage reaches the third regime
-    assert classify_case(fee_pct(0, 10, 25), HaraParams(0.3, 5.0), 1.0) is CaseTag.C
+    assert _cases([(0.0, 0.1, 0.25)], HaraParams(0.3, 5.0)) == ["C"]
 
 
 def test_cases_partition_admissible_box(base_manager):
-    # exactly one region predicate holds per fee; enum membership is the proof
-    from firstloss import FeeStructure
-
-    for m in np.linspace(0.0, 0.05, 6):
-        for alpha in np.linspace(0.001, 0.5, 12):
-            for c in np.linspace(0.0, 0.3, 7):
-                tag = classify_case(FeeStructure(m, alpha, c), base_manager, 1.0)
-                assert tag in (CaseTag.A, CaseTag.B, CaseTag.C)
+    # exactly one region predicate holds per fee
+    box = [(m, alpha, c) for m in np.linspace(0.0, 0.05, 6) for alpha in np.linspace(0.001, 0.5, 12)
+           for c in np.linspace(0.0, 0.3, 7)]
+    assert set(_cases(box, base_manager)) <= {"A", "B", "C"}
 
 
 def test_admissibility_checks():

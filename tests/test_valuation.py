@@ -7,6 +7,7 @@ from firstloss import (
     FeeStructure,
     HaraParams,
     evaluate_fee,
+    evaluate_fees,
     investor_value,
     manager_value,
     mc_value,
@@ -15,7 +16,7 @@ from firstloss import (
 )
 from firstloss.market import partial_power_expectation
 from firstloss.preferences import _power
-from firstloss.valuation import investor_mixed_coefficients
+from firstloss.valuation import investor_mixed_coefficients, manager_values
 
 from conftest import fee_pct
 
@@ -91,7 +92,7 @@ def test_degenerate_full_performance_fee_closed_form(base_market, base_manager, 
     # hence the raw constructor
     f = FeeStructure.raw(0.0, 1.0, 0.10)
     sol = solve_y_star(f, base_manager, base_market)
-    k, l = investor_mixed_coefficients(sol, base_investor)
+    k, l = (float(x[0]) for x in investor_mixed_coefficients(sol.lanes(), base_manager, base_investor))
     assert k == 0.0
     bI = base_investor.b
     v0 = base_market.v0
@@ -115,7 +116,7 @@ def test_mixed_term_vs_scipy_quad(base_market, base_manager, base_investor):
             float(rng.uniform(0.0, 0.3)),
         )
         sol = solve_y_star(f, base_manager, base_market)
-        k, l = investor_mixed_coefficients(sol, base_investor)
+        k, l = (float(x[0]) for x in investor_mixed_coefficients(sol.lanes(), base_manager, base_investor))
         mu, sig = base_market.log_drift, base_market.log_vol
         bM, bI = base_manager.b, base_investor.b
         w_lo = (-math.log(sol.z_power_end) - mu) / sig
@@ -140,12 +141,8 @@ def test_manager_value_monotone_in_fee(base_market, base_manager, base_investor)
     ms = np.linspace(0.0, 0.05, 21)
     alphas = np.linspace(0.005, 0.5, 21)
     cs = np.linspace(0.0, 0.3, 16)
-    values = np.empty((21, 21, 16))
-    for i, m in enumerate(ms):
-        for j, a in enumerate(alphas):
-            for k, c in enumerate(cs):
-                sol = solve_y_star(FeeStructure(float(m), float(a), float(c)), base_manager, base_market)
-                values[i, j, k] = manager_value(sol)
+    fees = np.stack(np.meshgrid(ms, alphas, cs, indexing="ij"), axis=-1).reshape(-1, 3)
+    values = manager_values(fees, base_market, base_manager, base_investor).reshape(21, 21, 16)
     assert (np.diff(values, axis=0) >= -1e-9).all()
     assert (np.diff(values, axis=1) >= -1e-9).all()
     assert (np.diff(values, axis=2) <= 1e-9).all()
@@ -170,12 +167,9 @@ def test_grid_argmax_within_one_cell_of_refined(base_market, base_manager, base_
     dm, dalpha = 0.005, 0.005
     ms = np.round(np.arange(0.0, 0.05 + dm / 2, dm), 10)
     alphas = np.round(np.arange(dalpha, 0.5 + dalpha / 2, dalpha), 10)
-    vals = {
-        (m, a): evaluate_fee(FeeStructure(m, a, 0.0), base_market, base_manager, base_investor).phi_I
-        for m in ms
-        for a in alphas
-    }
-    gm, ga = max(vals, key=vals.get)
+    fees = [(m, a, 0.0) for m in ms for a in alphas]
+    phi_i = evaluate_fees(fees, base_market, base_manager, base_investor).phi_I
+    gm, ga, _ = fees[int(np.argmax(phi_i))]
     m_hat, a_hat = optimize_traditional(base_investor, base_manager, base_market, dm=dm, dalpha=dalpha)
     assert abs(gm - m_hat) <= dm + 1e-12
     assert abs(ga - a_hat) <= dalpha + 1e-12

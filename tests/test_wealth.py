@@ -174,11 +174,7 @@ def test_moments_vanish_for_huge_multiplier(base_market, base_manager):
     from firstloss.wealth import OptimalWealthSolution
 
     env = build_envelope(fee_pct(0, 20, 0), base_manager, base_market.v0)
-    y = 1e9
-    sol = OptimalWealthSolution(
-        envelope=env, market=base_market, y_star=y,
-        z_power_end=env.slope / y, z_support=env.slope / y,
-    )
+    sol = OptimalWealthSolution(envelope=env, market=base_market, t=math.log(1e9))
     ev, ev2 = moments(sol)
     assert 0.0 <= ev < 1e-3
 
