@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -55,12 +56,12 @@ class MarketParams:
         if self.sigma is not None and not self.sigma > 0.0:
             raise MarketError(f"sigma must be > 0 when present (got {self.sigma})")
 
-    @property
+    @cached_property
     def log_drift(self) -> float:
         """(r + gamma^2/2) * T, the negated drift of log Z_T."""
         return (self.r + 0.5 * self.gamma**2) * self.horizon_T
 
-    @property
+    @cached_property
     def log_vol(self) -> float:
         """gamma * sqrt(T), the standard deviation of log Z_T."""
         return self.gamma * math.sqrt(self.horizon_T)

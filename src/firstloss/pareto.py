@@ -14,7 +14,8 @@ All levels are solved in the same batched evaluations.  One unconstrained
 maximum x_u of phi_I serves the levels it satisfies; the others run a
 lane-wise pattern search on G from their three best feasible lattice fees
 (the best of them after four steps), every binding fee found by a lane-wise
-bracketed root.
+bracketed root.  Each fee carries its t = log y*, so every budget root of
+the search starts warm from the lane's last one.
 A level's answer is the better of the search's result and its best feasible
 lattice fee, so it never falls below the lattice.
 """
@@ -84,6 +85,7 @@ class GridScan:
     sharpe: np.ndarray
     case: tuple[str, ...]
     feasible: np.ndarray
+    t: np.ndarray                       # log y* per fee, which starts the frontier's budget roots warm
 
     @property
     def phi_M_min(self) -> float:
@@ -136,17 +138,13 @@ def grid_scan(
     Inadmissible cells (possible only for b > 1 at the coverage edge) are
     recorded infeasible rather than failing the scan.
     """
-    fees = [
-        (float(m), float(a), float(c))
-        for m in steps.m_grid()
-        for a in steps.alpha_grid()
-        for c in steps.c_grid()
-    ]
+    ms, alphas, cs = steps.m_grid(), steps.alpha_grid(), steps.c_grid()
+    fees = [(float(m), float(a), float(c)) for m in ms for a in alphas for c in cs]
     batch = evaluate_fees(fees, market, manager, investor)
     if not batch.feasible.any():
         raise InfeasibleReservation("no admissible fee on the lattice; check utility shifts")
     return GridScan(steps=steps, fees=tuple(fees), phi_M=batch.phi_M, phi_I=batch.phi_I, sharpe=batch.sharpe,
-                    case=tuple(batch.case.tolist()), feasible=batch.feasible)
+                    case=tuple(batch.case.tolist()), feasible=batch.feasible, t=batch.t)
 
 
 def _span(rows: np.ndarray, axis: int, manager: HaraParams, investor: HaraParams, v0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -186,37 +184,55 @@ def _select_seeds(scan: GridScan, levels: np.ndarray, n_seeds: int = 3) -> list[
     return seeds
 
 
-def _bind(rows: np.ndarray, axis: int, width: np.ndarray, phi_min: np.ndarray, market: MarketParams,
-          manager: HaraParams, investor: HaraParams) -> np.ndarray:
+def _bind(rows: np.ndarray, axis: int, width: np.ndarray, t: np.ndarray, phi_min: np.ndarray, market: MarketParams,
+          manager: HaraParams, investor: HaraParams) -> tuple[np.ndarray, np.ndarray]:
     """Each row moved along fee coordinate axis, within its span, to where
     phi_M = phi_min (phi_M rises along m and alpha, falls along c); to the
     span's end with the lowest phi_M where all of the span meets phi_min,
     NaN where none does.  The root's bracket starts at the row's coordinate
-    +- width and widens to the span's end on a side where it misses."""
+    +- width and widens to the span's end on a side where it misses.
+    Returns the moved rows and t = log y* near each (NaN where the row is):
+    the budget roots start warm, from t, the row's, at the bracket's ends
+    and from the secant through the lane's last two points inside it."""
     lo_s, hi_s = _span(rows, axis, manager, investor, market.v0)
     rises = axis != 2
 
-    def gap(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    def gap(x: np.ndarray, lanes: np.ndarray, t_near: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         fees = rows[lanes].copy()
         fees[:, axis] = x
-        return manager_values(fees, market, manager, investor) - phi_min[lanes]
+        phi_m, t_x = manager_values(fees, market, manager, investor, t_near)
+        return phi_m - phi_min[lanes], t_x
 
-    # both ends of every bracket in one call, then the ends that missed
+    # both ends of every bracket in one call, then the ends that missed, each
+    # from the t of the end it moved out from
     n, lanes = len(rows), np.tile(np.arange(len(rows)), 2)
     end = np.clip(np.concatenate([rows[:, axis] - width, rows[:, axis] + width]), lo_s[lanes], hi_s[lanes])
-    g = gap(end, lanes)
+    g, t_end = gap(end, lanes, np.tile(t, 2))
     edge = np.concatenate([lo_s, hi_s])
     short = np.repeat([rises, not rises], n)               # where phi_M < phi_min belongs
     miss = np.flatnonzero(((g < 0.0) != short) & (end != edge))
     end[miss] = edge[miss]
-    g[miss] = gap(end[miss], lanes[miss])
-    lo, hi, g_lo, g_hi = end[:n], end[n:], g[:n], g[n:]
-    out = rows.copy()
-    out[:, axis] = np.where((g_lo >= 0.0) & (g_hi >= 0.0) & (lo_s <= hi_s), lo if rises else hi, math.nan)
+    g[miss], t_end[miss] = gap(end[miss], lanes[miss], t_end[miss])
+    lo, hi, g_lo, g_hi, t_lo, t_hi = end[:n], end[n:], g[:n], g[n:], t_end[:n], t_end[n:]
+    out, t_out = rows.copy(), np.full(n, math.nan)
+    whole = (g_lo >= 0.0) & (g_hi >= 0.0) & (lo_s <= hi_s)
+    out[:, axis] = np.where(whole, lo if rises else hi, math.nan)
+    t_out[whole] = (t_lo if rises else t_hi)[whole]
     root = np.flatnonzero(((g_lo < 0.0) == rises) & ((g_hi < 0.0) != rises) & (lo_s <= hi_s))
+    # each root lane's last two points (x, t), first its bracket's ends
+    last = [lo[root], t_lo[root], hi[root], t_hi[root]]
+
+    def root_gap(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        x0, t0, x1, t1 = (v[lanes] for v in last)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            guess = t1 + (t1 - t0) / (x1 - x0) * (x - x1)
+        g_x, t_x = gap(x, root[lanes], np.where(np.isfinite(guess), guess, t1))
+        for v, now in zip(last, (x1, t1, x, t_x)):
+            v[lanes] = now
+        return g_x
+
     # xatol 1e-15: about where phi_M's own rounding takes over
-    x, fx, ok = bracketed_root(lambda x, lanes: gap(x, root[lanes]), lo[root], g_lo[root], hi[root], g_hi[root],
-                               1e-15)
+    x, fx, ok = bracketed_root(root_gap, lo[root], g_lo[root], hi[root], g_hi[root], 1e-15)
     if not ok.all():
         i = root[int(np.argmin(ok))]
         exc = SolveError(f"root of phi_M = {phi_min[i]!r} not found in [{lo[i]!r}, {hi[i]!r}] along fee axis {axis}")
@@ -224,7 +240,8 @@ def _bind(rows: np.ndarray, axis: int, width: np.ndarray, phi_min: np.ndarray, m
         raise exc
     # a best point on the short side of the root steps past its bracket's other end
     out[root, axis] = x + np.where(fx < 0.0, 1.0 if rises else -1.0, 0.0) * (XRTOL * np.abs(x) + 1e-15)
-    return out
+    t_out[root] = last[3]
+    return out, t_out
 
 
 def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, manager: HaraParams,
@@ -234,33 +251,41 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
     seeds = _select_seeds(scan, levels)
     seed_phi_I = scan.phi_I[[found[0] for found in seeds]]
 
-    def phi_I(rows: np.ndarray) -> np.ndarray:
-        # -inf where a fee is NaN or inadmissible
+    def phi_I(rows: np.ndarray, t_near: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # and t, each -inf (NaN) where a fee is NaN or inadmissible
         ok = ~np.isnan(rows).any(axis=1)
-        values = np.full(len(rows), -math.inf)
-        batch = evaluate_fees(rows[ok], market, manager, investor)
-        values[ok] = np.where(batch.feasible, batch.phi_I, -math.inf)
-        return values
+        values, t = np.full(len(rows), -math.inf), np.full(len(rows), math.nan)
+        batch = evaluate_fees(rows[ok], market, manager, investor, t_near[ok])
+        values[ok], t[ok] = np.where(batch.feasible, batch.phi_I, -math.inf), batch.t
+        return values, t
 
-    # the unconstrained maximum over (m, alpha, c), from the best lattice fee
-    x_u = np.array([scan.fees[int(np.argmax(np.where(scan.feasible, scan.phi_I, -np.inf)))]])
-    f_u = phi_I(x_u)
-    pattern_search(lambda points, *_: (phi_I(points), points), x_u, f_u, x_u.copy(),
+    def with_t(points: np.ndarray, t_near: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # phi_I at the points, and the points with their t as the fee a lane moves to
+        values, t = phi_I(points, t_near)
+        return values, np.column_stack([points, t])
+
+    # the unconstrained maximum over (m, alpha, c), from the best lattice fee;
+    # a fee is a row (m, alpha, c, t) from here on
+    best = int(np.argmax(np.where(scan.feasible, scan.phi_I, -np.inf)))
+    x_u = np.array([scan.fees[best]])
+    f_u, u = with_t(x_u, scan.t[[best]])
+    pattern_search(lambda points, lanes, fee, step: with_t(points, fee[:, 3]), x_u, f_u, u,
                    np.array([[steps.dm, steps.dalpha, steps.dc]]), *_BOX)
-    slack = levels <= evaluate_fees(x_u, market, manager, investor).phi_M[0]
-    fees = np.where(slack[:, None], x_u, math.nan)
+    slack = levels <= evaluate_fees(x_u, market, manager, investor, u[:, 3]).phi_M[0]
+    fees = np.where(slack[:, None], u, math.nan)
     found = np.where(slack, f_u[0], -math.inf)
 
     # every other level: a pattern search on G(m, alpha) from its lattice starts
     owner = np.array([i for i in np.flatnonzero(~slack) for _ in seeds[i]], dtype=int)
-    starts = np.array([scan.fees[j] for i in np.flatnonzero(~slack) for j in seeds[i]]).reshape(-1, 3)
+    start = np.array([j for i in np.flatnonzero(~slack) for j in seeds[i]], dtype=int)
+    starts = np.column_stack([np.reshape([scan.fees[j] for j in start], (-1, 3)), scan.t[start]])
     lane_min = levels[owner]
-    bind = lambda rows, axis, width, lanes: _bind(rows, axis, width, lane_min[lanes], market, manager, investor)
+    bind = lambda rows, axis, width, t, lanes: _bind(rows, axis, width, t, lane_min[lanes], market, manager, investor)
 
     def G(points, lanes, center, step):
-        # the fee at (m, alpha) with c bound by the constraint, from the lane's last c
+        # the fee at (m, alpha) with c bound by the constraint, from the lane's last c and t
         width = _WIDTH * step
-        fee = bind(np.column_stack([points, center[:, 2]]), 2, width, lanes)
+        fee, t = bind(np.column_stack([points, center[:, 2]]), 2, width, center[:, 3], lanes)
         # a point, or its lane's fee, on a face of c (c at its cap with phi_M
         # to spare, or at its floor with phi_M short): the fee on that face
         # that meets the constraint with the lowest m, then alpha, competes
@@ -268,15 +293,17 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
         short = np.isnan(fee[:, 2])
         top = ~short & ((fee[:, 2] == hi_c) | (center[:, 2] == hi_c))
         face = np.flatnonzero(short | top | (center[:, 2] == lo_c))
-        moved = np.full_like(fee, math.nan)
+        near = np.where(np.isnan(t), center[:, 3], t)
+        moved, t_moved = np.full_like(fee, math.nan), np.full_like(t, math.nan)
         moved[face] = np.column_stack([fee[face, :2], np.where(top, hi_c, lo_c)[face]])
-        moved[face] = bind(moved[face], 0, width[face], lanes[face])
+        moved[face], t_moved[face] = bind(moved[face], 0, width[face], near[face], lanes[face])
         still = face[np.isnan(moved[face, 0])]
         moved[still, 0] = _span(moved[still], 0, manager, investor, v0)[1]
-        moved[still] = bind(moved[still], 1, width[still], lanes[still])
+        moved[still], t_moved[still] = bind(moved[still], 1, width[still], near[still], lanes[still])
         # the better of the two, the first on a tie
-        values = phi_I(np.concatenate([fee, moved])).reshape(2, -1)
-        return values.max(axis=0), np.where(np.argmax(values, axis=0)[:, None] == 1, moved, fee)
+        values, t_both = phi_I(np.concatenate([fee, moved]), np.concatenate([t, t_moved]))
+        both, values = np.column_stack([np.concatenate([fee, moved]), t_both]).reshape(2, -1, 4), values.reshape(2, -1)
+        return values.max(axis=0), both[np.argmax(values, axis=0), np.arange(len(fee))]
 
     # the starts' own binding fees, bracketed by the lattice step in c, then
     # a few steps from each before only the level's best (the first on a tie)
@@ -291,12 +318,13 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
 
     # a level's best feasible lattice fee stands where the search did not beat it
     lattice = np.flatnonzero(found <= seed_phi_I)
-    fees[lattice] = np.reshape([scan.fees[seeds[i][0]] for i in lattice], (-1, 3))
-    final = evaluate_fees(fees, market, manager, investor)
+    first = np.array([seeds[i][0] for i in lattice], dtype=int)
+    fees[lattice] = np.column_stack([np.reshape([scan.fees[j] for j in first], (-1, 3)), scan.t[first]])
+    final = evaluate_fees(fees[:, :3], market, manager, investor, fees[:, 3])
     c_top = _span(np.array([[M_MAX, ALPHA_MAX, 0.0]]), 2, manager, investor, v0)[1][0]
     points = []
     for i, level in enumerate(levels.tolist()):
-        fee = FeeStructure(*fees[i].tolist())
+        fee = FeeStructure(*fees[i, :3].tolist())
         bounds = (("m_low", fee.m <= _BOUND_SNAP), ("m_high", fee.m >= M_MAX - _BOUND_SNAP),
                   ("alpha_low", fee.alpha <= ALPHA_MIN + _BOUND_SNAP), ("alpha_high", fee.alpha >= ALPHA_MAX - _BOUND_SNAP),
                   ("c_low", fee.c <= _BOUND_SNAP), ("c_high", fee.c >= c_top - _BOUND_SNAP))

@@ -156,14 +156,15 @@ def evaluate_fee(fee: FeeStructure, market: MarketParams, manager: HaraParams, i
 
 @dataclass(frozen=True)
 class FeeBatch:
-    """evaluate_fees's result, one entry per fee; an inadmissible fee is
-    infeasible, with NaN values and case '-'."""
+    """evaluate_fees's result, one entry per fee, t = log y* among them; an
+    inadmissible fee is infeasible, with NaN values and case '-'."""
 
     phi_M: np.ndarray
     phi_I: np.ndarray
     sharpe: np.ndarray
     case: np.ndarray
     feasible: np.ndarray
+    t: np.ndarray
 
 
 def _at_fee(exc: Exception, row: np.ndarray) -> Exception:
@@ -193,9 +194,11 @@ def evaluate_fees(
     market: MarketParams,
     manager: HaraParams,
     investor: HaraParams,
+    t_near: np.ndarray | None = None,
 ) -> FeeBatch:
     """phi_M, phi_I and the Sharpe ratio for every fee, given as rows
-    (m, alpha, c), in blocks of lanes.
+    (m, alpha, c), in blocks of lanes; t_near, a guess of each fee's
+    t = log y* (NaN: none), starts its budget root warm (solve_budget).
 
     Inadmissible fees (possible only for b > 1 at the coverage edge) are
     infeasible rather than an error.  A fee that fails raises its typed error
@@ -205,31 +208,34 @@ def evaluate_fees(
     n = len(rows)
     out = FeeBatch(
         phi_M=np.full(n, math.nan), phi_I=np.full(n, math.nan), sharpe=np.full(n, math.nan),
-        case=np.full(n, "-"), feasible=feasible,
+        case=np.full(n, "-"), feasible=feasible, t=np.full(n, math.nan),
     )
     for idx in blocks:
         w, out.phi_M[idx], out.phi_I[idx], _, _, out.sharpe[idx] = _evaluate_block(
-            rows[idx], market, manager, investor)
-        out.case[idx] = w.env.case
+            rows[idx], market, manager, investor, None if t_near is None else t_near[idx])
+        out.case[idx], out.t[idx] = w.env.case, w.t
     return out
 
 
-def manager_values(fees, market: MarketParams, manager: HaraParams, investor: HaraParams) -> np.ndarray:
-    """evaluate_fees's phi_M alone, lane for lane the same, without the
-    moments and the investor's quadrature; NaN at an inadmissible fee."""
+def manager_values(fees, market: MarketParams, manager: HaraParams, investor: HaraParams,
+                   t_near: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """evaluate_fees's phi_M and t alone, lane for lane the same, without
+    the moments and the investor's quadrature; NaN at an inadmissible fee."""
     rows, _, blocks = _blocks(fees, market, manager, investor)
-    out = np.full(len(rows), math.nan)
+    phi_m, t = np.full(len(rows), math.nan), np.full(len(rows), math.nan)
     for idx in blocks:
-        out[idx] = _manager_block(rows[idx], market, manager)[1]
-    return out
+        w, phi_m[idx] = _manager_block(rows[idx], market, manager, None if t_near is None else t_near[idx])
+        t[idx] = w.t
+    return phi_m, t
 
 
-def _manager_block(rows: np.ndarray, market: MarketParams, manager: HaraParams) -> tuple:
-    """Per row: the optimal fund value's lanes and phi_M."""
+def _manager_block(rows: np.ndarray, market: MarketParams, manager: HaraParams, t_near: np.ndarray | None) -> tuple:
+    """Per row: the optimal fund value's lanes and phi_M, the budget root
+    started from t_near where it is finite."""
     m, alpha, c = np.ascontiguousarray(rows.T)
     try:
         env = envelope_lanes(m, alpha, c, manager, market.v0)
-        w = wealth_lanes(env, market, solve_budget(env, market, manager.b))
+        w = wealth_lanes(env, market, solve_budget(env, market, manager.b, t_near))
         phi_m = manager_value_lanes(w, manager)
         _require(np.isfinite(phi_m), lambda i: SolveError(
             f"non-finite value phi_M={phi_m[i]} for fee {fee_label(*rows[i])}"))
@@ -238,10 +244,11 @@ def _manager_block(rows: np.ndarray, market: MarketParams, manager: HaraParams) 
     return w, phi_m
 
 
-def _evaluate_block(rows: np.ndarray, market: MarketParams, manager: HaraParams, investor: HaraParams) -> tuple:
+def _evaluate_block(rows: np.ndarray, market: MarketParams, manager: HaraParams, investor: HaraParams,
+                    t_near: np.ndarray | None = None) -> tuple:
     """Per row: the optimal fund value's lanes, phi_M, phi_I, E[V], E[V^2]
     and the Sharpe ratio."""
-    w, phi_m = _manager_block(rows, market, manager)
+    w, phi_m = _manager_block(rows, market, manager, t_near)
     try:
         ev, ev2 = moment_lanes(w, manager.b)
         sharpe = sharpe_from_moments(market, ev, ev2)

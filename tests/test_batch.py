@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from firstloss import (
 )
 from firstloss.cli import main
 from firstloss.concavify import envelope_lanes
+from firstloss.roots import XRTOL
 from firstloss.wealth import solve_budget
 
 from conftest import fee_pct
@@ -92,6 +94,63 @@ def test_result_does_not_depend_on_batch(base_market, base_investor):
         part = evaluate_fees(fees[rows], base_market, manager, base_investor)
         for key in ("phi_M", "phi_I", "sharpe", "case", "feasible"):
             np.testing.assert_array_equal(getattr(part, key), getattr(full, key)[rows], err_msg=key)
+
+
+def _budget_gap(env, market, b, t):
+    return wealth._budget(market, b, env.coef, env.const, *wealth._log_edges(env), t) - market.v0
+
+
+@pytest.mark.parametrize("b_m", [0.65, 2.5, 5.0])
+def test_warm_budget_root_agrees_with_cold(b_m, base_market):
+    _, solved = _frozen_lanes(b_m)
+    env = envelope_lanes(*np.array([r["fee"] for r in solved]).T, HaraParams(0.3, b_m), base_market.v0)
+    cold = solve_budget(env, base_market, b_m)
+    # guesses inside the first warm bracket, and beyond it on either side
+    offsets = np.random.default_rng(3).uniform(-0.05, 0.05, cold.size)
+    warm = solve_budget(env, base_market, b_m, cold + offsets)
+    # y* to rel 1e-12, scalar_chain.json's gate: where the gap's terms cancel
+    # (alpha = 0.1%) its rounding alone moves a root by up to ~100 ulps of t
+    np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-12)
+    assert np.median(np.abs(warm - cold) / (XRTOL * (1.0 + np.abs(cold)))) <= 2.0
+    for t in (cold, warm):
+        assert (np.abs(_budget_gap(env, base_market, b_m, t)) <= 1e-11 * base_market.v0).all()
+
+
+def test_warm_budget_root_from_wrong_or_missing_guesses(base_market):
+    _, solved = _frozen_lanes(2.5)
+    env = envelope_lanes(*np.array([r["fee"] for r in solved]).T, HaraParams(0.3, 2.5), base_market.v0)
+    cold = solve_budget(env, base_market, 2.5)
+    # a guess 30 off in t is beyond every warm bracket: the lane restarts cold
+    for shift in (-30.0, 30.0):
+        np.testing.assert_array_equal(solve_budget(env, base_market, 2.5, cold + shift), cold)
+    # NaN lanes run the cold bracket, the others start warm
+    guess = np.where(np.arange(cold.size) % 2 == 0, math.nan, cold + 0.01)
+    mixed = solve_budget(env, base_market, 2.5, guess)
+    np.testing.assert_array_equal(mixed[::2], cold[::2])
+    np.testing.assert_allclose(mixed, cold, rtol=0.0, atol=1e-12)
+    assert (np.abs(_budget_gap(env, base_market, 2.5, mixed)) <= 1e-11 * base_market.v0).all()
+
+
+def test_warm_budget_root_falls_back_at_the_domain_edge(base_market):
+    # c - m just inside the manager's a_M / v0 = 30%: a guess that misses by
+    # more than the warm bracket reaches falls back to the cold bracket
+    env = envelope_lanes([0.0], [0.403687], [0.299976], HaraParams(0.3, 0.65), base_market.v0)
+    cold = solve_budget(env, base_market, 0.65)
+    for guess in (-40.0, -5.0, cold[0] + 5.0, 40.0, math.inf):
+        np.testing.assert_array_equal(solve_budget(env, base_market, 0.65, np.array([guess])), cold)
+
+
+def test_warm_lane_alone_equals_the_mixed_call(base_market):
+    _, solved = _frozen_lanes(0.65)
+    env = envelope_lanes(*np.array([r["fee"] for r in solved]).T, HaraParams(0.3, 0.65), base_market.v0)
+    cold = solve_budget(env, base_market, 0.65)
+    guess = cold + np.random.default_rng(5).uniform(-0.2, 0.2, cold.size)
+    guess[::3] = math.nan
+    guess[1::7] += 30.0
+    mixed = solve_budget(env, base_market, 0.65, guess)
+    for i in range(cold.size):
+        lane = env._replace(**{f: getattr(env, f)[..., i:i + 1] for f in env._fields})
+        assert solve_budget(lane, base_market, 0.65, guess[i:i + 1])[0] == mixed[i]
 
 
 @pytest.mark.parametrize("b_m", [0.65, 2.5, 5.0])

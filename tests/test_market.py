@@ -37,6 +37,15 @@ def test_invalid_params_rejected(bad):
         MarketParams(**bad)
 
 
+def test_log_moments_computed_once():
+    p = MarketParams(r=0.03, gamma=0.7, horizon_T=2.5)
+    assert p.log_drift == (0.03 + 0.5 * 0.7**2) * 2.5
+    assert p.log_vol == 0.7 * math.sqrt(2.5)
+    # held on the instance after the first read; equality still compares fields
+    assert vars(p).keys() >= {"log_drift", "log_vol"}
+    assert p == MarketParams(r=0.03, gamma=0.7, horizon_T=2.5)
+
+
 def test_partial_power_expectation_basics(base_market):
     assert partial_power_expectation(base_market, 2.0, 0.7, 0.7) == 0.0
     assert partial_power_expectation(base_market, 0.0, 0.0, math.inf) == pytest.approx(1.0, abs=1e-15)

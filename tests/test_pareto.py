@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from firstloss import GridSteps, HaraParams, MarketParams, evaluate_fees, grid_scan, solve_fbpo, sweep_frontier
+from firstloss import GridSteps, HaraParams, MarketParams, evaluate_fees, grid_scan, solve_fbpo, sweep_frontier, wealth
 from firstloss.pareto import InfeasibleReservation
 
 SMALL = GridSteps(dm=0.0125, dalpha=0.025, dc=0.025, n_phi=12)
@@ -20,6 +20,8 @@ def small_frontier(base_market, base_manager, base_investor, small_scan):
 def test_lattice_size_is_cartesian_product(small_scan):
     expected = len(SMALL.m_grid()) * len(SMALL.alpha_grid()) * len(SMALL.c_grid())
     assert len(small_scan.fees) == expected
+    assert small_scan.fees == tuple(
+        (float(m), float(a), float(c)) for m in SMALL.m_grid() for a in SMALL.alpha_grid() for c in SMALL.c_grid())
     assert small_scan.feasible.all()
 
 
@@ -106,6 +108,27 @@ def test_one_level_alone_equals_the_sweep(base_market, base_manager, base_invest
     for p in small_frontier.points[::4]:
         alone = solve_fbpo(p.phi_min, small_scan, base_market, base_manager, base_investor)
         assert alone == p
+
+
+# Budget evaluations (wealth._budget calls, lattice included) of the SMALL
+# frontier per manager b_M: 2,309 and 4,541 with the frontier's warm budget
+# roots, against 5,326 and 10,716 when every budget root started cold.  The
+# bounds leave 5% for a search path that moves with the last bits.
+BUDGET_CALLS = {0.65: 2_425, 2.5: 4_770}
+
+
+@pytest.mark.parametrize("b_m", sorted(BUDGET_CALLS))
+def test_frontier_budget_work(b_m, monkeypatch, base_market, base_investor):
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return budget(*args)
+
+    budget = wealth._budget
+    monkeypatch.setattr(wealth, "_budget", counted)
+    sweep_frontier(base_market, HaraParams(0.3, b_m), base_investor, SMALL)
+    assert len(calls) <= BUDGET_CALLS[b_m]
 
 
 # The SMALL frontier of the SLSQP multistart solver that preceded the batched

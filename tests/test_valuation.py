@@ -142,7 +142,7 @@ def test_manager_value_monotone_in_fee(base_market, base_manager, base_investor)
     alphas = np.linspace(0.005, 0.5, 21)
     cs = np.linspace(0.0, 0.3, 16)
     fees = np.stack(np.meshgrid(ms, alphas, cs, indexing="ij"), axis=-1).reshape(-1, 3)
-    values = manager_values(fees, base_market, base_manager, base_investor).reshape(21, 21, 16)
+    values = manager_values(fees, base_market, base_manager, base_investor)[0].reshape(21, 21, 16)
     assert (np.diff(values, axis=0) >= -1e-9).all()
     assert (np.diff(values, axis=1) >= -1e-9).all()
     assert (np.diff(values, axis=2) <= 1e-9).all()
