@@ -252,24 +252,19 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
     seed_phi_I = scan.phi_I[[found[0] for found in seeds]]
 
     def phi_I(rows: np.ndarray, t_near: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # and t, each -inf (NaN) where a fee is NaN or inadmissible
+        # -inf where a fee is NaN or inadmissible; and the rows with their t
         ok = ~np.isnan(rows).any(axis=1)
         values, t = np.full(len(rows), -math.inf), np.full(len(rows), math.nan)
         batch = evaluate_fees(rows[ok], market, manager, investor, t_near[ok])
         values[ok], t[ok] = np.where(batch.feasible, batch.phi_I, -math.inf), batch.t
-        return values, t
-
-    def with_t(points: np.ndarray, t_near: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # phi_I at the points, and the points with their t as the fee a lane moves to
-        values, t = phi_I(points, t_near)
-        return values, np.column_stack([points, t])
+        return values, np.column_stack([rows, t])
 
     # the unconstrained maximum over (m, alpha, c), from the best lattice fee;
     # a fee is a row (m, alpha, c, t) from here on
     best = int(np.argmax(np.where(scan.feasible, scan.phi_I, -np.inf)))
     x_u = np.array([scan.fees[best]])
-    f_u, u = with_t(x_u, scan.t[[best]])
-    pattern_search(lambda points, lanes, fee, step: with_t(points, fee[:, 3]), x_u, f_u, u,
+    f_u, u = phi_I(x_u, scan.t[[best]])
+    pattern_search(lambda points, lanes, fee, step: phi_I(points, fee[:, 3]), x_u, f_u, u,
                    np.array([[steps.dm, steps.dalpha, steps.dc]]), *_BOX)
     slack = levels <= evaluate_fees(x_u, market, manager, investor, u[:, 3]).phi_M[0]
     fees = np.where(slack[:, None], u, math.nan)
@@ -301,8 +296,8 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
         moved[still, 0] = _span(moved[still], 0, manager, investor, v0)[1]
         moved[still], t_moved[still] = bind(moved[still], 1, width[still], near[still], lanes[still])
         # the better of the two, the first on a tie
-        values, t_both = phi_I(np.concatenate([fee, moved]), np.concatenate([t, t_moved]))
-        both, values = np.column_stack([np.concatenate([fee, moved]), t_both]).reshape(2, -1, 4), values.reshape(2, -1)
+        values, both = phi_I(np.concatenate([fee, moved]), np.concatenate([t, t_moved]))
+        values, both = values.reshape(2, -1), both.reshape(2, -1, 4)
         return values.max(axis=0), both[np.argmax(values, axis=0), np.arange(len(fee))]
 
     # the starts' own binding fees, bracketed by the lattice step in c, then
