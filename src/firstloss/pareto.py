@@ -14,10 +14,12 @@ All levels are solved in the same batched evaluations.  One unconstrained
 maximum x_u of phi_I serves the levels it satisfies; the others run a
 lane-wise pattern search on G from their three best feasible lattice fees
 (the best of them after four steps), every binding fee found by a lane-wise
-bracketed root.  Each fee carries its t = log y*, so every budget root of
-the search starts warm from the lane's last one.
-A level's answer is the better of the search's result and its best feasible
-lattice fee, so it never falls below the lattice.
+bracketed root.  The search's quadratic-model step follows the ridges of G
+that no stencil direction lies along; each root's first bracket spans the
+reach of the point it binds, so it covers a model point too.  Each fee
+carries its t = log y*, so every budget root of the search starts warm from
+the lane's last one.  A level's answer is the better of the search's result
+and its best feasible lattice fee, so it never falls below the lattice.
 """
 
 from __future__ import annotations
@@ -278,7 +280,8 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
     bind = lambda rows, axis, width, t, lanes: _bind(rows, axis, width, t, lane_min[lanes], market, manager, investor)
 
     def G(points, lanes, center, step):
-        # the fee at (m, alpha) with c bound by the constraint, from the lane's last c and t
+        # the fee at (m, alpha) with c bound by the constraint, from the lane's
+        # last c and t, bracketed by the point's reach from the lane's fee
         width = _WIDTH * step
         fee, t = bind(np.column_stack([points, center[:, 2]]), 2, width, center[:, 3], lanes)
         # a point, or its lane's fee, on a face of c (c at its cap with phi_M

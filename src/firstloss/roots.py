@@ -4,7 +4,9 @@ One root per lane by Chandrupatla's method (inverse quadratic interpolation
 where it is safe, bisection otherwise), with numpy over every lane still
 open.  The batched fee engine solves its tangency and budget equations with
 it, and the frontier its binding fees.  The frontier and the traditional
-fee maximize by the lane-wise pattern search.
+fee maximize by the lane-wise pattern search: a compass stencil per lane,
+plus the maximum of the quadratic model that the stencil's own values fit,
+so that a lane follows a ridge no stencil direction lies along.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 _MAX_ITER = 100
 XRTOL = 4.0 * math.ulp(1.0)              # relative bracket width at which a lane stops
 MIN_STEP = 1e-8                          # pattern_search's last step in every coordinate
+_MODEL_REACH = 16.0                      # farthest model step, in steps h of each coordinate
 
 
 def bracketed_root(
@@ -84,24 +87,71 @@ def bracketed_root(
 def pattern_search(objective: Callable, x: np.ndarray, fx: np.ndarray, fee: np.ndarray, h: np.ndarray,
                    lo: np.ndarray, hi: np.ndarray, max_steps: int = -1) -> None:
     """Maximize objective from each lane's point x (lanes, dims), valued fx
-    at fee, in place: a lane whose step h is not below MIN_STEP everywhere
-    tries the pattern x + s h, s in {-1, 0, 1}^dims, clipped to [lo, hi], and
+    at fee, in place.  A lane whose step h is not below MIN_STEP everywhere
+    tries the stencil x + s h, s in {-1, 0, 1}^dims, clipped to [lo, hi], and
     moves to its best point if that beats fx, else halves h; max_steps >= 0
-    caps the steps.  objective(points, lanes, fee, step) gives each point's
-    value (-inf if infeasible) and the fee it stands for (whose first dims
-    coordinates the lane moves to), from its lane, that fee and largest step."""
+    caps the steps.
+
+    Each stencil, with fx at its centre, also fits a quadratic model of the
+    lane by central differences: where the model's Hessian is negative
+    definite, its maximum x - H^-1 g lies within _MODEL_REACH h of x in every
+    coordinate, and a halved h still leaves the lane searching, that point
+    joins the lane's next step as one more candidate.  A lane that moves to
+    it halves h, as a failed step does, so a lane still stops only after a
+    stencil with no better point.  A coordinate whose stencil the box clips
+    is held fixed in the model, and a stencil with a -inf value fits none.
+
+    objective(points, lanes, fee, step) gives each point's value (-inf if
+    infeasible) and the fee it stands for (whose first dims coordinates the
+    lane moves to), from its lane, that fee and the point's reach from x,
+    max(h, |point - x|) over the coordinates."""
     dims = x.shape[1]
-    grid = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * dims, indexing="ij"), axis=-1).reshape(-1, dims)
-    pattern = grid[np.any(grid != 0.0, axis=1)]
+    grid = np.stack(np.meshgrid(*[[-1, 0, 1]] * dims, indexing="ij"), axis=-1).reshape(-1, dims)
+    pattern = grid[np.any(grid != 0, axis=1)]
+    centre, weights, unit = len(grid) // 2, 3 ** np.arange(dims - 1, -1, -1), np.eye(dims, dtype=int)
+    model = np.full(x.shape, math.nan)          # each lane's model candidate, NaN where it has none
     while (live := np.flatnonzero(h.max(axis=1) >= MIN_STEP)).size and max_steps != 0:
         max_steps -= 1
-        points = np.clip(x[live, None, :] + pattern * h[live, None, :], lo, hi).reshape(-1, dims)
-        lanes = np.repeat(live, len(pattern))
-        values, fees = objective(points, lanes, fee[lanes], h[lanes].max(axis=1))
-        values, fees = values.reshape(live.size, -1), fees.reshape(live.size, len(pattern), -1)
-        pick = np.arange(live.size), np.argmax(values, axis=1)
-        up = values[pick] > fx[live]
+        x0, f0, h0 = x[live], fx[live], h[live]
+        candidates = np.concatenate([np.clip(x0[:, None, :] + pattern * h0[:, None, :], lo, hi),
+                                     model[live, None, :]], axis=1)
+        row, col = np.nonzero(~np.isnan(candidates).any(axis=2))
+        points, lanes = candidates[row, col], live[row]
+        reach = np.maximum(h0[row].max(axis=1), np.abs(points - x0[row]).max(axis=1))
+        found, fees = objective(points, lanes, fee[lanes], reach)
+        values = np.full(candidates.shape[:2], -math.inf)
+        values[row, col] = found
+        fees_at = np.empty(candidates.shape[:2] + fees.shape[1:])
+        fees_at[row, col] = fees
+        pick = np.argmax(values, axis=1)
+        best = values[np.arange(live.size), pick]
+        up = best > f0
         moved = live[up]
-        fx[moved], fee[moved] = values[pick][up], fees[pick][up]
+        fx[moved], fee[moved] = best[up], fees_at[up, pick[up]]
         x[moved] = fee[moved, :dims]
-        h[live[~up]] *= 0.5
+        h[live[~up | (pick == len(pattern))]] *= 0.5
+
+        # the quadratic model through the stencil, in units of h about x0
+        stencil = np.insert(values[:, :len(pattern)], centre, f0, axis=1)
+        at = lambda s: stencil[:, int((s + 1) @ weights)]
+        free = (x0 - h0 >= lo) & (x0 + h0 <= hi)
+        with np.errstate(invalid="ignore"):          # a -inf stencil value fits no model
+            g = np.column_stack([0.5 * (at(e) - at(-e)) for e in unit])
+            H = np.empty((live.size, dims, dims))
+            for i in range(dims):
+                H[:, i, i] = at(unit[i]) - 2.0 * f0 + at(-unit[i])
+                for j in range(i):
+                    a, b = unit[i], unit[j]
+                    H[:, i, j] = H[:, j, i] = 0.25 * (at(a + b) - at(a - b) - at(b - a) + at(-a - b))
+        # a fixed coordinate takes no step: no slope, and -1 on the diagonal
+        g[~free] = 0.0
+        H[~free[:, :, None] | ~free[:, None, :]] = 0.0
+        H[:, np.arange(dims), np.arange(dims)] -= ~free
+        fit = np.isfinite(stencil).all(axis=1) & free.any(axis=1) & (h[live].max(axis=1) >= 2.0 * MIN_STEP)
+        fit = np.flatnonzero(fit)
+        fit = fit[np.linalg.eigvalsh(H[fit]).max(axis=1) < 0.0]
+        s = np.linalg.solve(H[fit], -g[fit, :, None])[..., 0]
+        near = np.all(np.abs(s) <= _MODEL_REACH, axis=1)          # False where s is not finite
+        fit, s = fit[near], s[near]
+        model[live] = math.nan
+        model[live[fit]] = np.clip(x0[fit] + s * h0[fit], lo, hi)

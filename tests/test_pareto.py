@@ -1,7 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from firstloss import GridSteps, HaraParams, MarketParams, evaluate_fees, grid_scan, solve_fbpo, sweep_frontier, wealth
+from firstloss import (
+    GridSteps,
+    HaraParams,
+    MarketParams,
+    evaluate_fees,
+    grid_scan,
+    pareto,
+    solve_fbpo,
+    sweep_frontier,
+    wealth,
+)
 from firstloss.pareto import InfeasibleReservation
 
 SMALL = GridSteps(dm=0.0125, dalpha=0.025, dc=0.025, n_phi=12)
@@ -111,10 +123,11 @@ def test_one_level_alone_equals_the_sweep(base_market, base_manager, base_invest
 
 
 # Budget evaluations (wealth._budget calls, lattice included) of the SMALL
-# frontier per manager b_M: 2,309 and 4,541 with the frontier's warm budget
-# roots, against 5,326 and 10,716 when every budget root started cold.  The
-# bounds leave 5% for a search path that moves with the last bits.
-BUDGET_CALLS = {0.65: 2_425, 2.5: 4_770}
+# frontier per manager b_M: 1,646 and 3,050 with the quadratic-model step of
+# the pattern search, against 2,309 and 4,541 with the stencil alone, and
+# 5,326 and 10,716 when every budget root started cold.  The bounds leave 5%
+# for a search path that moves with the last bits.
+BUDGET_CALLS = {0.65: 1_728, 2.5: 3_202}
 
 
 @pytest.mark.parametrize("b_m", sorted(BUDGET_CALLS))
@@ -129,6 +142,43 @@ def test_frontier_budget_work(b_m, monkeypatch, base_market, base_investor):
     monkeypatch.setattr(wealth, "_budget", counted)
     sweep_frontier(base_market, HaraParams(0.3, b_m), base_investor, SMALL)
     assert len(calls) <= BUDGET_CALLS[b_m]
+
+
+# Objective calls of each pattern_search of the SMALL frontier per manager
+# b_M: the unconstrained maximum x_u, the levels' lattice starts, and the
+# levels' final search.  With the quadratic-model step: 23, 4, 21 at
+# b_M = 0.65 and 26, 4, 24 at 2.5; with the stencil alone: 41, 4, 38 and
+# 35, 4, 65.  The bounds leave 5%, as above.
+SEARCH_STEPS = {0.65: [24, 4, 22], 2.5: [27, 4, 25]}
+
+
+@pytest.mark.parametrize("b_m", sorted(SEARCH_STEPS))
+def test_frontier_search_steps(b_m, monkeypatch, base_market, base_investor):
+    steps = []
+
+    def counted(objective, *args, **kwargs):
+        steps.append(0)
+
+        def step(*point_args):
+            steps[-1] += 1
+            return objective(*point_args)
+
+        search(step, *args, **kwargs)
+
+    search = pareto.pattern_search
+    monkeypatch.setattr(pareto, "pattern_search", counted)
+    sweep_frontier(base_market, HaraParams(0.3, b_m), base_investor, SMALL)
+    assert len(steps) == len(SEARCH_STEPS[b_m])
+    assert all(n <= bound for n, bound in zip(steps, SEARCH_STEPS[b_m])), steps
+
+
+@pytest.mark.parametrize("b_m", [0.65, 2.5])
+def test_frontier_leaks_no_runtime_warning(b_m, base_market, base_investor):
+    # the search's stencils meet -inf values (points where no coverage meets
+    # the constraint), and the model fit must not leak warnings from them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sweep_frontier(base_market, HaraParams(0.3, b_m), base_investor, SMALL)
 
 
 # The SMALL frontier of the SLSQP multistart solver that preceded the batched
