@@ -130,6 +130,13 @@ def partial_power_expectation_normal(params: MarketParams, k: float, d_a: np.nda
     return _moment_scale(params, k) * (ndtr(d_a + k * sig) - ndtr(d_b + k * sig))
 
 
+def lower_power_expectation_normal(params: MarketParams, k: float, d_b: np.ndarray) -> np.ndarray:
+    """E[Z_T^k 1{Z_T < b}] over an array of bounds b given by d_b = _d_bound(b):
+    partial_power_expectation_normal(params, k, inf, d_b), with the upper
+    tail taken as ndtr(-x) rather than 1 - ndtr(x), which cancels there."""
+    return _moment_scale(params, k) * ndtr(-(d_b + k * params.log_vol))
+
+
 def sample_z(params: MarketParams, seed: int, n: int) -> np.ndarray:
     """n i.i.d. draws of Z_T, deterministic given the seed."""
     if n < 1:

@@ -13,13 +13,16 @@ can follow a face or vertex of the box along which the constraint binds.
 All levels are solved in the same batched evaluations.  One unconstrained
 maximum x_u of phi_I serves the levels it satisfies; the others run a
 lane-wise pattern search on G from their three best feasible lattice fees
-(the best of them after four steps), every binding fee found by a lane-wise
-bracketed root.  The search's quadratic-model step follows the ridges of G
-that no stencil direction lies along; each root's first bracket spans the
-reach of the point it binds, so it covers a model point too.  Each fee
-carries its t = log y*, so every budget root of the search starts warm from
-the lane's last one.  A level's answer is the better of the search's result
-and its best feasible lattice fee, so it never falls below the lattice.
+(the best of them after four steps).  The search's quadratic-model step
+follows the ridges of G that no stencil direction lies along.  Every binding
+fee is found by a lane-wise safeguarded Newton root on phi_M's closed-form
+gradient, started from the lane's last c_bind moved along the slopes of
+c_bind there (dc/dm = -phi_M,m / phi_M,c, and so for alpha).  A face's
+roots, in m and in alpha at the top m, run in the same calls, each from
+both ends of its span.  Each fee carries its t = log y* and
+those slopes, so every budget root of the search starts warm from the lane's
+last one.  A level's answer is the better of the search's result and its
+best feasible lattice fee, so it never falls below the lattice.
 """
 
 from __future__ import annotations
@@ -32,14 +35,13 @@ import numpy as np
 from .contract import ALPHA_MAX, ALPHA_MIN, C_MAX, M_MAX, FeeStructure, fee_label
 from .market import MarketParams
 from .preferences import HaraParams, admissible_lanes
-from .roots import XRTOL, bracketed_root, pattern_search
+from .roots import newton_root, pattern_search
 from .valuation import evaluate_fees, manager_values
 from .wealth import SolveError
 
 _SEED_TOL = 1e-12
 _BOUND_SNAP = 1e-7
-# a root's first bracket around the lane's last fee, in steps of the search
-_WIDTH = 8.0
+_EPS = np.finfo(float).eps
 # steps from each of a level's lattice starts before only its best goes on
 _START_STEPS = 4
 _BOX = np.array([0.0, ALPHA_MIN, 0.0]), np.array([M_MAX, ALPHA_MAX, C_MAX])
@@ -186,64 +188,51 @@ def _select_seeds(scan: GridScan, levels: np.ndarray, n_seeds: int = 3) -> list[
     return seeds
 
 
-def _bind(rows: np.ndarray, axis: int, width: np.ndarray, t: np.ndarray, phi_min: np.ndarray, market: MarketParams,
-          manager: HaraParams, investor: HaraParams) -> tuple[np.ndarray, np.ndarray]:
-    """Each row moved along fee coordinate axis, within its span, to where
-    phi_M = phi_min (phi_M rises along m and alpha, falls along c); to the
-    span's end with the lowest phi_M where all of the span meets phi_min,
-    NaN where none does.  The root's bracket starts at the row's coordinate
-    +- width and widens to the span's end on a side where it misses.
-    Returns the moved rows and t = log y* near each (NaN where the row is):
-    the budget roots start warm, from t, the row's, at the bracket's ends
-    and from the secant through the lane's last two points inside it."""
-    lo_s, hi_s = _span(rows, axis, manager, investor, market.v0)
-    rises = axis != 2
+def _bind(rows: np.ndarray, axis: int | np.ndarray, t: np.ndarray, phi_min: np.ndarray, market: MarketParams,
+          manager: HaraParams, investor: HaraParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row moved along its fee coordinate axis (one for all rows, or one
+    per row), within its span, to where phi_M = phi_min (phi_M rises along
+    m and alpha, falls along c); to the span's end with the lowest phi_M
+    where all of the span meets phi_min, NaN where none does.  The root is
+    roots.newton_root on phi_M's
+    closed-form slope (manager_values), from the row's own coordinate, or
+    from both ends of the span where that is NaN; the fee it returns is one
+    it evaluated with phi_M >= phi_min.  Returns the moved rows, and
+    t = log y* and phi_M's gradient at each (NaN where the row is): the
+    budget roots start warm, from t, the row's, and from the root's guesses
+    after it."""
+    n = len(rows)
+    axis, lo, hi = np.broadcast_to(axis, n), np.empty(n), np.empty(n)
+    for a in np.unique(axis):
+        lo[axis == a], hi[axis == a] = _span(rows[axis == a], a, manager, investor, market.v0)
+    span = np.flatnonzero(lo <= hi)
+    held, on, need, seen = rows[span], axis[span], phi_min[span], []
 
-    def gap(x: np.ndarray, lanes: np.ndarray, t_near: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        fees = rows[lanes].copy()
-        fees[:, axis] = x
-        phi_m, t_x = manager_values(fees, market, manager, investor, t_near)
-        return phi_m - phi_min[lanes], t_x
+    def gap(x: np.ndarray, lanes: np.ndarray, t_near: np.ndarray) -> tuple:
+        fees, at = held[lanes].copy(), (np.arange(lanes.size), on[lanes])
+        fees[at] = x
+        phi_m, t_x, grad = manager_values(fees, market, manager, investor, t_near)
+        seen.append((lanes, x, grad))
+        return phi_m - need[lanes], grad[at], t_x
 
-    # both ends of every bracket in one call, then the ends that missed, each
-    # from the t of the end it moved out from
-    n, lanes = len(rows), np.tile(np.arange(len(rows)), 2)
-    end = np.clip(np.concatenate([rows[:, axis] - width, rows[:, axis] + width]), lo_s[lanes], hi_s[lanes])
-    g, t_end = gap(end, lanes, np.tile(t, 2))
-    edge = np.concatenate([lo_s, hi_s])
-    short = np.repeat([rises, not rises], n)               # where phi_M < phi_min belongs
-    miss = np.flatnonzero(((g < 0.0) != short) & (end != edge))
-    end[miss] = edge[miss]
-    g[miss], t_end[miss] = gap(end[miss], lanes[miss], t_end[miss])
-    lo, hi, g_lo, g_hi, t_lo, t_hi = end[:n], end[n:], g[:n], g[n:], t_end[:n], t_end[n:]
-    out, t_out = rows.copy(), np.full(n, math.nan)
-    whole = (g_lo >= 0.0) & (g_hi >= 0.0) & (lo_s <= hi_s)
-    out[:, axis] = np.where(whole, lo if rises else hi, math.nan)
-    t_out[whole] = (t_lo if rises else t_hi)[whole]
-    root = np.flatnonzero(((g_lo < 0.0) == rises) & ((g_hi < 0.0) != rises) & (lo_s <= hi_s))
-    # each root lane's last two points (x, t), first its bracket's ends
-    last = [lo[root], t_lo[root], hi[root], t_hi[root]]
-
-    def root_gap(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        x0, t0, x1, t1 = (v[lanes] for v in last)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            guess = t1 + (t1 - t0) / (x1 - x0) * (x - x1)
-        g_x, t_x = gap(x, root[lanes], np.where(np.isfinite(guess), guess, t1))
-        for v, now in zip(last, (x1, t1, x, t_x)):
-            v[lanes] = now
-        return g_x
-
-    # xatol 1e-15: about where phi_M's own rounding takes over
-    x, fx, ok = bracketed_root(root_gap, lo[root], g_lo[root], hi[root], g_hi[root], 1e-15)
+    # ftol: about where phi_M's own rounding takes over
+    x, _, t_x, ok = newton_root(gap, held[np.arange(span.size), on], lo[span], hi[span], on != 2, 1e-15,
+                                8.0 * _EPS * np.maximum(1.0, np.abs(need)), t[span])
     if not ok.all():
-        i = root[int(np.argmin(ok))]
-        exc = SolveError(f"root of phi_M = {phi_min[i]!r} not found in [{lo[i]!r}, {hi[i]!r}] along fee axis {axis}")
-        exc.add_note(f"frontier search failed at fee {fee_label(*rows[i])}")
+        i = int(np.argmin(ok))
+        exc = SolveError(f"root of phi_M = {need[i]!r} not found in [{lo[span[i]]!r}, {hi[span[i]]!r}] "
+                         f"along fee axis {on[i]}")
+        exc.add_note(f"frontier search failed at fee {fee_label(*held[i])}")
         raise exc
-    # a best point on the short side of the root steps past its bracket's other end
-    out[root, axis] = x + np.where(fx < 0.0, 1.0 if rises else -1.0, 0.0) * (XRTOL * np.abs(x) + 1e-15)
-    t_out[root] = last[3]
-    return out, t_out
+    out, t_out, grad = rows.copy(), np.full(n, math.nan), np.full(rows.shape, math.nan)
+    out[np.arange(n), axis] = math.nan
+    out[span, on], t_out[span] = x, t_x
+    # the gradient where each lane's root ended, a point it evaluated
+    if seen:
+        lanes, at, g = (np.concatenate(v) for v in zip(*seen))
+        hit = at == x[lanes]
+        grad[span[lanes[hit]]] = g[hit]
+    return out, t_out, grad
 
 
 def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, manager: HaraParams,
@@ -266,7 +255,7 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
     best = int(np.argmax(np.where(scan.feasible, scan.phi_I, -np.inf)))
     x_u = np.array([scan.fees[best]])
     f_u, u = phi_I(x_u, scan.t[[best]])
-    pattern_search(lambda points, lanes, fee, step: phi_I(points, fee[:, 3]), x_u, f_u, u,
+    pattern_search(lambda points, lanes, fee: phi_I(points, fee[:, 3]), x_u, f_u, u,
                    np.array([[steps.dm, steps.dalpha, steps.dc]]), *_BOX)
     slack = levels <= evaluate_fees(x_u, market, manager, investor, u[:, 3]).phi_M[0]
     fees = np.where(slack[:, None], u, math.nan)
@@ -275,15 +264,20 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
     # every other level: a pattern search on G(m, alpha) from its lattice starts
     owner = np.array([i for i in np.flatnonzero(~slack) for _ in seeds[i]], dtype=int)
     start = np.array([j for i in np.flatnonzero(~slack) for j in seeds[i]], dtype=int)
-    starts = np.column_stack([np.reshape([scan.fees[j] for j in start], (-1, 3)), scan.t[start]])
+    # a fee in G is a row (m, alpha, c, t, dc/dm, dc/dalpha), the last two
+    # the slopes of c_bind there (NaN where not known)
+    starts = np.column_stack([np.reshape([scan.fees[j] for j in start], (-1, 3)), scan.t[start],
+                              np.full((start.size, 2), math.nan)])
     lane_min = levels[owner]
-    bind = lambda rows, axis, width, t, lanes: _bind(rows, axis, width, t, lane_min[lanes], market, manager, investor)
+    bind = lambda rows, axis, t, lanes: _bind(rows, axis, t, lane_min[lanes], market, manager, investor)
 
-    def G(points, lanes, center, step):
+    def G(points, lanes, center):
         # the fee at (m, alpha) with c bound by the constraint, from the lane's
-        # last c and t, bracketed by the point's reach from the lane's fee
-        width = _WIDTH * step
-        fee, t = bind(np.column_stack([points, center[:, 2]]), 2, width, center[:, 3], lanes)
+        # c_bind moved along its slopes (else its c) and its t
+        with np.errstate(invalid="ignore"):
+            c = center[:, 2] + np.sum((points - center[:, :2]) * center[:, 4:], axis=1)
+        c = np.where(np.isfinite(c), c, center[:, 2])
+        fee, t, grad = bind(np.column_stack([points, c]), 2, center[:, 3], lanes)
         # a point, or its lane's fee, on a face of c (c at its cap with phi_M
         # to spare, or at its floor with phi_M short): the fee on that face
         # that meets the constraint with the lowest m, then alpha, competes
@@ -292,27 +286,34 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
         top = ~short & ((fee[:, 2] == hi_c) | (center[:, 2] == hi_c))
         face = np.flatnonzero(short | top | (center[:, 2] == lo_c))
         near = np.where(np.isnan(t), center[:, 3], t)
-        moved, t_moved = np.full_like(fee, math.nan), np.full_like(t, math.nan)
-        moved[face] = np.column_stack([fee[face, :2], np.where(top, hi_c, lo_c)[face]])
-        moved[face], t_moved[face] = bind(moved[face], 0, width[face], near[face], lanes[face])
-        still = face[np.isnan(moved[face, 0])]
-        moved[still, 0] = _span(moved[still], 0, manager, investor, v0)[1]
-        moved[still], t_moved[still] = bind(moved[still], 1, width[still], near[still], lanes[still])
+        # (the face fee at the lowest m, else at the top m the lowest alpha:
+        # both binds in one call)
+        k, c_face = face.size, np.where(top, hi_c, lo_c)[face]
+        along_m = np.column_stack([np.full(k, math.nan), fee[face, 1], c_face])
+        along_alpha = np.column_stack([_span(along_m, 0, manager, investor, v0)[1], np.full(k, math.nan), c_face])
+        got, t_got, grad_got = bind(np.concatenate([along_m, along_alpha]), np.repeat([0, 1], k),
+                                    np.tile(near[face], 2), np.tile(lanes[face], 2))
+        pick = np.arange(k) + np.where(np.isnan(got[:k, 0]), k, 0)
+        moved, t_moved, grad_moved = np.full_like(fee, math.nan), np.full_like(t, math.nan), np.full_like(grad, math.nan)
+        moved[face], t_moved[face], grad_moved[face] = got[pick], t_got[pick], grad_got[pick]
         # the better of the two, the first on a tie
         values, both = phi_I(np.concatenate([fee, moved]), np.concatenate([t, t_moved]))
-        values, both = values.reshape(2, -1), both.reshape(2, -1, 4)
+        grad = np.concatenate([grad, grad_moved])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            both = np.column_stack([both, -grad[:, :2] / grad[:, 2:]])
+        values, both = values.reshape(2, -1), both.reshape(2, -1, 6)
         return values.max(axis=0), both[np.argmax(values, axis=0), np.arange(len(fee))]
 
-    # the starts' own binding fees, bracketed by the lattice step in c, then
-    # a few steps from each before only the level's best (the first on a tie)
-    fx, fee = G(starts[:, :2], np.arange(owner.size), starts, np.full(owner.size, steps.dc / _WIDTH))
+    # the starts' own binding fees, then a few steps from each before only
+    # the level's best (the first on a tie)
+    fx, fee = G(starts[:, :2], np.arange(owner.size), starts)
     h, box = np.tile([steps.dm, steps.dalpha], (owner.size, 1)), (_BOX[0][:2], _BOX[1][:2])
     pattern_search(G, fee[:, :2].copy(), fx, fee, h, *box, max_steps=_START_STEPS)
     order = np.lexsort((-fx, owner))
     keep = order[np.unique(owner[order], return_index=True)[1]]
     owner, lane_min, fx, fee, h = owner[keep], lane_min[keep], fx[keep], fee[keep], h[keep]
     pattern_search(G, fee[:, :2].copy(), fx, fee, h, *box)
-    fees[owner], found[owner] = fee, fx
+    fees[owner], found[owner] = fee[:, :4], fx
 
     # a level's best feasible lattice fee stands where the search did not beat it
     lattice = np.flatnonzero(found <= seed_phi_I)

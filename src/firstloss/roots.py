@@ -1,12 +1,14 @@
-"""Bracketed root finding and pattern search for many functions at once.
+"""Root finding and pattern search for many functions at once.
 
 One root per lane by Chandrupatla's method (inverse quadratic interpolation
 where it is safe, bisection otherwise), with numpy over every lane still
-open.  The batched fee engine solves its tangency and budget equations with
-it, and the frontier its binding fees.  The frontier and the traditional
-fee maximize by the lane-wise pattern search: a compass stencil per lane,
-plus the maximum of the quadratic model that the stencil's own values fit,
-so that a lane follows a ridge no stencil direction lies along.
+open: the batched fee engine solves its tangency and budget equations with
+it.  Where the slope is known too, newton_root finds per lane the end of
+{g >= 0} of a monotone g by a safeguarded Newton's method: the frontier's
+binding fees.  The frontier and the traditional fee maximize by the
+lane-wise pattern search: a compass stencil per lane, plus the maximum of
+the quadratic model that the stencil's own values fit, so that a lane
+follows a ridge no stencil direction lies along.
 """
 
 from __future__ import annotations
@@ -84,6 +86,123 @@ def bracketed_root(
         step += 1
 
 
+def newton_root(
+    f: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    rises: bool | np.ndarray,
+    xatol: float,
+    ftol: np.ndarray,
+    warm: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per lane i, the end of {g >= 0} in the span [lo[i], hi[i]] of a g
+    monotone in x (rising where rises, else falling), by Newton's method from
+    x[i], safeguarded by bisection; a lane whose x is NaN starts from both
+    ends of its span instead.
+
+    f(x, lanes, warm) evaluates each lane in ``lanes``, indices into the
+    arrays given here, at the matching entry of x, and returns g, dg/dx and
+    a quantity that moves smoothly with x (such as where an inner root
+    ended), from warm, a guess of that quantity there.  The first guess is
+    the lane's warm; after it, the quantity interpolated between the
+    bracket's ends, or the one seen end's, so that a guess never
+    extrapolates.
+
+    Each lane keeps a bracket: its feasible end (the evaluated point with
+    g >= 0 nearest the root) and its short end (g < 0), each the span's end,
+    unseen, until a point lands on that side.  The Newton step, from the end
+    whose own step is the shorter, aims one tolerance XRTOL |x| + xatol onto
+    the feasible side.  A step that points past an unseen end evaluates that
+    end, as does a bracket within two tolerances of it; a step that is not
+    finite, leaves the bracket, or fails to halve the previous step while
+    longer than four tolerances (the rtsafe rule) bisects the bracket.  A
+    lane stops when its feasible end is within two tolerances of its own
+    Newton estimate or of a seen short end, or has g <= ftol; when the
+    feasible end is the span's end on the short side (all of the span meets
+    g >= 0); or when the short end is the span's end on the feasible side
+    (none of it does).
+
+    Returns per lane the feasible end, g there and the quantity there (NaN
+    where no point meets g >= 0), and whether the lane stopped within
+    _MAX_ITER rounds with no NaN value.  The point returned is always one
+    that f evaluated.  Lanes never mix, so a lane's result does not depend
+    on which lanes share the call.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    n, rises = lo.size, np.broadcast_to(rises, lo.shape)
+    s = np.where(rises, 1.0, -1.0)                    # towards the feasible side
+    edge_s, edge_f = np.where(rises, lo, hi), np.where(rises, hi, lo)
+    short, feas = edge_s.copy(), edge_f.copy()
+    seen_s, seen_f, failed, ok = (np.zeros(n, dtype=bool) for _ in range(4))
+    g_s, d_s, w_s, g_f, d_f, w_f = (np.full(n, math.nan) for _ in range(6))
+    step = np.full(n, math.inf)
+
+    def take(x: np.ndarray, lanes: np.ndarray, g: np.ndarray, d: np.ndarray, w: np.ndarray) -> None:
+        # each point becomes the end of its side where it lies nearer the
+        # other side, as every point inside the bracket does
+        up = g >= 0.0
+        nearer = np.where(up, ~seen_f[lanes] | (s[lanes] * (feas[lanes] - x) > 0.0),
+                          ~seen_s[lanes] | (s[lanes] * (x - short[lanes]) > 0.0))
+        at, k = lanes[up & nearer], up & nearer
+        feas[at], g_f[at], d_f[at], w_f[at], seen_f[at] = x[k], g[k], d[k], w[k], True
+        at, k = lanes[~up & nearer], ~up & nearer
+        short[at], g_s[at], d_s[at], w_s[at], seen_s[at] = x[k], g[k], d[k], w[k], True
+        failed[lanes[np.isnan(g)]] = True
+
+    # the first round: each lane's start, or both ends of its span (taken
+    # one after the other, so that the nearer end wins)
+    x = np.clip(np.asarray(x, dtype=float), lo, hi)
+    start, cold = np.flatnonzero(~np.isnan(x)), np.flatnonzero(np.isnan(x))
+    lanes = np.concatenate([start, cold, cold])
+    points = np.concatenate([x[start], edge_f[cold], edge_s[cold]])
+    first = f(points, lanes, np.asarray(warm, dtype=float)[lanes])
+    for part in (slice(0, start.size + cold.size), slice(start.size + cold.size, None)):
+        take(points[part], lanes[part], *(v[part] for v in first))
+    lanes = np.arange(n)
+    for _ in range(_MAX_ITER):
+        a, b, gb = short[lanes], feas[lanes], g_f[lanes]
+        tol = XRTOL * np.abs(b) + xatol
+        with np.errstate(divide="ignore", invalid="ignore"):
+            met = (np.abs(gb / d_f[lanes]) <= 2.0 * tol) | (gb <= ftol[lanes]) \
+                | (seen_s[lanes] & (np.abs(b - a) <= 2.0 * tol)) | (b == edge_s[lanes])
+        none = ~seen_f[lanes] & (a == edge_f[lanes])
+        stop = (met & seen_f[lanes]) | none | failed[lanes]
+        ok[lanes[stop]] = ~failed[lanes[stop]]
+        lanes = lanes[~stop]
+        if not lanes.size:
+            break
+        # the aimed Newton step, an unseen end it points past (or an unseen
+        # end within two tolerances), or the bracket's midpoint
+        a, b = short[lanes], feas[lanes]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton_s, newton_f = -g_s[lanes] / d_s[lanes], -g_f[lanes] / d_f[lanes]
+        from_s = seen_s[lanes] & (np.abs(newton_s) < np.fmin(np.abs(newton_f), math.inf))
+        x, g = np.where(from_s, a, b), np.where(from_s, g_s[lanes], g_f[lanes])
+        tol = XRTOL * np.abs(x) + xatol
+        target = x + np.where(from_s, newton_s, newton_f) + s[lanes] * tol
+        finite = np.isfinite(target)
+        inside = finite & (target > np.minimum(a, b)) & (target < np.maximum(a, b))
+        # a step that is not finite heads for the root
+        past_f = np.where(finite, s[lanes] * (target - b) >= 0.0, g < 0.0)
+        past_s = np.where(finite, s[lanes] * (a - target) >= 0.0, g >= 0.0)
+        narrow = np.abs(b - a) <= 2.0 * tol
+        probe_f = ~seen_f[lanes] & ((~inside & past_f) | narrow)
+        probe_s = ~seen_s[lanes] & ~probe_f & ((~inside & past_s) | narrow)
+        slow = (np.abs(target - x) > 0.5 * step[lanes]) & (np.abs(target - x) > 4.0 * tol)
+        newton = inside & ~probe_f & ~probe_s & ~slow
+        new = np.where(probe_f, b, np.where(probe_s, a, np.where(newton, target, 0.5 * (a + b))))
+        step[lanes] = np.abs(new - x)
+        # the quantity's guess: interpolated between the bracket's ends where
+        # both are seen, else the seen end's
+        ws, wf = w_s[lanes], w_f[lanes]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            between = ws + (new - a) / (b - a) * (wf - ws)
+        guess = np.where(seen_s[lanes] & seen_f[lanes], between, np.where(seen_f[lanes], wf, ws))
+        take(new, lanes, *f(new, lanes, guess))
+    return np.where(seen_f, feas, math.nan), np.where(seen_f, g_f, math.nan), np.where(seen_f, w_f, math.nan), ok
+
+
 def pattern_search(objective: Callable, x: np.ndarray, fx: np.ndarray, fee: np.ndarray, h: np.ndarray,
                    lo: np.ndarray, hi: np.ndarray, max_steps: int = -1) -> None:
     """Maximize objective from each lane's point x (lanes, dims), valued fx
@@ -101,10 +220,9 @@ def pattern_search(objective: Callable, x: np.ndarray, fx: np.ndarray, fee: np.n
     stencil with no better point.  A coordinate whose stencil the box clips
     is held fixed in the model, and a stencil with a -inf value fits none.
 
-    objective(points, lanes, fee, step) gives each point's value (-inf if
+    objective(points, lanes, fee) gives each point's value (-inf if
     infeasible) and the fee it stands for (whose first dims coordinates the
-    lane moves to), from its lane, that fee and the point's reach from x,
-    max(h, |point - x|) over the coordinates."""
+    lane moves to), from its lane and that fee."""
     dims = x.shape[1]
     grid = np.stack(np.meshgrid(*[[-1, 0, 1]] * dims, indexing="ij"), axis=-1).reshape(-1, dims)
     pattern = grid[np.any(grid != 0, axis=1)]
@@ -117,8 +235,7 @@ def pattern_search(objective: Callable, x: np.ndarray, fx: np.ndarray, fee: np.n
                                      model[live, None, :]], axis=1)
         row, col = np.nonzero(~np.isnan(candidates).any(axis=2))
         points, lanes = candidates[row, col], live[row]
-        reach = np.maximum(h0[row].max(axis=1), np.abs(points - x0[row]).max(axis=1))
-        found, fees = objective(points, lanes, fee[lanes], reach)
+        found, fees = objective(points, lanes, fee[lanes])
         values = np.full(candidates.shape[:2], -math.inf)
         values[row, col] = found
         fees_at = np.empty(candidates.shape[:2] + fees.shape[1:])

@@ -10,7 +10,8 @@ tolerances used anywhere in this package.
 Every formula runs over many fees at once: evaluate_fees builds the
 envelopes as arrays, and the tangency and budget roots, the closed forms and
 the quadrature work on all lanes together.  The lattice, the frontier and the
-traditional optimizer call it (or manager_values, its first half);
+traditional optimizer call it (or manager_values, its first half, which also
+gives phi_M's gradient in closed form);
 evaluate_fee, manager_value and investor_value read a single lane.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .concavify import EnvelopeError, envelope_lanes
 from .contract import ALPHA_MAX, ALPHA_MIN, M_MAX, ContractError, FeeStructure, fee_label, in_fee_box
-from .market import MarketParams, partial_power_expectation_normal as ppe
+from .market import MarketParams, lower_power_expectation_normal, partial_power_expectation_normal as ppe
 from .preferences import (
     CaseTag,
     HaraParams,
@@ -80,6 +81,36 @@ def manager_value_lanes(w: WealthLanes, manager: HaraParams) -> np.ndarray:
     flat_u = (w.env.m * w.market.v0 + manager.a) ** (1.0 - bM) / (1.0 - bM)
     power_u = coef * np.exp(((bM - 1.0) / bM) * w.t) / (1.0 - bM) * ppe(w.market, 1.0 - 1.0 / bM, w.d_lo, w.d_hi)
     return w.env.u_at_zero * w.beyond_support + np.sum(np.where(coef != 0.0, power_u, flat_u * w.p0), axis=0)
+
+
+def manager_gradient_lanes(w: WealthLanes, manager: HaraParams) -> np.ndarray:
+    """(d/dm, d/dalpha, d/dc) phi_M per lane, shape (lanes, 3), in closed
+    form by the envelope theorem: only the fees' explicit part in U_M moves
+    phi_M, as the first-order condition U_M' = y Z holds on every power band.
+
+    With y = e^t and U'(x) = x^(-b_M): the ruin payoff (m - c) v0 moves
+    with m and c; the performance-fee band (band 0) pays
+    alpha V + (m - alpha (1+m)) v0, whose U' is y Z / alpha there; and on
+    the flat band (band 1, empty in case A) V sits at the upper kink
+    (1+m) v0, which moves with m against the budget:
+      d/dc     = -v0 U'(v0 (m-c) + a_M) P(ruin)
+      d/dalpha = (y/alpha) (E[Z V 1{band 0}] - (1+m) v0 E[Z 1{band 0}])
+      d/dm     = v0 [(1-alpha)/alpha y E[Z 1{band 0}] + U'(m v0 + a_M) P(flat)
+                     - y E[Z 1{flat}] + U'(v0 (m-c) + a_M) P(ruin)]
+    The ruin term is infinite where the ruin base reaches 0 (b_M < 1).
+    Band 0 starts at Z = 0, so its moments are lower tails of the kernel,
+    taken without cancelling where the band is far in the tail."""
+    env, market, bM = w.env, w.market, manager.b
+    v0, m, alpha = market.v0, env.m, env.alpha
+    y = np.exp(w.t)
+    with np.errstate(divide="ignore"):
+        ruin = np.power(v0 * (m - env.c) + manager.a, -bM) * w.beyond_support
+    band0 = lambda k: lower_power_expectation_normal(market, k, w.d_hi[0])      # E[Z^k 1{band 0}]
+    ez0, ez1 = band0(1.0), ppe(market, 1.0, w.d_lo[1], w.d_hi[1])
+    # V - (1+m) v0 = coef u^(-1/b_M) - (m v0 + a_M) / alpha on band 0
+    ez_excess = env.coef[0] * np.exp((-1.0 / bM) * w.t) * band0(1.0 - 1.0 / bM) - (m * v0 + manager.a) / alpha * ez0
+    d_m = v0 * ((1.0 - alpha) / alpha * y * ez0 + np.power(m * v0 + manager.a, -bM) * w.p0[1] - y * ez1 + ruin)
+    return np.column_stack([d_m, y / alpha * ez_excess, -v0 * ruin])
 
 
 def investor_mixed_coefficients(w: WealthLanes, manager: HaraParams, investor: HaraParams) -> tuple:
@@ -218,15 +249,17 @@ def evaluate_fees(
 
 
 def manager_values(fees, market: MarketParams, manager: HaraParams, investor: HaraParams,
-                   t_near: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   t_near: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """evaluate_fees's phi_M and t alone, lane for lane the same, without
-    the moments and the investor's quadrature; NaN at an inadmissible fee."""
+    the moments and the investor's quadrature, and phi_M's gradient in
+    (m, alpha, c) per fee (manager_gradient_lanes, shape (fees, 3)) from the
+    same lanes; NaN at an inadmissible fee."""
     rows, _, blocks = _blocks(fees, market, manager, investor)
-    phi_m, t = np.full(len(rows), math.nan), np.full(len(rows), math.nan)
+    phi_m, t, grad = np.full(len(rows), math.nan), np.full(len(rows), math.nan), np.full(rows.shape, math.nan)
     for idx in blocks:
         w, phi_m[idx] = _manager_block(rows[idx], market, manager, None if t_near is None else t_near[idx])
-        t[idx] = w.t
-    return phi_m, t
+        t[idx], grad[idx] = w.t, manager_gradient_lanes(w, manager)
+    return phi_m, t, grad
 
 
 def _manager_block(rows: np.ndarray, market: MarketParams, manager: HaraParams, t_near: np.ndarray | None) -> tuple:
@@ -279,7 +312,7 @@ def optimize_traditional(
         require_admissible(FeeStructure(*grid[int(np.argmin(batch.feasible))]), manager, investor, market.v0)
     i = int(np.argmax(batch.phi_I))
 
-    def phi_i(points, lanes, fee, step):
+    def phi_i(points, lanes, fee):
         fees = np.column_stack([points, np.zeros(len(points))])
         return evaluate_fees(fees, market, manager, investor).phi_I, fees
 

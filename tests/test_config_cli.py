@@ -216,13 +216,13 @@ def test_cli_grid_solve_error_exits_2(tmp_path, monkeypatch, capsys):
 def test_cli_frontier_search_failure_exits_2(tmp_path, monkeypatch, capsys):
     # a coverage root that does not converge inside the batched frontier
     # search raises, naming the fee, instead of becoming a failed level
-    real = pareto.bracketed_root
+    real = pareto.newton_root
 
-    def stalled(f, x1, f1, x2, f2, xatol):
-        x, fx, ok = real(f, x1, f1, x2, f2, xatol)
-        return x, fx, np.zeros_like(ok)
+    def stalled(*args):
+        x, fx, warm, ok = real(*args)
+        return x, fx, warm, np.zeros_like(ok)
 
-    monkeypatch.setattr(pareto, "bracketed_root", stalled)
+    monkeypatch.setattr(pareto, "newton_root", stalled)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[sweep]\ndm = 0.025\ndalpha = 0.1\ndc = 0.1\nn_phi = 4\n")
     assert main(["--config", str(cfg), "--set", f"run.outdir={tmp_path}", "frontier"]) == 2

@@ -12,6 +12,7 @@ from firstloss import (
     pareto,
     solve_fbpo,
     sweep_frontier,
+    valuation,
     wealth,
 )
 from firstloss.pareto import InfeasibleReservation
@@ -123,11 +124,13 @@ def test_one_level_alone_equals_the_sweep(base_market, base_manager, base_invest
 
 
 # Budget evaluations (wealth._budget calls, lattice included) of the SMALL
-# frontier per manager b_M: 1,646 and 3,050 with the quadratic-model step of
-# the pattern search, against 2,309 and 4,541 with the stencil alone, and
-# 5,326 and 10,716 when every budget root started cold.  The bounds leave 5%
-# for a search path that moves with the last bits.
-BUDGET_CALLS = {0.65: 1_728, 2.5: 3_202}
+# frontier per manager b_M: 1,222 and 1,913 with the binding roots by Newton's
+# method on phi_M's gradient, against 1,646 and 3,050 with the bracketed
+# binding roots and the quadratic-model step of the pattern search, 2,309 and
+# 4,541 with the stencil alone, and 5,326 and 10,716 when every budget root
+# started cold.  The bounds leave 5% for a search path that moves with the
+# last bits.
+BUDGET_CALLS = {0.65: 1_283, 2.5: 2_008}
 
 
 @pytest.mark.parametrize("b_m", sorted(BUDGET_CALLS))
@@ -142,6 +145,28 @@ def test_frontier_budget_work(b_m, monkeypatch, base_market, base_investor):
     monkeypatch.setattr(wealth, "_budget", counted)
     sweep_frontier(base_market, HaraParams(0.3, b_m), base_investor, SMALL)
     assert len(calls) <= BUDGET_CALLS[b_m]
+
+
+# Rounds of the manager's value (valuation._manager_block calls, one per
+# block of lanes, the lattice's and phi_I's included) of the SMALL frontier
+# per manager b_M: 161 and 223 with the binding roots by Newton's method on
+# phi_M's gradient, against 297 and 387 with the bracketed binding roots.
+# The bounds leave 5%, as above.
+BIND_ROUNDS = {0.65: 169, 2.5: 234}
+
+
+@pytest.mark.parametrize("b_m", sorted(BIND_ROUNDS))
+def test_frontier_bind_rounds(b_m, monkeypatch, base_market, base_investor):
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return block(*args)
+
+    block = valuation._manager_block
+    monkeypatch.setattr(valuation, "_manager_block", counted)
+    sweep_frontier(base_market, HaraParams(0.3, b_m), base_investor, SMALL)
+    assert len(calls) <= BIND_ROUNDS[b_m]
 
 
 # Objective calls of each pattern_search of the SMALL frontier per manager

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from firstloss import roots
-from firstloss.roots import XRTOL, bracketed_root, pattern_search
+from firstloss.roots import XRTOL, bracketed_root, newton_root, pattern_search
 
 # x^3 - k on brackets of very different widths; the last one is given in
 # reverse order and the one before has its root at a bracket end
@@ -50,6 +51,116 @@ def test_nan_lane_fails_alone():
     assert x[0] == x[2] == pytest.approx(0.3, abs=1e-13)
 
 
+def newton(g, x, lo, hi, rises, ftol=0.0):
+    """newton_root on g(x, lanes) -> (value, slope), with x as its smooth
+    quantity; the result, each lane's evaluated points and values in order,
+    and each lane's rounds (the calls of g it took part in)."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    seen, rounds = [[] for _ in lo], np.zeros(lo.size, dtype=int)
+
+    def f(points, lanes, guess):
+        value, slope = g(points, lanes)
+        for k, p, v in zip(lanes, points, value):
+            seen[k].append((p, v))
+        rounds[np.unique(lanes)] += 1
+        return value, slope, points
+
+    out = newton_root(f, np.asarray(x, dtype=float), lo, hi, rises, 1e-15, np.full(lo.size, ftol), np.zeros(lo.size))
+    return out, seen, rounds
+
+
+def smooth(rises):
+    # x^3 - K, or K - x^3 where it falls, and its slope
+    sign = 1.0 if rises else -1.0
+    return lambda x, lanes: (sign * (x**3 - K[lanes]), sign * 3.0 * x**2)
+
+
+@pytest.mark.parametrize("rises", [True, False])
+def test_newton_root_agrees_with_bracketed_root(rises):
+    lanes = np.arange(len(K))
+    lo, hi = np.minimum(LO, HI), np.maximum(LO, HI)
+    ref, _, _ = bracketed_root(cubic, lo, cubic(lo, lanes), hi, cubic(hi, lanes), 1e-15)
+    for start in (lo, hi, 0.5 * (lo + hi), np.full(len(K), math.nan)):
+        (x, fx, _, ok), seen, _ = newton(smooth(rises), start, lo, hi, rises)
+        assert ok.all()
+        np.testing.assert_allclose(x, ref, rtol=4 * XRTOL, atol=4e-15)
+        # the point returned is one evaluated, and meets g >= 0
+        assert (fx >= 0.0).all()
+        for i in lanes:
+            assert (x[i], fx[i]) in seen[i]
+
+
+def test_newton_root_resolves_a_vanishing_slope():
+    # (1 - x)^4 - 1e-4 falls to its root 0.9 with a slope that vanishes
+    # toward the span's end x = 1; Newton's steps from x = 0 shrink by 3/4
+    # only, and 14 of them reach the root, so the lane bisects and ends
+    # within 12 rounds
+    g = lambda x, lanes: ((1.0 - x) ** 4 - 1e-4, -4.0 * (1.0 - x) ** 3)
+    (x, fx, _, ok), seen, rounds = newton(g, [0.0], [0.0], [1.0], False)
+    assert ok[0] and fx[0] >= 0.0
+    assert x[0] == pytest.approx(0.9, rel=1e-14)
+    assert rounds[0] <= 12
+
+
+def test_newton_root_at_an_infinite_slope():
+    # g = (0.3 - c)^0.35 - 1e-6, whose slope is -inf at the span's end
+    # c = 0.3, as phi_M's at the manager's ruin edge: from that end the lane
+    # returns an evaluated point with g >= 0 and leaks no warning
+    def g(c, lanes):
+        with np.errstate(divide="ignore"):
+            return np.maximum(0.3 - c, 0.0) ** 0.35 - 1e-6, -0.35 * np.maximum(0.3 - c, 0.0) ** -0.65
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (x, fx, _, ok), seen, rounds = newton(g, [0.3], [0.0], [0.3], False)
+    assert ok[0] and fx[0] >= 0.0 and (x[0], fx[0]) in seen[0]
+    assert x[0] == pytest.approx(0.3 - 1e-6 ** (1 / 0.35), rel=1e-12)
+
+
+def test_newton_root_stops_at_the_noise_floor():
+    # x - 0.3 plus rounding noise of 4e-16 whose sign changes from point to
+    # point: the lane stops once its g is within ftol
+    def g(x, lanes):
+        noise = 4e-16 * np.where(np.floor(x * 1e17) % 2 == 0, 1.0, -1.0)
+        return x - 0.3 + noise, np.ones_like(x)
+
+    (x, fx, _, ok), _, rounds = newton(g, [0.9], [0.0], [1.0], True, ftol=8 * np.finfo(float).eps)
+    assert ok[0] and 0.0 <= fx[0] <= 8 * np.finfo(float).eps
+    assert rounds[0] <= 5
+
+
+def test_newton_root_whole_and_empty_spans():
+    # every point of [1, 2] meets x^3 + 1 >= 0: its end on the short side;
+    # none meets x^3 >= 27: NaN; from a start whose step points past the
+    # span's end, or from both ends, in at most two rounds
+    g = lambda x, lanes: (x**3 - np.array([-1.0, 27.0])[lanes], 3.0 * x**2)
+    for start in ([1.5, 1.5], [math.nan, math.nan]):
+        (x, fx, _, ok), _, rounds = newton(g, start, [1.0, 1.0], [2.0, 2.0], True)
+        assert ok.all() and x[0] == 1.0 and math.isnan(x[1]) and math.isnan(fx[1])
+        assert rounds.max() <= 2
+
+
+def test_newton_root_nan_lane_fails_alone():
+    def g(x, lanes):
+        return np.where(lanes == 1, math.nan, x - 0.3), np.ones_like(x)
+
+    (x, _, _, ok), _, _ = newton(g, [0.5, 0.5, 0.5], np.zeros(3), np.ones(3), True)
+    assert ok.tolist() == [True, False, True]
+    assert x[0] == x[2] == pytest.approx(0.3, abs=3e-15)
+
+
+def test_newton_root_lanes_do_not_interact():
+    lo, hi = np.minimum(LO, HI), np.maximum(LO, HI)
+    starts = np.where(np.arange(len(K)) % 3 == 0, math.nan, 0.25 * lo + 0.75 * hi)
+    full, seen, _ = newton(smooth(True), starts, lo, hi, True)
+    for lanes in (np.array([3]), np.array([6, 0, 4])):
+        g = lambda x, sub: smooth(True)(x, lanes[sub])
+        got, alone, _ = newton(g, starts[lanes], lo[lanes], hi[lanes], True)
+        for a, b in zip(got, full):
+            np.testing.assert_array_equal(a, b[lanes])
+        assert alone == [seen[i] for i in lanes]
+
+
 # pattern_search lanes, all in the box [-4, 4]^2: (objective, start, maximizer)
 THETA = math.radians(30.0)
 ROTATE = np.array([[math.cos(THETA), -math.sin(THETA)], [math.sin(THETA), math.cos(THETA)]])
@@ -87,7 +198,7 @@ def search(which):
     fx = np.array([LANES[i][0](x[k:k + 1])[0] for k, i in enumerate(which)])
     fee, h, seen = x.copy(), np.full(x.shape, 0.1), [[] for _ in which]
 
-    def objective(points, lanes, lane_fee, step):
+    def objective(points, lanes, lane_fee):
         values = np.empty(len(points))
         for k in np.unique(lanes):
             here = lanes == k

@@ -5,6 +5,7 @@ import pytest
 
 from firstloss import (
     FeeStructure,
+    GridSteps,
     HaraParams,
     evaluate_fee,
     evaluate_fees,
@@ -15,10 +16,11 @@ from firstloss import (
     solve_y_star,
 )
 from firstloss.market import partial_power_expectation
-from firstloss.preferences import _power
+from firstloss.preferences import _power, admissible_lanes
 from firstloss.valuation import investor_mixed_coefficients, manager_values
 
 from conftest import fee_pct
+from test_batch import BOX, PUBLISHED
 
 # published base-case value-function digits (rounded to 4 decimals at source)
 GOLDEN_PHI_I = [
@@ -146,6 +148,46 @@ def test_manager_value_monotone_in_fee(base_market, base_manager, base_investor)
     assert (np.diff(values, axis=0) >= -1e-9).all()
     assert (np.diff(values, axis=1) >= -1e-9).all()
     assert (np.diff(values, axis=2) <= 1e-9).all()
+
+
+# the central-difference step of the gradient check, and the fee box
+FD_STEP = 1e-5
+BOX_LO, BOX_HI = np.array([0.0, 0.001, 0.0]), np.array([0.05, 0.5, 0.3])
+
+
+@pytest.mark.parametrize("b_m", [0.65, 2.5, 5.0])
+def test_manager_gradient_matches_central_differences(b_m, base_market, base_investor):
+    # along each axis, at every fee of BOX + PUBLISHED whose stencil stays in
+    # the box and admissible; the differences themselves are noisy at about
+    # 1e-6 relative at b_M = 5, so the bound is relative 1e-5
+    manager = HaraParams(0.3, b_m)
+    rows = np.array([(f.m, f.alpha, f.c) for f in BOX + PUBLISHED])
+    phi_m, _, grad = manager_values(rows, base_market, manager, base_investor)
+    checked = 0
+    for axis in range(3):
+        step = np.eye(3)[axis] * FD_STEP
+        up, down = rows + step, rows - step
+        inside = (down[:, axis] >= BOX_LO[axis]) & (up[:, axis] <= BOX_HI[axis]) & np.isfinite(phi_m)
+        for ends in (up, down):
+            inside &= admissible_lanes(ends[:, 0], ends[:, 2], manager, base_investor, base_market.v0)
+        fd = (manager_values(up[inside], base_market, manager, base_investor)[0]
+              - manager_values(down[inside], base_market, manager, base_investor)[0]) / (2.0 * FD_STEP)
+        np.testing.assert_array_less(np.abs(grad[inside, axis] - fd), 1e-5 * np.maximum(np.abs(fd), 1e-3))
+        checked += inside.sum()
+    assert checked >= 70
+
+
+@pytest.mark.parametrize("b_m", [0.65, 2.5, 5.0])
+def test_manager_gradient_signs_on_the_lattice(b_m, base_market, base_investor):
+    # the monotonicity the frontier search relies on: phi_M rises in m and
+    # alpha and falls in c, at every feasible fee of the SMALL lattice
+    steps = GridSteps(dm=0.0125, dalpha=0.025, dc=0.025)
+    rows = np.array([(m, a, c) for m in steps.m_grid() for a in steps.alpha_grid() for c in steps.c_grid()])
+    phi_m, _, grad = manager_values(rows, base_market, HaraParams(0.3, b_m), base_investor)
+    feasible = np.isfinite(phi_m)
+    assert feasible.sum() >= len(rows) - 20
+    assert (grad[feasible, :2] >= 0.0).all()
+    assert (grad[feasible, 2] <= 0.0).all()
 
 
 def test_optimize_traditional(base_market, base_manager, base_investor):
