@@ -11,11 +11,11 @@ the constraint with the lowest m (then alpha) competes, so that the search
 can follow a face or vertex of the box along which the constraint binds.
 
 All levels are solved in the same batched evaluations.  One unconstrained
-maximum x_u of phi_I serves the levels it satisfies; the others run a
-lane-wise pattern search on G from their three best feasible lattice fees
-(the best of them after four steps).  The search's quadratic-model step
-follows the ridges of G that no stencil direction lies along.  Every binding
-fee is found by a lane-wise safeguarded Newton root on phi_M's closed-form
+maximum x_u of phi_I serves the levels it satisfies; each of the others
+runs a lane-wise pattern search on G from its best feasible lattice fee, in
+one call for all of them.  The search's quadratic-model step follows the
+ridges of G that no stencil direction lies along.  Every binding fee is
+found by a lane-wise safeguarded Newton root on phi_M's closed-form
 gradient, started from the lane's last c_bind moved along the slopes of
 c_bind there (dc/dm = -phi_M,m / phi_M,c, and so for alpha).  A face's
 roots, in m and in alpha at the top m, run in the same calls, each from
@@ -42,8 +42,6 @@ from .wealth import SolveError
 _SEED_TOL = 1e-12
 _BOUND_SNAP = 1e-7
 _EPS = np.finfo(float).eps
-# steps from each of a level's lattice starts before only its best goes on
-_START_STEPS = 4
 _BOX = np.array([0.0, ALPHA_MIN, 0.0]), np.array([M_MAX, ALPHA_MAX, C_MAX])
 
 
@@ -167,25 +165,18 @@ def _span(rows: np.ndarray, axis: int, manager: HaraParams, investor: HaraParams
     return lo, hi
 
 
-def _select_seeds(scan: GridScan, levels: np.ndarray, n_seeds: int = 3) -> list[list[int]]:
-    """Per level, the lattice indices of its best feasible fees by phi_I,
-    at most one from each bucket of (1.25%, 2.5%, 2.5%)."""
+def _select_seeds(scan: GridScan, levels: np.ndarray) -> np.ndarray:
+    """Per level, the lattice index of its best feasible fee by phi_I (the
+    first in lattice order on a tie)."""
     order = np.flatnonzero(scan.feasible)
     order = order[np.argsort(-scan.phi_I[order], kind="stable")]
-    keys = np.round(np.asarray(scan.fees)[order] / (0.0125, 0.025, 0.025))
-    phi_M, seeds = scan.phi_M[order], []
-    for level in levels.tolist():
-        found, buckets = [], set()
-        for j in np.flatnonzero(phi_M >= level - _SEED_TOL):
-            if len(found) == n_seeds:
-                break
-            if tuple(keys[j]) not in buckets:
-                buckets.add(tuple(keys[j]))
-                found.append(int(order[j]))
-        if not found:
-            raise InfeasibleReservation(f"no feasible lattice seed for phi_min={level}")
-        seeds.append(found)
-    return seeds
+    # the first fee in that order with phi_M >= level is the first whose
+    # running maximum of phi_M reaches it
+    first = np.searchsorted(np.maximum.accumulate(scan.phi_M[order]), levels - _SEED_TOL)
+    if (first == order.size).any():
+        level = float(levels[np.argmax(first == order.size)])
+        raise InfeasibleReservation(f"no feasible lattice seed for phi_min={level}")
+    return order[first]
 
 
 def _bind(rows: np.ndarray, axis: int | np.ndarray, t: np.ndarray, phi_min: np.ndarray, market: MarketParams,
@@ -240,7 +231,7 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
     """The frontier point of every reservation level, in one batched search."""
     steps, v0 = scan.steps, market.v0
     seeds = _select_seeds(scan, levels)
-    seed_phi_I = scan.phi_I[[found[0] for found in seeds]]
+    seed_phi_I = scan.phi_I[seeds]
 
     def phi_I(rows: np.ndarray, t_near: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # -inf where a fee is NaN or inadmissible; and the rows with their t
@@ -261,9 +252,9 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
     fees = np.where(slack[:, None], u, math.nan)
     found = np.where(slack, f_u[0], -math.inf)
 
-    # every other level: a pattern search on G(m, alpha) from its lattice starts
-    owner = np.array([i for i in np.flatnonzero(~slack) for _ in seeds[i]], dtype=int)
-    start = np.array([j for i in np.flatnonzero(~slack) for j in seeds[i]], dtype=int)
+    # every other level: a pattern search on G(m, alpha) from its lattice seed
+    owner = np.flatnonzero(~slack)
+    start = seeds[owner]
     # a fee in G is a row (m, alpha, c, t, dc/dm, dc/dalpha), the last two
     # the slopes of c_bind there (NaN where not known)
     starts = np.column_stack([np.reshape([scan.fees[j] for j in start], (-1, 3)), scan.t[start],
@@ -304,20 +295,15 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
         values, both = values.reshape(2, -1), both.reshape(2, -1, 6)
         return values.max(axis=0), both[np.argmax(values, axis=0), np.arange(len(fee))]
 
-    # the starts' own binding fees, then a few steps from each before only
-    # the level's best (the first on a tie)
+    # from the seeds' own binding fees
     fx, fee = G(starts[:, :2], np.arange(owner.size), starts)
-    h, box = np.tile([steps.dm, steps.dalpha], (owner.size, 1)), (_BOX[0][:2], _BOX[1][:2])
-    pattern_search(G, fee[:, :2].copy(), fx, fee, h, *box, max_steps=_START_STEPS)
-    order = np.lexsort((-fx, owner))
-    keep = order[np.unique(owner[order], return_index=True)[1]]
-    owner, lane_min, fx, fee, h = owner[keep], lane_min[keep], fx[keep], fee[keep], h[keep]
-    pattern_search(G, fee[:, :2].copy(), fx, fee, h, *box)
+    h = np.tile([steps.dm, steps.dalpha], (owner.size, 1))
+    pattern_search(G, fee[:, :2].copy(), fx, fee, h, _BOX[0][:2], _BOX[1][:2])
     fees[owner], found[owner] = fee[:, :4], fx
 
     # a level's best feasible lattice fee stands where the search did not beat it
     lattice = np.flatnonzero(found <= seed_phi_I)
-    first = np.array([seeds[i][0] for i in lattice], dtype=int)
+    first = seeds[lattice]
     fees[lattice] = np.column_stack([np.reshape([scan.fees[j] for j in first], (-1, 3)), scan.t[first]])
     final = evaluate_fees(fees[:, :3], market, manager, investor, fees[:, 3])
     c_top = _span(np.array([[M_MAX, ALPHA_MAX, 0.0]]), 2, manager, investor, v0)[1][0]

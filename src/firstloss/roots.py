@@ -204,12 +204,11 @@ def newton_root(
 
 
 def pattern_search(objective: Callable, x: np.ndarray, fx: np.ndarray, fee: np.ndarray, h: np.ndarray,
-                   lo: np.ndarray, hi: np.ndarray, max_steps: int = -1) -> None:
+                   lo: np.ndarray, hi: np.ndarray) -> None:
     """Maximize objective from each lane's point x (lanes, dims), valued fx
     at fee, in place.  A lane whose step h is not below MIN_STEP everywhere
     tries the stencil x + s h, s in {-1, 0, 1}^dims, clipped to [lo, hi], and
-    moves to its best point if that beats fx, else halves h; max_steps >= 0
-    caps the steps.
+    moves to its best point if that beats fx, else halves h.
 
     Each stencil, with fx at its centre, also fits a quadratic model of the
     lane by central differences: where the model's Hessian is negative
@@ -228,8 +227,7 @@ def pattern_search(objective: Callable, x: np.ndarray, fx: np.ndarray, fee: np.n
     pattern = grid[np.any(grid != 0, axis=1)]
     centre, weights, unit = len(grid) // 2, 3 ** np.arange(dims - 1, -1, -1), np.eye(dims, dtype=int)
     model = np.full(x.shape, math.nan)          # each lane's model candidate, NaN where it has none
-    while (live := np.flatnonzero(h.max(axis=1) >= MIN_STEP)).size and max_steps != 0:
-        max_steps -= 1
+    while (live := np.flatnonzero(h.max(axis=1) >= MIN_STEP)).size:
         x0, f0, h0 = x[live], fx[live], h[live]
         candidates = np.concatenate([np.clip(x0[:, None, :] + pattern * h0[:, None, :], lo, hi),
                                      model[live, None, :]], axis=1)

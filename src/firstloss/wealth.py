@@ -6,10 +6,10 @@ second power branch, ruin) whose edges are marginal slopes divided by the
 multiplier y.  The envelope's band table lists them with V's form on each,
 and every function here sums over that table, lane by lane, in t = log y.
 The budget h(y) = E[Z V(y, Z)] is strictly decreasing, so the multiplier
-solving h(y) = v0 is found by a bracketed root on every lane together (from
-a cold bracket, or warm from a guess of each lane's root), and
-every expectation is a sum of truncated power moments of the kernel over the
-bands.  OptimalWealthSolution, budget and moments read one lane.
+solving h(y) = v0 is found by a bracketed root on every lane together, from
+one bracket that grows about a guess of each lane's root (or about y = 1),
+and every expectation is a sum of truncated power moments of the kernel
+over the bands.  OptimalWealthSolution, budget and moments read one lane.
 """
 
 from __future__ import annotations
@@ -26,17 +26,14 @@ from .market import MarketParams, kernel_bound_normal, partial_power_expectation
 from .preferences import CaseTag, HaraParams
 from .roots import XRTOL, bracketed_root
 
-_EXPAND = 16.0
-_MAX_EXPANSIONS = 16          # 16 x factor-16 steps ~ 2^64 range each way
 _BUDGET_RTOL = 1e-11
 _VAR_FLOOR = 1e-16
-# the budget root's first bracket and its expansion step, in t = log y
-_T_START = (math.log(1e-2), math.log(1e2))
-_T_STEP = math.log(_EXPAND)
-# a warm start's first half-width in t, its growth per step and its steps
+# the budget bracket's first half-width in t = log y, cold (y in [1e-2, 1e2])
+# and warm (about a guess of the root), its growth per step, and its reach
+_COLD_WIDTH = math.log(1e2)
 _WARM_WIDTH = 1e-3
-_WARM_GROW = 16.0
-_WARM_STEPS = 3
+_GROW = 16.0
+_REACH = _COLD_WIDTH + 15.0 * math.log(_GROW)
 
 
 class SolveError(RuntimeError):
@@ -85,56 +82,18 @@ def _budget(market: MarketParams, b: float, coef, const, log_lo, log_hi, t: np.n
     return np.sum(power + const * ppe(market, 1.0, d_lo, d_hi), axis=0)
 
 
-def _cold_bracket(gap, lanes: np.ndarray) -> tuple:
-    # y in [1e-2, 1e2], each end stepped out by _EXPAND until it brackets v0
-    t_lo, t_hi = np.full(lanes.size, _T_START[0]), np.full(lanes.size, _T_START[1])
-    gap_lo, gap_hi = gap(t_lo, lanes), gap(t_hi, lanes)
-    for _ in range(_MAX_EXPANSIONS - 1):
-        low, high = np.flatnonzero(gap_lo < 0.0), np.flatnonzero(gap_hi > 0.0)
-        if not (low.size or high.size):
-            break
-        t_lo[low] -= _T_STEP
-        gap_lo[low] = gap(t_lo[low], lanes[low])
-        t_hi[high] += _T_STEP
-        gap_hi[high] = gap(t_hi[high], lanes[high])
-    return t_lo, gap_lo, t_hi, gap_hi
-
-
-def _warm_bracket(gap, lanes: np.ndarray, t_near: np.ndarray) -> tuple:
-    # t_near -+ _WARM_WIDTH, both ends in one call; an end on the wrong side
-    # of the root becomes the other end, and the width grows by _WARM_GROW
-    n = lanes.size
-    t_lo, t_hi, width = t_near - _WARM_WIDTH, t_near + _WARM_WIDTH, np.full(n, _WARM_WIDTH)
-    g = gap(np.concatenate([t_lo, t_hi]), np.concatenate([lanes, lanes]))
-    gap_lo, gap_hi = g[:n], g[n:]
-    for _ in range(_WARM_STEPS):
-        # exactly one end missed: a NaN, or both, fall back to the cold bracket
-        miss = np.flatnonzero((gap_lo < 0.0) != (gap_hi > 0.0))
-        if not miss.size:
-            break
-        down = gap_lo[miss] < 0.0
-        near, g_near = np.where(down, t_lo[miss], t_hi[miss]), np.where(down, gap_lo[miss], gap_hi[miss])
-        width[miss] *= _WARM_GROW
-        far = near + np.where(down, -width[miss], width[miss])
-        g_far = gap(far, lanes[miss])
-        t_lo[miss], gap_lo[miss] = np.where(down, far, near), np.where(down, g_far, g_near)
-        t_hi[miss], gap_hi[miss] = np.where(down, near, far), np.where(down, g_near, g_far)
-    return t_lo, gap_lo, t_hi, gap_hi
-
-
 def solve_budget(env: EnvelopeLanes, market: MarketParams, b: float, t_near: np.ndarray | None = None) -> np.ndarray:
     """t = log y* per lane, the root of h(e^t) = v0 for a manager with risk
     aversion b.
 
-    The cold bracket starts at y in [1e-2, 1e2]: h falls in y, so the lower
-    end steps down until h reaches v0 and the upper end up until it falls to
-    v0, each at most _MAX_EXPANSIONS times.  A lane with a finite t_near, a
-    guess of its root, starts warm instead, at t_near -+ _WARM_WIDTH: an end
-    that misses the root moves out, the width growing _WARM_GROW-fold, at
-    most _WARM_STEPS times, and a lane that is still not bracketed restarts
-    from the cold bracket.  A lane that fails raises SolveError naming its
-    fee.  Lanes never mix: the warm start pays only when every lane of a call
-    has one, as the call waits for its slowest lane.
+    Each lane brackets its root about t_near, a guess of it, at
+    t_near -+ _WARM_WIDTH where that is finite, else about t = 0 at
+    -+ _COLD_WIDTH (y in [1e-2, 1e2]).  h falls in y, so an end on the wrong
+    side of the root becomes the other end and the far end moves out, the
+    width growing _GROW-fold each step, never beyond |t| = _REACH.  A lane
+    still not bracketed there raises SolveError naming its fee.  Lanes never
+    mix: the warm start pays only when every lane of a call has one, as the
+    call waits for its slowest lane.
     """
     log_lo, log_hi = _log_edges(env)
     coef, const, v0 = env.coef, env.const, market.v0
@@ -144,14 +103,26 @@ def solve_budget(env: EnvelopeLanes, market: MarketParams, b: float, t_near: np.
         return _budget(market, b, coef[:, lanes], const[:, lanes], log_lo[:, lanes], log_hi[:, lanes], t) - v0
 
     every = np.arange(env.m.size)
-    t_lo, gap_lo, t_hi, gap_hi = (np.full(every.size, math.nan) for _ in range(4))
-    warm = every[np.isfinite(t_near)] if t_near is not None else every[:0]
-    if warm.size:
-        t_lo[warm], gap_lo[warm], t_hi[warm], gap_hi[warm] = _warm_bracket(gap, warm, t_near[warm])
-    # the lanes with no guess, and those whose guess missed, bracket cold
-    cold = every[~((gap_lo >= 0.0) & (gap_hi <= 0.0))]
-    if cold.size:
-        t_lo[cold], gap_lo[cold], t_hi[cold], gap_hi[cold] = _cold_bracket(gap, cold)
+    guess = np.full(every.size, math.nan) if t_near is None else np.asarray(t_near, dtype=float)
+    warm = np.isfinite(guess)
+    centre, width = np.where(warm, guess, 0.0), np.where(warm, _WARM_WIDTH, _COLD_WIDTH)
+    t_lo, t_hi = np.clip(centre - width, -_REACH, _REACH), np.clip(centre + width, -_REACH, _REACH)
+    g = gap(np.concatenate([t_lo, t_hi]), np.concatenate([every, every]))
+    gap_lo, gap_hi = g[:every.size], g[every.size:]
+    while True:
+        # exactly one end missed (h(e^t_lo) < v0: the root lies below t_lo),
+        # and its side is short of the reach
+        down = gap_lo < 0.0
+        miss = np.flatnonzero((down != (gap_hi > 0.0)) & np.where(down, t_lo > -_REACH, t_hi < _REACH))
+        if not miss.size:
+            break
+        down = down[miss]
+        near, g_near = np.where(down, t_lo[miss], t_hi[miss]), np.where(down, gap_lo[miss], gap_hi[miss])
+        width[miss] *= _GROW
+        far = np.clip(near + np.where(down, -width[miss], width[miss]), -_REACH, _REACH)
+        g_far = gap(far, miss)
+        t_lo[miss], gap_lo[miss] = np.where(down, far, near), np.where(down, g_far, g_near)
+        t_hi[miss], gap_hi[miss] = np.where(down, near, far), np.where(down, g_near, g_far)
     _require((gap_lo >= 0.0) & (gap_hi <= 0.0), lambda i: SolveError(
         f"budget bracket expansion failed within y in [{math.exp(t_lo[i]):.3e}, {math.exp(t_hi[i]):.3e}] "
         f"for fee {label(i)}"))

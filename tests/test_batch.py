@@ -116,28 +116,35 @@ def test_warm_budget_root_agrees_with_cold(b_m, base_market):
         assert (np.abs(_budget_gap(env, base_market, b_m, t)) <= 1e-11 * base_market.v0).all()
 
 
+def _assert_cold_root(env, market, b, t, cold):
+    np.testing.assert_allclose(t, cold, rtol=0.0, atol=1e-12)
+    assert (np.abs(_budget_gap(env, market, b, t)) <= 1e-11 * market.v0).all()
+
+
 def test_warm_budget_root_from_wrong_or_missing_guesses(base_market):
     _, solved = _frozen_lanes(2.5)
     env = envelope_lanes(*np.array([r["fee"] for r in solved]).T, HaraParams(0.3, 2.5), base_market.v0)
     cold = solve_budget(env, base_market, 2.5)
-    # a guess 30 off in t is beyond every warm bracket: the lane restarts cold
-    for shift in (-30.0, 30.0):
-        np.testing.assert_array_equal(solve_budget(env, base_market, 2.5, cold + shift), cold)
-    # NaN lanes run the cold bracket, the others start warm
+    # a guess 30 or 40 off in t: the bracket grows from it to the root; a
+    # guess that is not finite starts the lane's bracket cold
+    for guess in (cold - 40.0, cold - 30.0, cold + 30.0, cold + 40.0):
+        _assert_cold_root(env, base_market, 2.5, solve_budget(env, base_market, 2.5, guess), cold)
+    for guess in (-math.inf, math.inf, math.nan):
+        np.testing.assert_array_equal(solve_budget(env, base_market, 2.5, np.full(cold.size, guess)), cold)
+    # NaN lanes start cold, the others warm
     guess = np.where(np.arange(cold.size) % 2 == 0, math.nan, cold + 0.01)
     mixed = solve_budget(env, base_market, 2.5, guess)
     np.testing.assert_array_equal(mixed[::2], cold[::2])
-    np.testing.assert_allclose(mixed, cold, rtol=0.0, atol=1e-12)
-    assert (np.abs(_budget_gap(env, base_market, 2.5, mixed)) <= 1e-11 * base_market.v0).all()
+    _assert_cold_root(env, base_market, 2.5, mixed, cold)
 
 
-def test_warm_budget_root_falls_back_at_the_domain_edge(base_market):
-    # c - m just inside the manager's a_M / v0 = 30%: a guess that misses by
-    # more than the warm bracket reaches falls back to the cold bracket
+def test_warm_budget_root_at_the_domain_edge(base_market):
+    # c - m just inside the manager's a_M / v0 = 30%: a guess far off on
+    # either side, or none, still reaches the cold root
     env = envelope_lanes([0.0], [0.403687], [0.299976], HaraParams(0.3, 0.65), base_market.v0)
     cold = solve_budget(env, base_market, 0.65)
-    for guess in (-40.0, -5.0, cold[0] + 5.0, 40.0, math.inf):
-        np.testing.assert_array_equal(solve_budget(env, base_market, 0.65, np.array([guess])), cold)
+    for guess in (-40.0, -30.0, -5.0, cold[0] + 5.0, 30.0, 40.0, -math.inf, math.inf, math.nan):
+        _assert_cold_root(env, base_market, 0.65, solve_budget(env, base_market, 0.65, np.array([guess])), cold)
 
 
 def test_warm_lane_alone_equals_the_mixed_call(base_market):

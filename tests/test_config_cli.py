@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -207,7 +208,10 @@ def test_cli_grid_solve_error_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(valuation, "envelope_lanes", worthless)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[sweep]\ndm = 0.025\ndalpha = 0.1\ndc = 0.1\n")
-    assert main(["--config", str(cfg), "--set", f"run.outdir={tmp_path}", "grid"]) == 2
+    # the bracket stops growing at its reach, short of overflowing exp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--config", str(cfg), "--set", f"run.outdir={tmp_path}", "grid"]) == 2
     err = capsys.readouterr().err
     assert "budget bracket expansion failed" in err
     assert "lattice evaluation failed at fee (2.5000%, 30.0000%, 10.0000%)" in err

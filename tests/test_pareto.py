@@ -15,7 +15,7 @@ from firstloss import (
     valuation,
     wealth,
 )
-from firstloss.pareto import InfeasibleReservation
+from firstloss.pareto import GridScan, InfeasibleReservation
 
 SMALL = GridSteps(dm=0.0125, dalpha=0.025, dc=0.025, n_phi=12)
 
@@ -85,6 +85,37 @@ def test_solve_fbpo_dominates_feasible_lattice(base_market, base_manager, base_i
         assert point.phi_M >= phi_min - 1e-8 * max(1.0, abs(phi_min))
 
 
+def test_select_seeds_matches_a_loop_per_level():
+    # phi_I rounded to 0.1, so that many fees tie; a tie goes to the first
+    # fee in lattice order
+    rng = np.random.default_rng(11)
+    n = 400
+    phi_M, phi_I = rng.normal(size=n), np.round(rng.normal(size=n), 1)
+    feasible = rng.uniform(size=n) > 0.2
+    phi_M[~feasible] = phi_I[~feasible] = np.nan
+    scan = GridScan(steps=SMALL, fees=((0.0, 0.2, 0.0),) * n, phi_M=phi_M, phi_I=phi_I, sharpe=np.zeros(n),
+                    case=("A",) * n, feasible=feasible, t=np.zeros(n))
+    top = np.nanmax(phi_M)
+    # levels at a fee's phi_M, at the seed tolerance above it (the two meet
+    # exactly there) and beyond that
+    on = phi_M[feasible][:10]
+    assert (on + 1e-12 - 1e-12 == on).all()
+    levels = np.concatenate([np.sort(rng.uniform(np.nanmin(phi_M) - 0.5, top, 60)), on, on + 1e-12, on + 2e-12,
+                             [top]])
+    expected = []
+    for level in levels:
+        best = -1
+        for i in range(n):
+            if feasible[i] and phi_M[i] >= level - 1e-12 and (best < 0 or phi_I[i] > phi_I[best]):
+                best = i
+        expected.append(best)
+    np.testing.assert_array_equal(pareto._select_seeds(scan, levels), expected)
+    # a level above every feasible phi_M has no seed, and is named
+    above = top + 1e-9
+    with pytest.raises(InfeasibleReservation, match=f"phi_min={above}$"):
+        pareto._select_seeds(scan, np.array([levels[0], above, top]))
+
+
 def test_frontier_invariants(small_frontier):
     points = small_frontier.points
     assert len(points) == SMALL.n_phi + 1
@@ -124,13 +155,15 @@ def test_one_level_alone_equals_the_sweep(base_market, base_manager, base_invest
 
 
 # Budget evaluations (wealth._budget calls, lattice included) of the SMALL
-# frontier per manager b_M: 1,222 and 1,913 with the binding roots by Newton's
-# method on phi_M's gradient, against 1,646 and 3,050 with the bracketed
-# binding roots and the quadratic-model step of the pattern search, 2,309 and
-# 4,541 with the stencil alone, and 5,326 and 10,716 when every budget root
-# started cold.  The bounds leave 5% for a search path that moves with the
-# last bits.
-BUDGET_CALLS = {0.65: 1_283, 2.5: 2_008}
+# frontier per manager b_M: 1,108 and 1,734 with one search per level from
+# its best lattice fee and one growing budget bracket, against 1,222 and
+# 1,913 from three lattice starts per level and a cold restart of a warm
+# bracket that missed, both with the binding roots by Newton's method on
+# phi_M's gradient; 1,646 and 3,050 with the bracketed binding roots and the
+# quadratic-model step of the pattern search, 2,309 and 4,541 with the
+# stencil alone, and 5,326 and 10,716 when every budget root started cold.
+# The bounds leave 5% for a search path that moves with the last bits.
+BUDGET_CALLS = {0.65: 1_163, 2.5: 1_820}
 
 
 @pytest.mark.parametrize("b_m", sorted(BUDGET_CALLS))
@@ -149,10 +182,11 @@ def test_frontier_budget_work(b_m, monkeypatch, base_market, base_investor):
 
 # Rounds of the manager's value (valuation._manager_block calls, one per
 # block of lanes, the lattice's and phi_I's included) of the SMALL frontier
-# per manager b_M: 161 and 223 with the binding roots by Newton's method on
-# phi_M's gradient, against 297 and 387 with the bracketed binding roots.
-# The bounds leave 5%, as above.
-BIND_ROUNDS = {0.65: 169, 2.5: 234}
+# per manager b_M: 153 and 207 with one search per level from its best
+# lattice fee, against 161 and 223 from three lattice starts per level, both
+# with the binding roots by Newton's method on phi_M's gradient; 297 and 387
+# with the bracketed binding roots.  The bounds leave 5%, as above.
+BIND_ROUNDS = {0.65: 160, 2.5: 217}
 
 
 @pytest.mark.parametrize("b_m", sorted(BIND_ROUNDS))
@@ -170,11 +204,13 @@ def test_frontier_bind_rounds(b_m, monkeypatch, base_market, base_investor):
 
 
 # Objective calls of each pattern_search of the SMALL frontier per manager
-# b_M: the unconstrained maximum x_u, the levels' lattice starts, and the
-# levels' final search.  With the quadratic-model step: 23, 4, 21 at
-# b_M = 0.65 and 26, 4, 24 at 2.5; with the stencil alone: 41, 4, 38 and
-# 35, 4, 65.  The bounds leave 5%, as above.
-SEARCH_STEPS = {0.65: [24, 4, 22], 2.5: [27, 4, 25]}
+# b_M: the unconstrained maximum x_u, then the levels' search from each
+# level's best lattice fee: 23, 25 at b_M = 0.65 and 26, 27 at 2.5.  From
+# three lattice starts per level, four steps each before only the best went
+# on, there were three searches: with the quadratic-model step 23, 4, 21 and
+# 26, 4, 24 (23, 4, 20 and 26, 4, 23 with the Newton binding roots); with
+# the stencil alone 41, 4, 38 and 35, 4, 65.  The bounds leave 5%, as above.
+SEARCH_STEPS = {0.65: [24, 26], 2.5: [27, 28]}
 
 
 @pytest.mark.parametrize("b_m", sorted(SEARCH_STEPS))
@@ -296,10 +332,9 @@ def test_frontier_follows_faces_of_the_box(r, gamma, b_m, b_i, phi_min, phi_i, f
 
 
 def test_frontier_level_beats_a_feasible_fee_off_the_lattice(base_market):
-    # the level's lattice starts lie in two basins of G, and the start that is
-    # best by G alone leads to the worse one (phi_I -0.45134, against -0.44837
-    # near (0, 40.37%, 30%)), so every start takes a few steps before the
-    # level keeps its best
+    # G has two basins at this level, and the worse one holds phi_I -0.45134
+    # against -0.44837 near (0, 40.37%, 30%): the search from the level's
+    # best lattice fee must end in the better one
     manager, investor = HaraParams(0.3, 0.65), HaraParams(0.3, 2.5)
     scan = grid_scan(base_market, manager, investor, SMALL)
     level = float(np.linspace(scan.phi_M_min, scan.phi_M_max, SMALL.n_phi + 1)[1])
