@@ -135,8 +135,9 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
 
     The regime is read off the chord slope from zero to the upper kink
     against the one-sided marginals there (ties to B), and the tangency roots
-    of cases A and C are solved lane-wise.  A lane that fails raises
-    EnvelopeError or PreferenceError, with the lane's index as ``lane``.
+    of cases A and C are solved lane-wise, in one root call.  A lane that
+    fails raises EnvelopeError or PreferenceError, with the lane's index as
+    ``lane``.
     """
     m, alpha, c = (np.asarray(x, dtype=float) for x in (m, alpha, c))
     b, a = p.b, p.a
@@ -163,47 +164,38 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
     power_const = (1.0 + m - m / alpha) * v0 - a / alpha
 
     theta1, slope = kink2.copy(), h.copy()
-    A = np.flatnonzero(case_a)
-    if A.size:
-        # tangency onto the last piece, beyond the upper kink; the bracket
-        # doubles until g changes sign, as it must for admissible inputs
-        al, X, rhs = alpha[A], (m[A] - alpha[A] * (1.0 + m[A])) * v0 + a, u_ruin[A]
+    T = np.flatnonzero(case_a | case_c)
+    if T.size:
+        # tangency w^(-b) (b s v + X) = U(ruin), w = s v + X, onto the last
+        # piece beyond the upper kink (case A: s = alpha) or onto the middle
+        # piece strictly between the kinks (case C: s = 1)
+        on_last = case_a[T]
+        s = np.where(on_last, alpha[T], 1.0)
+        X = np.where(on_last, (m[T] - alpha[T] * (1.0 + m[T])) * v0 + a, a - v0)
+        rhs = u_ruin[T]
 
-        def g_a(v: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-            return np.exp(-b * np.log(al[lanes] * v + X[lanes])) * (b * al[lanes] * v + X[lanes]) - rhs[lanes]
+        def g(v: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+            return np.exp(-b * np.log(s[lanes] * v + X[lanes])) * (b * s[lanes] * v + X[lanes]) - rhs[lanes]
 
-        every = np.arange(A.size)
-        lo = kink2[A]
-        hi = 2.0 * lo
-        g_lo, g_hi = g_a(lo, every), g_a(hi, every)
-        grow = every[g_hi * g_lo > 0.0]
+        every = np.arange(T.size)
+        # case C's marginal utility is infinite at the lower kink where ruin = 0
+        lo = np.where(on_last, kink2[T], kink1[T] + np.where(ruin[T] <= 0.0, 1e-12 * v0, 0.0))
+        hi = np.where(on_last, 2.0 * kink2[T], kink2[T])
+        g_lo, g_hi = g(lo, every), g(hi, every)
+        # case A's bracket doubles until g changes sign, as it must for
+        # admissible inputs; case C's spans the kinks
+        grow = every[on_last & (g_hi * g_lo > 0.0)]
         while grow.size:
             hi[grow] *= 2.0
-            require(hi[grow] <= _BRACKET_CAP * v0, A[grow],
+            require(hi[grow] <= _BRACKET_CAP * v0, T[grow],
                     lambda j: f"no tangency bracket in [{lo[grow[j]]}, {hi[grow[j]]}]")
-            g_hi[grow] = g_a(hi[grow], grow)
+            g_hi[grow] = g(hi[grow], grow)
             grow = grow[g_hi[grow] * g_lo[grow] > 0.0]
-        root, _, ok = bracketed_root(g_a, lo, g_lo, hi, g_hi, 1e-13 * v0)
-        require(ok, A, lambda j: f"tangency root not found in [{lo[j]}, {hi[j]}]")
-        theta1[A] = root
-        slope[A] = al * np.exp(-b * np.log(al * root + X))
-    C = np.flatnonzero(case_c)
-    if C.size:
-        # tangency onto the middle piece, strictly between the kinks
-        rhs = u_ruin[C]
-
-        def g_c(v: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-            return np.exp(-b * np.log(v - v0 + a)) * (b * v - v0 + a) - rhs[lanes]
-
-        every = np.arange(C.size)
-        lo = kink1[C] + np.where(ruin[C] <= 0.0, 1e-12 * v0, 0.0)   # marginal utility is infinite at the edge
-        hi = kink2[C]
-        g_lo, g_hi = g_c(lo, every), g_c(hi, every)
-        require(~(g_lo * g_hi > 0.0), C, lambda j: f"no tangency bracket in [{lo[j]}, {hi[j]}]")
-        root, _, ok = bracketed_root(g_c, lo, g_lo, hi, g_hi, 1e-13 * v0)
-        require(ok, C, lambda j: f"tangency root not found in [{lo[j]}, {hi[j]}]")
-        theta1[C] = root
-        slope[C] = np.exp(-b * np.log(root - v0 + a))
+        require(~(g_lo * g_hi > 0.0), T, lambda j: f"no tangency bracket in [{lo[j]}, {hi[j]}]")
+        root, _, ok = bracketed_root(g, lo, g_lo, hi, g_hi, 1e-13 * v0)
+        require(ok, T, lambda j: f"tangency root not found in [{lo[j]}, {hi[j]}]")
+        theta1[T] = root
+        slope[T] = s * np.exp(-b * np.log(s * root + X))
     require(~(theta1 < kink1), np.arange(m.size), lambda i: f"theta1={theta1[i]} below the first kink {kink1[i]}")
 
     # the band table, performance-fee piece first: case A has that piece

@@ -89,7 +89,11 @@ def load_config(path: str | Path | None = None, overrides: dict[str, str] | None
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
         try:
-            parser.read_string(p.read_text(), source=str(p))
+            text = p.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {p}: {exc}") from exc
+        try:
+            parser.read_string(text, source=str(p))
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {p}: {exc}") from exc
 

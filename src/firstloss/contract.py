@@ -104,7 +104,3 @@ def manager_payoff(fee: FeeStructure, v0: float, vT: float) -> float:
         return vT - v0
     return fee.m * v0 + fee.alpha * (vT - (1.0 + fee.m) * v0)
 
-
-def manager_kinks(fee: FeeStructure, v0: float) -> tuple[float, float]:
-    """Fund values where the manager's payoff changes slope: ((1+m-c)v0, (1+m)v0)."""
-    return ((1.0 + fee.m - fee.c) * v0, (1.0 + fee.m) * v0)

@@ -1,8 +1,12 @@
 """Black-Scholes market primitives: pricing kernel and its truncated power moments.
 
 Everything downstream (budget equations, value functions, fund moments) is
-assembled from a single closed-form primitive, ``partial_power_expectation``,
-so that only one formula needs independent verification.
+assembled from a single closed-form primitive, the truncated power moment
+``partial_power_expectation_normal`` (``partial_power_expectation`` reads
+it at scalar bounds), so that only one formula needs independent
+verification.  It takes the difference of complementary normal tails where
+a band lies in the kernel's upper tail, so one formula holds its digits
+across the whole range.
 """
 
 from __future__ import annotations
@@ -75,18 +79,6 @@ def state_price_density(params: MarketParams, w: float) -> float:
     return math.exp(-params.log_drift - params.gamma * w)
 
 
-def _d_bound(params: MarketParams, x: float) -> float:
-    # d_x = (log(1/x) - (r + g^2/2)T) / (g sqrt(T)); explicit branches so that
-    # x = 0 and x = +inf never reach log().
-    if x < 0.0:
-        raise MarketError(f"kernel bound must be >= 0 (got {x})")
-    if x == 0.0:
-        return math.inf
-    if math.isinf(x):
-        return -math.inf
-    return (-math.log(x) - params.log_drift) / params.log_vol
-
-
 def _moment_scale(params: MarketParams, k: float) -> float:
     # E[Z_T^k] = exp(-k mu + (k sigma)^2 / 2), checked before exp overflows
     exponent = -k * params.log_drift + 0.5 * (k * params.log_vol) ** 2
@@ -100,41 +92,39 @@ def partial_power_expectation(params: MarketParams, k: float, a: float, b: float
     """E[Z_T^k 1{a < Z_T < b}] at time zero, in closed form.
 
     Z_T is lognormal, so the truncated power moment reduces to two normal CDF
-    evaluations (partial_power_expectation_normal at the bounds' normal
-    coordinates).  a = 0 and b = +inf are legal; a > b is rejected.
+    evaluations: partial_power_expectation_normal at the bounds' normal
+    coordinates.  a = 0 and b = +inf are legal; a > b is rejected.
     """
     if a < 0.0:
         raise MarketError(f"lower bound must be >= 0 (got {a})")
     if a > b:
         raise MarketError(f"empty kernel interval: a={a} > b={b}")
-    if a == b:
-        return 0.0
-    return float(partial_power_expectation_normal(params, k, _d_bound(params, a), _d_bound(params, b)))
+    with np.errstate(divide="ignore"):
+        d_a, d_b = kernel_bound_normal(params, np.log([a, b]))
+    return float(partial_power_expectation_normal(params, k, d_a, d_b))
 
 
 def kernel_bound_normal(params: MarketParams, log_x: np.ndarray) -> np.ndarray:
-    """_d_bound over an array of log kernel values; log x = -inf (x = 0)
-    maps to +inf and log x = +inf to -inf, as in _d_bound."""
+    """The normal coordinate d = (log(1/x) - (r + gamma^2/2) T) / (gamma sqrt(T))
+    of kernel values x, given as log x; log x = -inf (x = 0) maps to +inf and
+    log x = +inf to -inf."""
     return (-log_x - params.log_drift) / params.log_vol
 
 
 def partial_power_expectation_normal(params: MarketParams, k: float, d_a: np.ndarray, d_b: np.ndarray) -> np.ndarray:
-    """partial_power_expectation over arrays of bounds a <= b, given by their
-    normal coordinates d_a = _d_bound(a) >= d_b = _d_bound(b).
+    """E[Z_T^k 1{a < Z_T < b}] over arrays of bounds a <= b, given by their
+    normal coordinates d_a = kernel_bound_normal(log a) >= d_b.
 
-    The same closed form as the scalar primitive; ndtr takes the infinite
-    coordinates of a = 0 and b = +inf to 1 and 0, and an empty interval
-    (d_a = d_b) gives exactly 0.
+    With x = d_a + k sigma and y = d_b + k sigma the moment is
+    E[Z_T^k] (Phi(x) - Phi(y)).  Where y > 0 both lie in the upper tail, and
+    the difference is taken of the complementary tails, Phi(-y) - Phi(-x),
+    which does not cancel there.  ndtr takes the infinite coordinates of
+    a = 0 and b = +inf to 1 and 0, and an empty interval (d_a = d_b) gives 0.
     """
-    sig = params.log_vol
-    return _moment_scale(params, k) * (ndtr(d_a + k * sig) - ndtr(d_b + k * sig))
-
-
-def lower_power_expectation_normal(params: MarketParams, k: float, d_b: np.ndarray) -> np.ndarray:
-    """E[Z_T^k 1{Z_T < b}] over an array of bounds b given by d_b = _d_bound(b):
-    partial_power_expectation_normal(params, k, inf, d_b), with the upper
-    tail taken as ndtr(-x) rather than 1 - ndtr(x), which cancels there."""
-    return _moment_scale(params, k) * ndtr(-(d_b + k * params.log_vol))
+    shift = k * params.log_vol
+    x, y = d_a + shift, d_b + shift
+    s = np.where(y > 0.0, -1.0, 1.0)
+    return _moment_scale(params, k) * (s * (ndtr(s * x) - ndtr(s * y)))
 
 
 def sample_z(params: MarketParams, seed: int, n: int) -> np.ndarray:

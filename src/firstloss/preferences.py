@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import C_MAX, M_MAX, FeeStructure, manager_payoff
+from .contract import FeeStructure, manager_payoff
 
 _TINY_BASE = 1e-300
 
@@ -105,11 +105,6 @@ def hara_utility(p: HaraParams, wealth: float) -> float:
     return _power(base, 1.0 - p.b) / (1.0 - p.b)
 
 
-def hara_marginal(p: HaraParams, wealth: float) -> float:
-    """u'(wealth) = (wealth + a)^(-b)."""
-    return _power(wealth + p.a, -p.b)
-
-
 def fee_admissible(fee: FeeStructure, manager: HaraParams, investor: HaraParams, v0: float) -> bool:
     """Whether both utilities are finite at the parties' minimal payoffs.
 
@@ -132,19 +127,6 @@ def require_admissible(fee: FeeStructure, manager: HaraParams, investor: HaraPar
             f"HARA shifts (a_M={manager.a}, a_I={investor.a}) leave a party's worst payoff "
             f"outside the utility domain for fee {fee}"
         )
-
-
-def sweep_admissible(manager: HaraParams, investor: HaraParams, v0: float) -> bool:
-    """Admissibility against the worst corner of the whole fee box.
-
-    Used before sweeps; per-fee checks still run because b > 1 excludes only
-    a sliver of the box rather than all of it.
-    """
-    worst_m = C_MAX * v0            # c - m maximal at (m, c) = (0, C_MAX)
-    worst_i = M_MAX * v0            # m - c maximal at (m, c) = (M_MAX, 0)
-    ok_m = manager.a > worst_m if manager.b > 1.0 else manager.a >= worst_m
-    ok_i = investor.a > worst_i if investor.b > 1.0 else investor.a >= worst_i
-    return ok_m and ok_i
 
 
 def manager_composite_utility(fee: FeeStructure, p: HaraParams, v0: float, vT: float) -> float:

@@ -6,7 +6,6 @@ integrands are evaluated vectorized, which keeps dense fee sweeps cheap.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -19,8 +18,8 @@ _MAX_DOUBLINGS = 10
 
 
 class QuadratureError(RuntimeError):
-    """Refinement did not converge; carries the achieved error estimate and,
-    from integrate_lanes, the index of the lane that failed."""
+    """Refinement did not converge; carries the achieved error estimate and
+    the index of the lane that failed (0 from integrate)."""
 
     lane: int | None = None
 
@@ -31,13 +30,45 @@ def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _composite(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> float:
+def _composite_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], edges: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    # the composite rule on the panels of each row of edges; einsum sums each
+    # panel's nodes in one loop, so a lane's value does not depend on which
+    # lanes share the call
     x, w = _nodes(_ORDER)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = np.asarray(f(pts), dtype=float).reshape(len(half), _ORDER)
-    return float(np.sum(half * (vals @ w)))
+    half = 0.5 * np.diff(edges, axis=1)
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    pts = (mid[:, :, None] + half[:, :, None] * x).reshape(len(lanes), -1)
+    vals = np.asarray(f(pts, lanes), dtype=float).reshape(half.shape + (_ORDER,))
+    return np.sum(half * np.einsum("lpk,k->lp", vals, w), axis=1)
+
+
+def _refine(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    out: np.ndarray,
+    lanes: np.ndarray,
+    edges: np.ndarray,
+    rel_tol: float,
+    abs_tol: float,
+) -> np.ndarray:
+    # out[lanes[i]] = the integral of f(., lanes[i]) over the panels edges[i],
+    # every panel halved until two levels agree; a lane leaves the work once
+    # they do, and the first lane still open after the last doubling raises
+    prev = _composite_lanes(f, edges, lanes)
+    err = np.full(len(lanes), np.inf)
+    for _ in range(_MAX_DOUBLINGS):
+        refined = np.empty((len(lanes), 2 * edges.shape[1] - 1))
+        refined[:, ::2] = edges
+        refined[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        cur = _composite_lanes(f, refined, lanes)
+        err = np.abs(cur - prev)
+        done = err <= np.maximum(abs_tol, rel_tol * np.abs(cur))
+        out[lanes[done]] = cur[done]
+        lanes, edges, prev, err = lanes[~done], refined[~done], cur[~done], err[~done]
+        if not lanes.size:
+            return out
+    exc = QuadratureError(f"quadrature on [{edges[0, 0]}, {edges[0, -1]}] stalled at error estimate {err[0]:.3e}")
+    exc.lane = int(lanes[0])
+    raise exc
 
 
 def integrate(
@@ -48,7 +79,8 @@ def integrate(
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> float:
-    """Integral of a vectorized f over [lo, hi].
+    """Integral of a vectorized f over [lo, hi]: integrate_lanes' refinement
+    on one lane.
 
     Interior breakpoints (integrand kinks) become fixed panel edges so the
     panels only ever see smooth pieces.
@@ -56,27 +88,7 @@ def integrate(
     if hi <= lo:
         return 0.0
     edges = np.unique(np.concatenate([[lo, hi], [b for b in breakpoints if lo < b < hi]]))
-    prev = _composite(f, edges)
-    err = math.inf
-    for _ in range(_MAX_DOUBLINGS):
-        refined = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        cur = _composite(f, refined)
-        err = abs(cur - prev)
-        if err <= max(abs_tol, rel_tol * abs(cur)):
-            return cur
-        edges, prev = refined, cur
-    raise QuadratureError(f"quadrature on [{lo}, {hi}] stalled at error estimate {err:.3e}")
-
-
-def _composite_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], edges: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-    # _composite for each row of edges; einsum sums each panel's nodes in
-    # one loop, so a lane's value does not depend on which lanes share the call
-    x, w = _nodes(_ORDER)
-    half = 0.5 * np.diff(edges, axis=1)
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    pts = (mid[:, :, None] + half[:, :, None] * x).reshape(len(lanes), -1)
-    vals = np.asarray(f(pts, lanes), dtype=float).reshape(half.shape + (_ORDER,))
-    return np.sum(half * np.einsum("lpk,k->lp", vals, w), axis=1)
+    return float(_refine(lambda x, _: f(x[0]), np.zeros(1), np.zeros(1, dtype=int), edges[None], rel_tol, abs_tol)[0])
 
 
 def integrate_lanes(
@@ -97,22 +109,4 @@ def integrate_lanes(
     lanes = np.flatnonzero(hi > lo)
     if not lanes.size:
         return out
-    edges = np.stack([lo[lanes], hi[lanes]], axis=1)
-    prev = _composite_lanes(f, edges, lanes)
-    err = np.full(len(lanes), np.inf)
-    for _ in range(_MAX_DOUBLINGS):
-        # the midpoints of every panel; what np.unique yields in integrate
-        refined = np.empty((len(lanes), 2 * edges.shape[1] - 1))
-        refined[:, ::2] = edges
-        refined[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        cur = _composite_lanes(f, refined, lanes)
-        err = np.abs(cur - prev)
-        done = err <= np.maximum(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * np.abs(cur))
-        out[lanes[done]] = cur[done]
-        lanes, edges, prev, err = lanes[~done], refined[~done], cur[~done], err[~done]
-        if not lanes.size:
-            return out
-    i = int(lanes[0])
-    exc = QuadratureError(f"quadrature on [{lo[i]}, {hi[i]}] stalled at error estimate {err[0]:.3e}")
-    exc.lane = i
-    raise exc
+    return _refine(f, out, lanes, np.stack([lo[lanes], hi[lanes]], axis=1), DEFAULT_REL_TOL, DEFAULT_ABS_TOL)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .concavify import EnvelopeError, envelope_lanes
 from .contract import ALPHA_MAX, ALPHA_MIN, M_MAX, ContractError, FeeStructure, fee_label, in_fee_box
-from .market import MarketParams, lower_power_expectation_normal, partial_power_expectation_normal as ppe
+from .market import MarketParams, partial_power_expectation_normal as ppe
 from .preferences import (
     CaseTag,
     HaraParams,
@@ -105,7 +105,7 @@ def manager_gradient_lanes(w: WealthLanes, manager: HaraParams) -> np.ndarray:
     y = np.exp(w.t)
     with np.errstate(divide="ignore"):
         ruin = np.power(v0 * (m - env.c) + manager.a, -bM) * w.beyond_support
-    band0 = lambda k: lower_power_expectation_normal(market, k, w.d_hi[0])      # E[Z^k 1{band 0}]
+    band0 = lambda k: ppe(market, k, math.inf, w.d_hi[0])      # E[Z^k 1{band 0}]
     ez0, ez1 = band0(1.0), ppe(market, 1.0, w.d_lo[1], w.d_hi[1])
     # V - (1+m) v0 = coef u^(-1/b_M) - (m v0 + a_M) / alpha on band 0
     ez_excess = env.coef[0] * np.exp((-1.0 / bM) * w.t) * band0(1.0 - 1.0 / bM) - (m * v0 + manager.a) / alpha * ez0

@@ -8,6 +8,7 @@ from firstloss import (
     HaraParams,
     brute_pointwise,
     build_envelope,
+    concavify,
     envelope_eval,
     pointwise_argmax,
 )
@@ -40,6 +41,28 @@ def test_tangency_cases_a_and_c(base_manager):
     assert env_c.case_tag is CaseTag.C
     assert env_c.kink1 < env_c.theta1 < env_c.kink2
     assert abs(env_c.slope - env_c.utility_slope(env_c.theta1)) <= 1e-10 * env_c.slope
+
+
+def test_tangency_roots_of_cases_a_and_c_share_one_call(monkeypatch):
+    # a block mixing case A, B and C lanes at b_M = 2.5 solves its tangencies
+    # in one root call, and each lane equals its own single-lane envelope
+    calls, root = [], concavify.bracketed_root
+
+    def counted(*args):
+        calls.append(args[1].size)          # the lanes of the call
+        return root(*args)
+
+    monkeypatch.setattr(concavify, "bracketed_root", counted)
+    manager = HaraParams(0.3, 2.5)
+    m, alpha, c = np.array([(0.0, 0.2, 0.0), (0.0, 0.1, 0.25), (0.05, 0.1, 0.1), (0.02, 0.375, 0.1),
+                            (0.05, 0.2, 0.25)]).T
+    block = concavify.envelope_lanes(m, alpha, c, manager, 1.0)
+    assert block.case.tolist() == ["A", "C", "B", "A", "C"]
+    assert calls == [4]
+    for i in range(m.size):
+        one = concavify.envelope_lanes(m[i:i + 1], alpha[i:i + 1], c[i:i + 1], manager, 1.0)
+        for name, got, want in zip(block._fields, block, one):
+            assert got[..., i].tobytes() == want[..., 0].tobytes(), (name, i)
 
 
 def test_envelope_eval_continuity_and_intercept(base_manager):

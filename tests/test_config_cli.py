@@ -58,6 +58,21 @@ def test_cli_missing_config_exits_1(tmp_path, capsys):
     assert "nope.cfg" in capsys.readouterr().err
 
 
+def test_cli_unreadable_config_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("[market]\n# taux sans risque \u00e0 2%\nr = 0.02\n".encode("latin-1"))
+    assert main(["--config", str(cfg), "value", "--fee", "0,20,0"]) == 1
+    assert f"config error: cannot read {cfg}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("outdir", ["a_file", "a_file/out"])
+def test_cli_outdir_at_or_under_a_file_exits_1(outdir, tmp_path, capsys):
+    (tmp_path / "a_file").write_text("not a directory\n")
+    assert main(["--set", f"run.outdir={tmp_path / outdir}", "value", "--fee", "0,20,0"]) == 1
+    assert f"config error: cannot write {tmp_path / outdir / 'value.json'}" in capsys.readouterr().err
+    assert (tmp_path / "a_file").read_text() == "not a directory\n"
+
+
 def test_cli_bad_fee_exits_1(tmp_path):
     code = main(["--set", f"run.outdir={tmp_path}", "value", "--fee", "1,2"])
     assert code == 1

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from firstloss import MarketError, MarketParams, partial_power_expectation, sample_z, state_price_density
@@ -77,6 +78,30 @@ def test_additive_over_adjacent_intervals(k, a, width1, width2):
     whole = partial_power_expectation(market, k, a, c)
     split = partial_power_expectation(market, k, a, b) + partial_power_expectation(market, k, b, c)
     assert whole == pytest.approx(split, rel=1e-12, abs=1e-300)
+
+
+def _ppe_mpmath(market: MarketParams, k: float, a: float, b: float) -> float:
+    # E[Z^k] (Phi(x) - Phi(y)) from the exact float bounds at 300 digits, so
+    # that the difference keeps over 100 of them where both lie within 1e-180 of 1
+    with mpmath.workdps(300):
+        mu, sig = mpmath.mpf(market.log_drift), mpmath.mpf(market.log_vol)
+        x, y = ((-mpmath.log(mpmath.mpf(v)) - mu) / sig + k * sig for v in (a, b))
+        return float(mpmath.exp(-k * mu + (k * sig) ** 2 / 2) * (mpmath.ncdf(x) - mpmath.ncdf(y)))
+
+
+@given(
+    k=st.sampled_from([-2.0, -1.0, 0.0, 1.0, 1.0 - 1.0 / 0.65]),
+    a=st.floats(1e-5, 1e-3),
+    ratio=st.floats(1.5, 10.0),
+)
+@example(k=0.0, a=1e-4, ratio=2.0)
+@settings(max_examples=100, deadline=None)
+def test_deep_upper_tail_matches_mpmath(k, a, ratio):
+    # kernel bands far below the median, values down to about 1e-161, where
+    # Phi(x) - Phi(y) in doubles rounds to 0; (0, 1e-4, 2e-4) is 1.3258e-98
+    market = MarketParams()
+    b = a * ratio
+    assert partial_power_expectation(market, k, a, b) == pytest.approx(_ppe_mpmath(market, k, a, b), rel=1e-12, abs=0.0)
 
 
 @given(k=st.floats(-2.0, 2.0), a=st.floats(0.0, 0.9), b=st.floats(1.0, 5.0))

@@ -5,8 +5,7 @@ import pytest
 
 from firstloss import HaraParams, PreferenceError, hara_utility, manager_composite_utility
 from firstloss.concavify import envelope_lanes
-from firstloss.contract import manager_kinks
-from firstloss.preferences import fee_admissible, hara_marginal, sweep_admissible
+from firstloss.preferences import fee_admissible
 
 from conftest import fee_pct
 
@@ -33,18 +32,10 @@ def test_hara_domain_errors():
             HaraParams(a, b)
 
 
-def test_hara_finite_difference_derivative():
-    p = HaraParams(0.3, 0.65)
-    h = 1e-6
-    for wealth in np.linspace(-0.2, 5.0, 200):
-        fd = (hara_utility(p, wealth + h) - hara_utility(p, wealth - h)) / (2 * h)
-        assert fd == pytest.approx(hara_marginal(p, wealth), rel=1e-6)
-
-
 def test_composite_utility_flat_then_continuous(base_manager):
     fee = fee_pct(2, 40, 10)
     v0 = 1.0
-    k1, k2 = manager_kinks(fee, v0)
+    k1, k2 = (1.0 + fee.m - fee.c) * v0, (1.0 + fee.m) * v0
     flat_val = manager_composite_utility(fee, base_manager, v0, 0.0)
     for v in np.linspace(0.0, k1 - 1e-9, 50):
         assert manager_composite_utility(fee, base_manager, v0, v) == flat_val
@@ -68,7 +59,7 @@ def test_composite_concave_kink(base_manager):
     # middle-piece slope at the upper kink dominates the last-piece slope
     fee = fee_pct(2, 40, 10)
     v0 = 1.0
-    _, k2 = manager_kinks(fee, v0)
+    k2 = (1.0 + fee.m) * v0
     eps = 1e-7
     left = (
         manager_composite_utility(fee, base_manager, v0, k2 - eps)
@@ -108,5 +99,3 @@ def test_admissibility_checks():
     edge = fee_pct(0, 20, 30)           # c - m hits the shift exactly
     assert fee_admissible(edge, man_ok, inv, 1.0)
     assert not fee_admissible(edge, man_strict, inv, 1.0)
-    assert sweep_admissible(man_ok, inv, 1.0)
-    assert not sweep_admissible(man_strict, inv, 1.0)
