@@ -118,12 +118,13 @@ def partial_power_expectation_normal(params: MarketParams, k: float, d_a: np.nda
     With x = d_a + k sigma and y = d_b + k sigma the moment is
     E[Z_T^k] (Phi(x) - Phi(y)).  Where y > 0 both lie in the upper tail, and
     the difference is taken of the complementary tails, Phi(-y) - Phi(-x),
-    which does not cancel there.  ndtr takes the infinite coordinates of
+    which does not cancel there (the sign of -y picks the form, so y = +0.0,
+    where both are exact, takes the tails).  ndtr takes the infinite coordinates of
     a = 0 and b = +inf to 1 and 0, and an empty interval (d_a = d_b) gives 0.
     """
     shift = k * params.log_vol
     x, y = d_a + shift, d_b + shift
-    s = np.where(y > 0.0, -1.0, 1.0)
+    s = np.copysign(1.0, -y)
     return _moment_scale(params, k) * (s * (ndtr(s * x) - ndtr(s * y)))
 
 

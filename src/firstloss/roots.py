@@ -2,13 +2,13 @@
 
 One root per lane by Chandrupatla's method (inverse quadratic interpolation
 where it is safe, bisection otherwise), with numpy over every lane still
-open: the batched fee engine solves its tangency and budget equations with
-it.  Where the slope is known too, newton_root finds per lane the end of
-{g >= 0} of a monotone g by a safeguarded Newton's method: the frontier's
-binding fees.  The frontier and the traditional fee maximize by the
-lane-wise pattern search: a compass stencil per lane, plus the maximum of
-the quadratic model that the stencil's own values fit, so that a lane
-follows a ridge no stencil direction lies along.
+open: the batched fee engine solves its tangency equations with it.  Where
+the slope is known too, newton_root finds per lane the end of {g >= 0} of a
+monotone g by a safeguarded Newton's method: the frontier's binding fees.
+The frontier and the traditional fee maximize by the lane-wise pattern
+search: a compass stencil per lane, plus the maximum of the quadratic model
+that the stencil's own values fit, so that a lane follows a ridge no
+stencil direction lies along.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-_MAX_ITER = 100
+MAX_ITER = 100
 XRTOL = 4.0 * math.ulp(1.0)              # relative bracket width at which a lane stops
 MIN_STEP = 1e-8                          # pattern_search's last step in every coordinate
 _MODEL_REACH = 16.0                      # farthest model step, in steps h of each coordinate
@@ -39,7 +39,7 @@ def bracketed_root(
     given here, at the matching entry of x.  A lane stops when its best
     point has value 0, or when its bracket is narrower than
     xatol + XRTOL |best point|.  Returns per lane the best point, the value
-    there, and whether the lane met that test within _MAX_ITER steps with no
+    there, and whether the lane met that test within MAX_ITER steps with no
     NaN at its bracket's ends.  Lanes never mix, so a lane's result does not
     depend on which lanes share the call.
     """
@@ -54,7 +54,7 @@ def bracketed_root(
         xm, fm = np.where(best, x1, x2), np.where(best, f1, f2)
         tol = XRTOL * np.abs(xm) + xatol
         met = (fm == 0.0) | (np.abs(d) < tol)
-        stop = met if step < _MAX_ITER else np.ones_like(met)
+        stop = met if step < MAX_ITER else np.ones_like(met)
         if stop.any() or not lanes.size:          # a call with no lanes returns at once
             # a bracket end whose value is NaN leaves the lane unsolved
             done = lanes[stop]
@@ -125,7 +125,7 @@ def newton_root(
 
     Returns per lane the feasible end, g there and the quantity there (NaN
     where no point meets g >= 0), and whether the lane stopped within
-    _MAX_ITER rounds with no NaN value.  The point returned is always one
+    MAX_ITER rounds with no NaN value.  The point returned is always one
     that f evaluated.  Lanes never mix, so a lane's result does not depend
     on which lanes share the call.
     """
@@ -160,7 +160,7 @@ def newton_root(
     for part in (slice(0, start.size + cold.size), slice(start.size + cold.size, None)):
         take(points[part], lanes[part], *(v[part] for v in first))
     lanes = np.arange(n)
-    for _ in range(_MAX_ITER):
+    for _ in range(MAX_ITER):
         a, b, gb = short[lanes], feas[lanes], g_f[lanes]
         tol = XRTOL * np.abs(b) + xatol
         with np.errstate(divide="ignore", invalid="ignore"):

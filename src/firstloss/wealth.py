@@ -6,10 +6,11 @@ second power branch, ruin) whose edges are marginal slopes divided by the
 multiplier y.  The envelope's band table lists them with V's form on each,
 and every function here sums over that table, lane by lane, in t = log y.
 The budget h(y) = E[Z V(y, Z)] is strictly decreasing, so the multiplier
-solving h(y) = v0 is found by a bracketed root on every lane together, from
-one bracket that grows about a guess of each lane's root (or about y = 1),
-and every expectation is a sum of truncated power moments of the kernel
-over the bands.  OptimalWealthSolution, budget and moments read one lane.
+solving h(y) = v0 is found on every lane together by Newton's method on
+log h in t, from a guess of each lane's root (or from y = 1), with h's slope
+from the same band table and a bracket of the points evaluated as its
+safeguard; every expectation is a sum of truncated power moments of the
+kernel over the bands.  OptimalWealthSolution, budget and moments read one lane.
 """
 
 from __future__ import annotations
@@ -24,16 +25,12 @@ from .concavify import ConcaveEnvelope, EnvelopeLanes, build_envelope
 from .contract import FeeStructure, fee_label
 from .market import MarketParams, kernel_bound_normal, partial_power_expectation_normal as ppe
 from .preferences import CaseTag, HaraParams
-from .roots import XRTOL, bracketed_root
+from .roots import MAX_ITER, XRTOL
 
 _BUDGET_RTOL = 1e-11
 _VAR_FLOOR = 1e-16
-# the budget bracket's first half-width in t = log y, cold (y in [1e-2, 1e2])
-# and warm (about a guess of the root), its growth per step, and its reach
-_COLD_WIDTH = math.log(1e2)
-_WARM_WIDTH = 1e-3
-_GROW = 16.0
-_REACH = _COLD_WIDTH + 15.0 * math.log(_GROW)
+_REACH = math.log(1e2) + 15.0 * math.log(16.0)    # the budget root's farthest |t| = |log y|
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class SolveError(RuntimeError):
@@ -74,62 +71,75 @@ def _log_edges(env: EnvelopeLanes) -> tuple[np.ndarray, np.ndarray]:
         return np.log(env.u_lo), np.log(env.u_hi)
 
 
-def _budget(market: MarketParams, b: float, coef, const, log_lo, log_hi, t: np.ndarray) -> np.ndarray:
-    # h(e^t) per lane, from the band table with its edges as log u
+def _budget(market: MarketParams, b: float, coef, const, log_lo, log_hi, theta1, log_support,
+            t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # h(e^t) and dh/dt per lane, from the band table with its edges as log u;
+    # V is continuous at the inner band edges, so dh/dt is the power bands'
+    # own term and V's jump from theta1 to 0 at the support edge
+    # z_s = slope e^-t: -theta1 z_s^2 f_Z(z_s) = -theta1 z_s phi(d_support) / sigma
     d_lo = kernel_bound_normal(market, log_lo - t)
     d_hi = kernel_bound_normal(market, log_hi - t)
     power = coef * np.exp((-1.0 / b) * t) * ppe(market, 1.0 - 1.0 / b, d_lo, d_hi)
-    return np.sum(power + const * ppe(market, 1.0, d_lo, d_hi), axis=0)
+    d_support = kernel_bound_normal(market, log_support - t)
+    jump = theta1 * np.exp(log_support - t - 0.5 * d_support * d_support) / (_SQRT_2PI * market.log_vol)
+    return np.sum(power + const * ppe(market, 1.0, d_lo, d_hi), axis=0), np.sum(power, axis=0) / -b - jump
 
 
 def solve_budget(env: EnvelopeLanes, market: MarketParams, b: float, t_near: np.ndarray | None = None) -> np.ndarray:
     """t = log y* per lane, the root of h(e^t) = v0 for a manager with risk
     aversion b.
 
-    Each lane brackets its root about t_near, a guess of it, at
-    t_near -+ _WARM_WIDTH where that is finite, else about t = 0 at
-    -+ _COLD_WIDTH (y in [1e-2, 1e2]).  h falls in y, so an end on the wrong
-    side of the root becomes the other end and the far end moves out, the
-    width growing _GROW-fold each step, never beyond |t| = _REACH.  A lane
-    still not bracketed there raises SolveError naming its fee.  Lanes never
-    mix: the warm start pays only when every lane of a call has one, as the
-    call waits for its slowest lane.
+    Each lane runs Newton's method on log(h(e^t) / v0), close to linear in t
+    on the power bands, with the slope h'/h from the same band table
+    (_budget), from t_near, a guess of its root, where that is finite, else
+    from t = 0.  h falls in t, so every point evaluated closes one side of
+    the lane's bracket.  A Newton point outside the bracket, or not finite,
+    is replaced by the bracket's midpoint, or by the reach end |t| = _REACH
+    on the root's side while no point lies there.  A lane stops when its
+    Newton step or its bracket is at most XRTOL |t| + XRTOL, and returns the
+    point it evaluated with the least |h - v0|.  A lane with no root within
+    the reach, or whose best point misses v0 by more than _BUDGET_RTOL v0,
+    raises SolveError naming its fee.  Lanes never mix: the warm start pays
+    only when every lane of a call has one, as the call waits for its
+    slowest lane.
     """
     log_lo, log_hi = _log_edges(env)
-    coef, const, v0 = env.coef, env.const, market.v0
-    label = lambda i: fee_label(env.m[i], env.alpha[i], env.c[i])
-
-    def gap(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        return _budget(market, b, coef[:, lanes], const[:, lanes], log_lo[:, lanes], log_hi[:, lanes], t) - v0
-
-    every = np.arange(env.m.size)
-    guess = np.full(every.size, math.nan) if t_near is None else np.asarray(t_near, dtype=float)
-    warm = np.isfinite(guess)
-    centre, width = np.where(warm, guess, 0.0), np.where(warm, _WARM_WIDTH, _COLD_WIDTH)
-    t_lo, t_hi = np.clip(centre - width, -_REACH, _REACH), np.clip(centre + width, -_REACH, _REACH)
-    g = gap(np.concatenate([t_lo, t_hi]), np.concatenate([every, every]))
-    gap_lo, gap_hi = g[:every.size], g[every.size:]
-    while True:
-        # exactly one end missed (h(e^t_lo) < v0: the root lies below t_lo),
-        # and its side is short of the reach
-        down = gap_lo < 0.0
-        miss = np.flatnonzero((down != (gap_hi > 0.0)) & np.where(down, t_lo > -_REACH, t_hi < _REACH))
-        if not miss.size:
+    coef, const, theta1, log_support, v0 = env.coef, env.const, env.theta1, np.log(env.slope), market.v0
+    n = env.m.size
+    guess = np.full(n, math.nan) if t_near is None else np.asarray(t_near, dtype=float)
+    x = np.where(np.isfinite(guess), np.clip(guess, -_REACH, _REACH), 0.0)
+    lo, hi = np.full(n, -math.inf), np.full(n, math.inf)     # h > v0 at lo, h < v0 at hi; infinite: unseen
+    best, miss = x.copy(), np.full(n, math.inf)
+    lanes = np.arange(n)
+    for _ in range(MAX_ITER):
+        h, dh = _budget(market, b, coef[:, lanes], const[:, lanes], log_lo[:, lanes], log_hi[:, lanes],
+                        theta1[lanes], log_support[lanes], x)
+        gap, up = np.abs(h - v0), h > v0
+        closer = gap < miss[lanes]
+        best[lanes[closer]], miss[lanes[closer]] = x[closer], gap[closer]
+        lo[lanes[up]], hi[lanes[h < v0]] = x[up], x[h < v0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = -np.log(h / v0) * h / dh
+            target = x + step
+        # done: a short step or bracket, or a reach end still short of the root
+        a, z, tol = lo[lanes], hi[lanes], XRTOL * np.abs(x) + XRTOL
+        stop = (np.abs(step) <= tol) | (z - a <= tol) | (gap == 0.0) | (a == _REACH) | (z == -_REACH)
+        go = ~stop
+        lanes, target, up, a, z = lanes[go], target[go], up[go], np.maximum(a[go], -_REACH), np.minimum(z[go], _REACH)
+        if not lanes.size:
             break
-        down = down[miss]
-        near, g_near = np.where(down, t_lo[miss], t_hi[miss]), np.where(down, gap_lo[miss], gap_hi[miss])
-        width[miss] *= _GROW
-        far = np.clip(near + np.where(down, -width[miss], width[miss]), -_REACH, _REACH)
-        g_far = gap(far, miss)
-        t_lo[miss], gap_lo[miss] = np.where(down, far, near), np.where(down, g_far, g_near)
-        t_hi[miss], gap_hi[miss] = np.where(down, near, far), np.where(down, g_near, g_far)
-    _require((gap_lo >= 0.0) & (gap_hi <= 0.0), lambda i: SolveError(
-        f"budget bracket expansion failed within y in [{math.exp(t_lo[i]):.3e}, {math.exp(t_hi[i]):.3e}] "
+        # the Newton point inside the bracket, else the unseen reach end on
+        # the root's side, else the bracket's midpoint
+        unseen = np.isinf(np.where(up, hi[lanes], lo[lanes]))
+        x = np.where((target > a) & (target < z), target,
+                     np.where(unseen, np.where(up, _REACH, -_REACH), 0.5 * (a + z)))
+    label = lambda i: fee_label(env.m[i], env.alpha[i], env.c[i])
+    _require((lo != _REACH) & (hi != -_REACH), lambda i: SolveError(
+        f"budget bracket expansion failed within y in [{math.exp(-_REACH):.3e}, {math.exp(_REACH):.3e}] "
         f"for fee {label(i)}"))
-    t, gap_t, ok = bracketed_root(gap, t_lo, gap_lo, t_hi, gap_hi, XRTOL)
-    _require(ok & (np.abs(gap_t) <= _BUDGET_RTOL * v0), lambda i: SolveError(
-        f"budget root ended at residual {abs(gap_t[i]):.3e} for fee {label(i)}"))
-    return t
+    _require(miss <= _BUDGET_RTOL * v0, lambda i: SolveError(
+        f"budget root ended at residual {miss[i]:.3e} for fee {label(i)}"))
+    return best
 
 
 def wealth_lanes(env: EnvelopeLanes, market: MarketParams, t: np.ndarray) -> WealthLanes:
@@ -209,7 +219,9 @@ class OptimalWealthSolution:
 def budget(envelope: ConcaveEnvelope, market: MarketParams, y: float) -> float:
     """h(y) = E[Z V(y, Z)] of one envelope."""
     env = envelope.lanes
-    return float(_budget(market, envelope.hara.b, env.coef, env.const, *_log_edges(env), np.log([y]))[0])
+    h, _ = _budget(market, envelope.hara.b, env.coef, env.const, *_log_edges(env), env.theta1, np.log(env.slope),
+                   np.log([y]))
+    return float(h[0])
 
 
 def solve_y_star(fee: FeeStructure, manager: HaraParams, market: MarketParams) -> OptimalWealthSolution:

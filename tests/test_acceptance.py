@@ -2,11 +2,23 @@
 strict xfail with the measured value and the reason."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from firstloss import GridSteps, HaraParams, evaluate_fees, grid_scan, run_pipeline, solve_fbpo
+from firstloss import (
+    FeeStructure,
+    GridSteps,
+    HaraParams,
+    evaluate_fees,
+    grid_scan,
+    moments,
+    optimize_traditional,
+    run_pipeline,
+    solve_fbpo,
+    solve_y_star,
+)
 
 SMALL = GridSteps(dm=0.0125, dalpha=0.025, dc=0.025, n_phi=12)
 
@@ -62,3 +74,21 @@ def preferred(base_market):
 def test_preferred_fee_moves_as_claimed(name, values, coordinate, sign, preferred):
     moves = sign * np.diff([getattr(preferred(name, value), coordinate) for value in values])
     assert (moves >= 0.0).all() and (moves > 0.0).any()
+
+
+# "The preferred fee schemes significantly decrease the fund's volatility":
+# std(V) at the Sharpe-preferred fee against the investor-optimal traditional
+# fee (c = 0), at the (b_M, b_I) of the 2/20 claim above.  Measured: 1.374 vs
+# 3.199, 0.773 vs 1.350 and 0.918 vs 2.518 (ratios 0.43, 0.57, 0.36).  The
+# comparison with the constant-mix benchmark needs the asset's sigma and is
+# not made here.
+@pytest.mark.parametrize("b_m,b_i", [(0.65, 0.65), (2.5, 0.65), (0.65, 2.5)])
+def test_preferred_fee_decreases_fund_volatility(b_m, b_i, preferred, base_market):
+    manager, investor = HaraParams(0.3, b_m), HaraParams(0.3, b_i)
+    fee = preferred("b_m", b_m) if b_i == 0.65 else preferred("b_i", b_i)
+    traditional = FeeStructure(*optimize_traditional(investor, manager, base_market), 0.0)
+    std = []
+    for f in (fee, traditional):
+        ev, ev2 = moments(solve_y_star(f, manager, base_market))
+        std.append(math.sqrt(ev2 - ev * ev))
+    assert std[0] < 0.75 * std[1]

@@ -96,8 +96,31 @@ def test_result_does_not_depend_on_batch(base_market, base_investor):
             np.testing.assert_array_equal(getattr(part, key), getattr(full, key)[rows], err_msg=key)
 
 
+def _budget_lanes(env, market, b, t):
+    # h(e^t) and dh/dt per lane
+    return wealth._budget(market, b, env.coef, env.const, *wealth._log_edges(env), env.theta1, np.log(env.slope), t)
+
+
 def _budget_gap(env, market, b, t):
-    return wealth._budget(market, b, env.coef, env.const, *wealth._log_edges(env), t) - market.v0
+    return _budget_lanes(env, market, b, t)[0] - market.v0
+
+
+@pytest.mark.parametrize("b_m", [0.65, 2.5, 5.0])
+def test_budget_slope_matches_central_difference(b_m, base_market):
+    # dh/dt in closed form against a central difference of budget() on the
+    # case A and B lanes (and C for b_M > 1), at each root and 0.5 either side
+    # of it: without V's jump from theta1 to 0 at the support edge the closed
+    # form misses part of the slope
+    _, solved = _frozen_lanes(b_m)
+    manager, step = HaraParams(0.3, b_m), 1e-5
+    fees = np.array([r["fee"] for r in solved])
+    env = envelope_lanes(*fees.T, manager, base_market.v0)
+    envelopes = [build_envelope(FeeStructure(*fee), manager, base_market.v0) for fee in fees]
+    root = solve_budget(env, base_market, b_m)
+    h = lambda envelope, x: wealth.budget(envelope, base_market, math.exp(x))
+    for t in (root - 0.5, root, root + 0.5):
+        central = [(h(e, x + step) - h(e, x - step)) / (2.0 * step) for e, x in zip(envelopes, t)]
+        np.testing.assert_allclose(_budget_lanes(env, base_market, b_m, t)[1], central, rtol=1e-7, atol=0.0)
 
 
 @pytest.mark.parametrize("b_m", [0.65, 2.5, 5.0])
@@ -105,7 +128,7 @@ def test_warm_budget_root_agrees_with_cold(b_m, base_market):
     _, solved = _frozen_lanes(b_m)
     env = envelope_lanes(*np.array([r["fee"] for r in solved]).T, HaraParams(0.3, b_m), base_market.v0)
     cold = solve_budget(env, base_market, b_m)
-    # guesses inside the first warm bracket, and beyond it on either side
+    # guesses up to 0.05 off the root on either side
     offsets = np.random.default_rng(3).uniform(-0.05, 0.05, cold.size)
     warm = solve_budget(env, base_market, b_m, cold + offsets)
     # y* to rel 1e-12, scalar_chain.json's gate: where the gap's terms cancel
@@ -121,12 +144,22 @@ def _assert_cold_root(env, market, b, t, cold):
     assert (np.abs(_budget_gap(env, market, b, t)) <= 1e-11 * market.v0).all()
 
 
+def test_setup_fee_matches_the_bench_reference_exactly(base_market, base_manager, base_investor):
+    # bench/run.py checks the value launch at (0, 20%, 0) against this lattice
+    # row with ==, so a last-bit change in phi_M or phi_I there fails it
+    with np.load(Path(__file__).parents[1] / "bench" / "reference" / "lattice.npz") as ref:
+        (row,) = np.flatnonzero(np.all(ref["fees"] == (0.0, 0.2, 0.0), axis=1))
+        expected = float(ref["phi_M"][row]), float(ref["phi_I"][row])
+    got = evaluate_fee(fee_pct(0, 20, 0), base_market, base_manager, base_investor)
+    assert (got.phi_M, got.phi_I) == expected
+
+
 def test_warm_budget_root_from_wrong_or_missing_guesses(base_market):
     _, solved = _frozen_lanes(2.5)
     env = envelope_lanes(*np.array([r["fee"] for r in solved]).T, HaraParams(0.3, 2.5), base_market.v0)
     cold = solve_budget(env, base_market, 2.5)
-    # a guess 30 or 40 off in t: the bracket grows from it to the root; a
-    # guess that is not finite starts the lane's bracket cold
+    # a guess 30 or 40 off in t: Newton's method walks from it to the root;
+    # a guess that is not finite starts the lane cold, at t = 0
     for guess in (cold - 40.0, cold - 30.0, cold + 30.0, cold + 40.0):
         _assert_cold_root(env, base_market, 2.5, solve_budget(env, base_market, 2.5, guess), cold)
     for guess in (-math.inf, math.inf, math.nan):
