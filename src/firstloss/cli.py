@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 configuration error (message names the field),
-2 numerical failure (message names the failing stage).  Structured output is
+Exit codes: 0 success, 1 configuration or usage error (message names the
+field), 2 numerical failure (message names the failing stage).  Structured output is
 CSV for tables and JSON for single results, written atomically; every file
 carries the effective configuration for provenance.
 """
@@ -321,8 +321,13 @@ def cmd_verify(config: RunConfig, args) -> str:
     return f"verify: {len(checks)} checks -> {path}"
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, not argparse's 2 (a numerical failure here)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="firstloss",
         description="Optimal first-loss hedge-fund fee structures",
     )
@@ -378,17 +383,9 @@ def _message(exc: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        overrides = {}
-        for item in args.set:
-            if "=" not in item:
-                raise ConfigError(f"override {item!r} must look like section.key=value")
-            dotted, raw = item.split("=", 1)
-            overrides[dotted.strip()] = raw.strip()
-        config_path = args.config or os.environ.get(CONFIG_ENV)
-        config = load_config(config_path, overrides)
+        args = build_parser().parse_args(argv)
+        config = load_config(args.config or os.environ.get(CONFIG_ENV), args.set)
         summary = args.func(config, args)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {_message(exc)}", file=sys.stderr)

@@ -1,10 +1,11 @@
-"""Run configuration: a small key = value file with sections, defaulting to
-the base-case parameterization used across the numerical studies."""
+"""Run configuration: a small key = value file with sections, plus
+``section.key=value`` overrides, over the base case of the numerical studies."""
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .market import MarketParams
@@ -16,74 +17,55 @@ class ConfigError(ValueError):
     """Bad configuration file or override; message carries the field path."""
 
 
+# every config key in echo order: its RunConfig field, that field's
+# attribute (None for the field itself) and the type its text is read as
+_KEYS = {
+    "market.r": ("market", "r", float),
+    "market.gamma": ("market", "gamma", float),
+    "market.sigma": ("market", "sigma", float),
+    "market.horizon": ("market", "horizon_T", float),
+    "market.v0": ("market", "v0", float),
+    "manager.a": ("manager", "a", float),
+    "manager.b": ("manager", "b", float),
+    "investor.a": ("investor", "a", float),
+    "investor.b": ("investor", "b", float),
+    "sweep.dm": ("steps", "dm", float),
+    "sweep.dalpha": ("steps", "dalpha", float),
+    "sweep.dc": ("steps", "dc", float),
+    "sweep.n_phi": ("steps", "n_phi", int),
+    "run.seed": ("seed", None, int),
+    "run.mc_draws": ("mc_draws", None, int),
+    "run.outdir": ("outdir", None, str),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    market: MarketParams = field(default_factory=MarketParams)
-    manager: HaraParams = field(default_factory=lambda: HaraParams(a=0.3, b=0.65))
-    investor: HaraParams = field(default_factory=lambda: HaraParams(a=0.3, b=0.65))
-    steps: GridSteps = field(default_factory=GridSteps)
+    """The base case: r = 2%, gamma = 40%, sigma = 20%, a = 0.3 and b = 0.65
+    for both parties, at the default lattice steps."""
+
+    market: MarketParams = MarketParams(sigma=0.20)
+    manager: HaraParams = HaraParams(a=0.3, b=0.65)
+    investor: HaraParams = HaraParams(a=0.3, b=0.65)
+    steps: GridSteps = GridSteps()
     seed: int = 20240901
     mc_draws: int = 1_000_000
     outdir: str = "out"
 
     def as_items(self) -> list[tuple[str, str]]:
         """Flattened effective configuration, echoed into output headers."""
-        m = self.market
-        return [
-            ("market.r", repr(m.r)),
-            ("market.gamma", repr(m.gamma)),
-            ("market.sigma", "" if m.sigma is None else repr(m.sigma)),
-            ("market.horizon", repr(m.horizon_T)),
-            ("market.v0", repr(m.v0)),
-            ("manager.a", repr(self.manager.a)),
-            ("manager.b", repr(self.manager.b)),
-            ("investor.a", repr(self.investor.a)),
-            ("investor.b", repr(self.investor.b)),
-            ("sweep.dm", repr(self.steps.dm)),
-            ("sweep.dalpha", repr(self.steps.dalpha)),
-            ("sweep.dc", repr(self.steps.dc)),
-            ("sweep.n_phi", repr(self.steps.n_phi)),
-            ("run.seed", repr(self.seed)),
-            ("run.mc_draws", repr(self.mc_draws)),
-            ("run.outdir", self.outdir),
-        ]
+        items = []
+        for key, (name, attr, kind) in _KEYS.items():
+            value = getattr(self, name) if attr is None else getattr(getattr(self, name), attr)
+            items.append((key, value if kind is str else repr(value)))
+        return items
 
 
-_FIELDS = {
-    "market": {"r": float, "gamma": float, "sigma": float, "horizon": float, "v0": float},
-    "manager": {"a": float, "b": float},
-    "investor": {"a": float, "b": float},
-    "sweep": {"dm": float, "dalpha": float, "dc": float, "n_phi": int},
-    "run": {"seed": int, "mc_draws": int, "outdir": str},
-}
-
-
-def _collect(parser: configparser.ConfigParser, overrides: dict[str, str]) -> dict[str, dict[str, str]]:
-    values: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in _FIELDS:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _FIELDS[section]:
-                raise ConfigError(f"unknown config field {section}.{key}")
-            values.setdefault(section, {})[key] = raw
-    for dotted, raw in overrides.items():
-        if "." not in dotted:
-            raise ConfigError(f"override {dotted!r} must look like section.key=value")
-        section, key = dotted.split(".", 1)
-        if section not in _FIELDS or key not in _FIELDS[section]:
-            raise ConfigError(f"unknown override field {dotted}")
-        values.setdefault(section, {})[key] = raw
-    return values
-
-
-def load_config(path: str | Path | None = None, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Build a RunConfig from an optional file plus dotted-key overrides.
-
-    Overrides win over file values; everything else keeps the base-case
-    defaults.  Errors carry the offending field path.
-    """
-    parser = configparser.ConfigParser()
+def load_config(path: str | Path | None = None, overrides: Iterable[str] = ()) -> RunConfig:
+    """RunConfig() overlaid with an optional file, then with ``section.key=value``
+    overrides, which win over the file.  Every value passes its parameter
+    object's constructor checks; errors carry the offending field path."""
+    values: dict[str, str] = {}
     if path is not None:
         p = Path(path)
         if not p.is_file():
@@ -92,50 +74,43 @@ def load_config(path: str | Path | None = None, overrides: dict[str, str] | None
             text = p.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {p}: {exc}") from exc
+        parser = configparser.ConfigParser()
         try:
             parser.read_string(text, source=str(p))
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {p}: {exc}") from exc
+        for section in parser.sections():
+            if not any(key.startswith(f"{section}.") for key in _KEYS):
+                raise ConfigError(f"unknown config section [{section}]")
+            for key, raw in parser.items(section):
+                if f"{section}.{key}" not in _KEYS:
+                    raise ConfigError(f"unknown config field {section}.{key}")
+                values[f"{section}.{key}"] = raw
+    for item in overrides:
+        dotted, eq, raw = item.partition("=")
+        dotted = dotted.strip()
+        if not eq or "." not in dotted:
+            raise ConfigError(f"override {item!r} must look like section.key=value")
+        if dotted not in _KEYS:
+            raise ConfigError(f"unknown override field {dotted}")
+        values[dotted] = raw.strip()
 
-    values = _collect(parser, overrides or {})
-
-    def pick(section: str, key: str, default):
-        raw = values.get(section, {}).get(key)
-        if raw is None:
-            return default
-        caster = _FIELDS[section][key]
-        try:
-            return caster(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-
+    config = RunConfig()
+    fields: dict[str, object] = {}
+    parts: dict[str, dict] = {}
+    for key, (name, attr, kind) in _KEYS.items():
+        if key in values:
+            try:
+                value = kind(values[key])
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {values[key]!r}") from exc
+            if attr is None:
+                fields[name] = value
+            else:
+                parts.setdefault(name, {})[attr] = value
     try:
-        market = MarketParams(
-            r=pick("market", "r", 0.02),
-            gamma=pick("market", "gamma", 0.40),
-            sigma=pick("market", "sigma", 0.20),
-            horizon_T=pick("market", "horizon", 1.0),
-            v0=pick("market", "v0", 1.0),
-        )
-        manager = HaraParams(a=pick("manager", "a", 0.3), b=pick("manager", "b", 0.65))
-        investor = HaraParams(a=pick("investor", "a", 0.3), b=pick("investor", "b", 0.65))
-        steps = GridSteps(
-            dm=pick("sweep", "dm", 0.0025),
-            dalpha=pick("sweep", "dalpha", 0.005),
-            dc=pick("sweep", "dc", 0.005),
-            n_phi=pick("sweep", "n_phi", 200),
-        )
-    except ConfigError:
-        raise
+        for name, given in parts.items():
+            fields[name] = replace(getattr(config, name), **given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    return RunConfig(
-        market=market,
-        manager=manager,
-        investor=investor,
-        steps=steps,
-        seed=pick("run", "seed", 20240901),
-        mc_draws=pick("run", "mc_draws", 1_000_000),
-        outdir=pick("run", "outdir", "out"),
-    )
+    return replace(config, **fields)

@@ -59,6 +59,14 @@ class MarketParams:
             raise MarketError(f"v0 must be > 0 (got {self.v0})")
         if self.sigma is not None and not self.sigma > 0.0:
             raise MarketError(f"sigma must be > 0 when present (got {self.sigma})")
+        try:
+            finite = math.isfinite(self.log_drift) and math.isfinite(self.log_vol)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise MarketError(
+                f"log Z_T's drift or volatility is beyond double range "
+                f"(r={self.r}, gamma={self.gamma}, horizon_T={self.horizon_T})")
 
     @cached_property
     def log_drift(self) -> float:
@@ -81,8 +89,11 @@ def state_price_density(params: MarketParams, w: float) -> float:
 
 def _moment_scale(params: MarketParams, k: float) -> float:
     # E[Z_T^k] = exp(-k mu + (k sigma)^2 / 2), checked before exp overflows
-    exponent = -k * params.log_drift + 0.5 * (k * params.log_vol) ** 2
-    if exponent > math.log(sys.float_info.max):
+    try:
+        exponent = -k * params.log_drift + 0.5 * (k * params.log_vol) ** 2
+    except OverflowError:
+        exponent = math.inf
+    if not exponent <= math.log(sys.float_info.max):
         raise MomentRangeError(
             f"E[Z_T^k] at k={k:.6g} is exp({exponent:.6g}), beyond double range (horizon_T={params.horizon_T})")
     return math.exp(exponent)

@@ -21,6 +21,7 @@ from .preferences import HaraParams
 from .wealth import OptimalWealthSolution, terminal_value_array
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_STREAMS = 8    # independent child streams per estimate; they bound peak memory
 
 
 class OracleError(ValueError):
@@ -38,27 +39,21 @@ class McEstimate:
         return abs(self.mean - target) <= n_sigmas * self.std_error
 
 
-def _stream_sizes(n: int, streams: int) -> list[int]:
-    base, extra = divmod(n, streams)
-    return [base + (1 if i < extra else 0) for i in range(streams)]
+def _stream_sizes(n: int) -> list[int]:
+    base, extra = divmod(n, _STREAMS)
+    return [base + (1 if i < extra else 0) for i in range(_STREAMS)]
 
 
-def _mc_mean(market: MarketParams, seed: int, n: int, streams: int, value_of_z) -> McEstimate:
-    """Pooled mean/variance over independent child streams of one seed.
-
-    Deterministic for fixed (seed, n, streams); streams bound peak memory.
-    """
+def _mc_mean(market: MarketParams, seed: int, n: int, value_of_z) -> McEstimate:
+    """Pooled mean/variance over independent child streams of one seed;
+    deterministic for fixed (seed, n)."""
     if n < 1_000:
         raise OracleError(f"need n >= 1000 draws (got {n})")
-    if streams < 1:
-        raise OracleError("need at least one stream")
-    children = np.random.SeedSequence(seed).spawn(streams)
+    children = np.random.SeedSequence(seed).spawn(_STREAMS)
     total = 0
     mean = 0.0
     m2 = 0.0
-    for child, size in zip(children, _stream_sizes(n, streams)):
-        if size == 0:
-            continue
+    for child, size in zip(children, _stream_sizes(n)):
         rng = np.random.default_rng(child)
         w = rng.standard_normal(size) * math.sqrt(market.horizon_T)
         z = np.exp(-market.log_drift - market.gamma * w)
@@ -80,10 +75,9 @@ def mc_budget(
     market: MarketParams,
     seed: int,
     n: int,
-    streams: int = 8,
 ) -> McEstimate:
     """Monte Carlo E[Z V(Z)]; should cover v0 when the budget binds."""
-    return _mc_mean(market, seed, n, streams, lambda z: z * terminal_value_array(sol, z))
+    return _mc_mean(market, seed, n, lambda z: z * terminal_value_array(sol, z))
 
 
 def mc_value(
@@ -95,7 +89,6 @@ def mc_value(
     party: str,
     seed: int,
     n: int,
-    streams: int = 8,
 ) -> McEstimate:
     """Monte Carlo expected utility of one party at the optimal fund value."""
     if party not in ("M", "I"):
@@ -108,7 +101,7 @@ def mc_value(
         pay = _payoff_array(fee, v0, v, party)
         return (pay + hara.a) ** (1.0 - hara.b) / (1.0 - hara.b)
 
-    return _mc_mean(market, seed, n, streams, value_of_z)
+    return _mc_mean(market, seed, n, value_of_z)
 
 
 def _payoff_array(fee: FeeStructure, v0: float, v: np.ndarray, party: str) -> np.ndarray:

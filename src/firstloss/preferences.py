@@ -68,7 +68,10 @@ def _power(base: float, exponent: float) -> float:
         raise PreferenceError("zero utility base with non-positive exponent")
     if base < _TINY_BASE and exponent < 0.0:
         raise PreferenceError(f"utility base {base} too small for exponent {exponent}")
-    return math.exp(exponent * math.log(base))
+    try:
+        return math.exp(exponent * math.log(base))
+    except OverflowError:    # inf, as _power_lanes gives it
+        return math.inf
 
 
 def _in_power_domain(base: np.ndarray, exponent: float) -> np.ndarray:

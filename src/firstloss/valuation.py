@@ -297,15 +297,14 @@ def optimize_traditional(
     investor: HaraParams,
     manager: HaraParams,
     market: MarketParams,
-    m_range: tuple[float, float] = (0.0, M_MAX),
-    alpha_range: tuple[float, float] = (ALPHA_MIN, ALPHA_MAX),
     dm: float = 0.0025,
     dalpha: float = 0.0025,
 ) -> tuple[float, float]:
-    """Investor-optimal traditional fee (c = 0): dense grid, then the
-    lane-wise pattern search from its best fee, which it never falls below."""
-    ms = np.round(np.arange(m_range[0], m_range[1] + dm / 2, dm), 10)
-    alphas = np.round(np.arange(max(alpha_range[0], dalpha), alpha_range[1] + dalpha / 2, dalpha), 10)
+    """Investor-optimal traditional fee (c = 0) over the fee box: dense grid,
+    then the lane-wise pattern search from its best fee, which it never
+    falls below."""
+    ms = np.round(np.arange(0.0, M_MAX + dm / 2, dm), 10)
+    alphas = np.round(np.arange(max(ALPHA_MIN, dalpha), ALPHA_MAX + dalpha / 2, dalpha), 10)
     grid = [(float(m), float(a), 0.0) for m in ms for a in alphas]
     batch = evaluate_fees(grid, market, manager, investor)
     if not batch.feasible.all():
@@ -318,5 +317,5 @@ def optimize_traditional(
 
     x = np.array([grid[i][:2]])
     pattern_search(phi_i, x, batch.phi_I[i:i + 1].copy(), np.array([grid[i]]), np.array([[dm, dalpha]]),
-                   np.array([m_range[0], alpha_range[0]]), np.array([m_range[1], alpha_range[1]]))
+                   np.array([0.0, ALPHA_MIN]), np.array([M_MAX, ALPHA_MAX]))
     return float(x[0, 0]), float(x[0, 1])

@@ -1,11 +1,15 @@
+import csv
 import json
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from firstloss import ConfigError, load_config, pareto, valuation
+from firstloss import ConfigError, RunConfig, load_config, pareto, valuation
 from firstloss.cli import main
 
 
@@ -21,10 +25,28 @@ def test_defaults_are_base_case():
     assert cfg.steps.n_phi == 200
 
 
+def test_run_config_is_the_base_case():
+    cfg = RunConfig()
+    assert cfg == load_config(None)
+    assert cfg.market.sigma == 0.2
+    assert [key for key, _ in cfg.as_items()] == [
+        "market.r", "market.gamma", "market.sigma", "market.horizon", "market.v0",
+        "manager.a", "manager.b", "investor.a", "investor.b",
+        "sweep.dm", "sweep.dalpha", "sweep.dc", "sweep.n_phi",
+        "run.seed", "run.mc_draws", "run.outdir",
+    ]
+
+
+@pytest.mark.parametrize("item", ["market.r", "r=0.04", "=0.04"])
+def test_override_syntax_errors(item):
+    with pytest.raises(ConfigError, match=f"override {item!r} must look like section.key=value"):
+        load_config(None, [item])
+
+
 def test_file_and_overrides(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[market]\nr = 0.04\ngamma = 0.5\n\n[manager]\nb = 2.5\n")
-    cfg = load_config(path, {"market.r": "0.01", "run.seed": "7"})
+    cfg = load_config(path, ["market.r=0.01", "run.seed = 7"])
     assert cfg.market.r == 0.01          # override beats the file
     assert cfg.market.gamma == 0.5
     assert cfg.manager.b == 2.5
@@ -248,3 +270,76 @@ def test_cli_frontier_search_failure_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: root of phi_M" in err and "frontier search failed at fee (" in err
     assert not (tmp_path / "frontier.csv").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["value"], "firstloss value: the following arguments are required: --fee"),
+    (["sensitivity", "--axis", "foo"], "firstloss sensitivity: argument --axis: invalid choice: 'foo'"),
+])
+def test_cli_usage_error_exits_1(argv, message, capsys):
+    # argparse's own exit code, 2, would read as a numerical failure
+    assert main(argv) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert "usage: firstloss" in capsys.readouterr().out
+
+
+def test_cli_verify(tmp_path, capsys):
+    assert main(["--set", f"run.outdir={tmp_path}", "--set", "run.mc_draws=20000", "verify"]) == 0
+    report = [l for l in (tmp_path / "verify.txt").read_text().splitlines() if not l.startswith("#")]
+    assert len(report) == 13 and all(l.startswith("PASS  ") for l in report)
+    assert capsys.readouterr().out.count("PASS  ") == 13
+
+
+def test_cli_sensitivity_ba(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sweep]\ndm = 0.025\ndalpha = 0.1\ndc = 0.1\nn_phi = 4\n")
+    argv = ["--config", str(cfg), "--set", f"run.outdir={tmp_path}", "sensitivity", "--axis", "ba",
+            "--values", "0.65,0.65;2.5,0.65"]
+    assert main(argv) == 0
+    with open(tmp_path / "sensitivity_ba.csv", newline="") as handle:
+        rows = list(csv.reader(l for l in handle if not l.startswith("#")))
+    assert rows[0] == ["cell", "m_pct", "alpha_pct", "c_pct", "sharpe", "error"]
+    assert [row[0] for row in rows[1:]] == ["bM=0.65,bI=0.65", "bM=2.5,bI=0.65"]
+    assert all(row[-1] == "" and math.isfinite(float(row[4])) for row in rows[1:])
+
+
+FUZZ_KEYS = ["market.r", "market.gamma", "market.sigma", "market.horizon", "market.v0",
+             "manager.a", "manager.b", "investor.a", "investor.b"]
+EDGES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e-300, -1e-300, 1e300])
+FUZZ_NUMBERS = st.one_of(st.floats(0.01, 3.0), EDGES, st.floats())
+
+
+def _fee_text(m, alpha, c):
+    return f"{m!r},{alpha!r},{c!r}"
+
+
+FUZZ_FEES = st.one_of(
+    st.builds(_fee_text, st.floats(0.0, 5.0), st.floats(0.1, 50.0), st.floats(0.0, 30.0)),
+    st.builds(_fee_text, FUZZ_NUMBERS, FUZZ_NUMBERS, FUZZ_NUMBERS),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(overrides=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), FUZZ_NUMBERS), max_size=3), fee=FUZZ_FEES)
+@example(overrides=[("market.gamma", 1e300)], fee="0,1,0")    # gamma**2 overflowed in log_drift
+@example(overrides=[("manager.b", 1e-300)], fee="0,1,5")      # (k log_vol)**2 overflowed, k = 1 - 1/b
+@example(overrides=[("market.v0", 0.5), ("investor.b", 1e300)], fee="0,1,0")   # math.exp in _power
+def test_cli_fuzz_exits_0_1_or_2(overrides, fee, tmp_path):
+    # every config the CLI accepts either succeeds with finite values or
+    # fails with a typed error: never a traceback
+    (tmp_path / "value.json").unlink(missing_ok=True)
+    argv = ["--set", f"run.outdir={tmp_path}"]
+    for key, value in overrides:
+        argv += ["--set", f"{key}={value!r}"]
+    code = main([*argv, "value", f"--fee={fee}"])    # a fee may start with '-'
+    assert code in (0, 1, 2)
+    if code == 0:
+        doc = json.loads((tmp_path / "value.json").read_text())
+        assert all(math.isfinite(doc[key]) for key in ("phi_M", "phi_I", "sharpe"))

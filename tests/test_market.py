@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from firstloss import MarketError, MarketParams, partial_power_expectation, sample_z, state_price_density
+from firstloss.market import MomentRangeError
 
 
 def test_kernel_at_zero_noise():
@@ -36,6 +37,22 @@ def test_gamma_zero_rejected():
 def test_invalid_params_rejected(bad):
     with pytest.raises(MarketError):
         MarketParams(**bad)
+
+
+@pytest.mark.parametrize("params", [
+    dict(gamma=1e300),                      # gamma**2 overflows
+    dict(r=1.7e308, gamma=1e154),           # the drift's sum overflows to inf
+    dict(gamma=1e154, horizon_T=1e300),     # so do the drift and gamma sqrt(T)
+])
+def test_market_beyond_double_range_rejected(params):
+    with pytest.raises(MarketError, match="beyond double range"):
+        MarketParams(**params)
+
+
+def test_moment_scale_overflow_names_k(base_market):
+    # k = 1 - 1/b at b = 1e-300: (k sigma)**2 overflows a float
+    with pytest.raises(MomentRangeError, match=r"k=-1e\+300"):
+        partial_power_expectation(base_market, 1.0 - 1.0 / 1e-300, 0.0, math.inf)
 
 
 def test_log_moments_computed_once():
