@@ -13,13 +13,7 @@ from .contract import ContractError, FeeStructure, investor_payoff, manager_payo
 from .market import MarketError, MarketParams, partial_power_expectation, sample_z, state_price_density
 from .oracle import McEstimate, brute_pointwise, mc_budget, mc_value
 from .pareto import Frontier, GridScan, GridSteps, ParetoPoint, grid_scan, solve_fbpo, sweep_frontier
-from .preferences import (
-    CaseTag,
-    HaraParams,
-    PreferenceError,
-    hara_utility,
-    manager_composite_utility,
-)
+from .preferences import HaraParams, PreferenceError, hara_utility, manager_composite_utility
 from .quadrature import QuadratureError, integrate
 from .selection import (
     ConstantMixResult,
@@ -51,7 +45,6 @@ from .wealth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CaseTag",
     "ConcaveEnvelope",
     "ConfigError",
     "ConstantMixResult",

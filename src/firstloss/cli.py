@@ -120,7 +120,7 @@ def cmd_envelope(config: RunConfig, args) -> str:
     path = _out(config, "envelope.csv")
     _write_csv(path, config, ["v", "utility", "envelope"], rows)
     return (
-        f"envelope: case={env.case_tag.value} theta1={env.theta1:.12g} "
+        f"envelope: case={env.case} theta1={env.theta1:.12g} "
         f"slope={env.slope:.12g} -> {path}"
     )
 
@@ -131,7 +131,7 @@ def cmd_wealth(config: RunConfig, args) -> str:
     ev, ev2 = moments(sol)
     payload = {
         "fee": _fee_percent_fields(fee),
-        "case": sol.case_tag.value,
+        "case": sol.case,
         "y_star": sol.y_star,
         "theta1": sol.theta1,
         "z_thresholds": list(sol.thresholds()),
@@ -149,7 +149,7 @@ def cmd_value(config: RunConfig, args) -> str:
     metrics = evaluate_fee(fee, config.market, config.manager, config.investor)
     payload = {
         "fee": _fee_percent_fields(fee),
-        "case": metrics.case_tag.value,
+        "case": metrics.case,
         "phi_M": metrics.phi_M,
         "phi_I": metrics.phi_I,
         "sharpe": metrics.sharpe,

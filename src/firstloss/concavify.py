@@ -4,10 +4,12 @@ dual maximizer.
 The composite utility is flat on [0, Theta1), then concave increasing with a
 concave kink at Theta2.  Its envelope replaces [0, theta1) by a chord from
 (0, U(0)); theta1 >= Theta1 is unique.  Where theta1 falls determines the
-regime (CaseTag), and the regime the band table that every closed form
-downstream sums over.  envelope_lanes builds the envelopes of many fees at
-once; ConcaveEnvelope reads one of them as floats, and pointwise_argmax
-maximizes over it point by point, independently of the band table.
+regime, a letter: 'A', the chord is tangent beyond the upper payoff kink;
+'B', it ends at the upper kink; 'C', it is tangent between the two kinks.
+The regime determines the band table that every closed form downstream sums
+over.  envelope_lanes builds the envelopes of many fees at once;
+ConcaveEnvelope reads one of them as floats, and pointwise_argmax maximizes
+over it point by point, independently of the band table.
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .contract import FeeStructure, fee_label
-from .preferences import (
-    CaseTag,
-    HaraParams,
-    PreferenceError,
-    manager_composite_utility,
-    _power,
-    _power_lanes,
-)
+from .preferences import HaraParams, PreferenceError, _power, manager_composite_utility
 from .roots import bracketed_root
 
 _BRACKET_CAP = 2.0**60
@@ -37,22 +32,17 @@ class EnvelopeError(RuntimeError):
     lane: int | None = None
 
 
-class Band(NamedTuple):
-    """One piece of the optimal fund value in the dual coordinate u = y z:
-    V = coef * u^(-1/b) + const on u_lo <= u < u_hi.  coef = 0 marks a flat
-    band, where V is the constant const."""
-
-    u_lo: float
-    u_hi: float
-    coef: float
-    const: float
-
-
 class EnvelopeLanes(NamedTuple):
     """The concave envelopes of many fees (m[i], alpha[i], c[i]): the band
-    tables as (3, lanes) arrays u_lo, u_hi, coef and const, zero after a
-    lane's last band, and per lane the case ('A', 'B' or 'C') and the scalars
-    ConcaveEnvelope names."""
+    tables as (3, lanes) arrays u_lo, u_hi, coef and const, and per lane the
+    case ('A', 'B' or 'C') and the scalars ConcaveEnvelope names.
+
+    Row j of a lane's table is one piece of the optimal fund value in the
+    dual coordinate u = y z: V = coef * u^(-1/b) + const on u_lo <= u < u_hi,
+    the performance-fee piece first; coef = 0 marks a flat band, where V is
+    the constant const.  The bands run contiguously from u = 0 to u = slope
+    (V = 0 beyond); case A has one band, B two, C three, and the rows after a
+    lane's last band are zero, empty bands."""
 
     u_lo: np.ndarray
     u_hi: np.ndarray
@@ -85,7 +75,7 @@ class ConcaveEnvelope:
     fee: FeeStructure
     hara: HaraParams
     v0: float
-    case_tag: CaseTag
+    case: str                              # 'A', 'B' or 'C'
     theta1: float
     theta2: float
     slope: float
@@ -97,10 +87,7 @@ class ConcaveEnvelope:
     slope_i3: float = field(repr=False)    # upper marginal of the last piece
     slope_i2: float = field(repr=False)    # upper marginal of the middle piece (case C)
 
-    # contiguous from u = 0 to u = slope, the performance-fee piece first;
-    # V = 0 for u >= slope
-    bands: tuple[Band, ...] = field(repr=False)
-    lanes: EnvelopeLanes = field(repr=False, compare=False)
+    lanes: EnvelopeLanes = field(repr=False, compare=False)    # the band table
 
     def utility(self, v: float) -> float:
         """The original (non-concave) composite utility."""
@@ -123,10 +110,7 @@ _SCALARS = ("theta1", "theta2", "slope", "u_at_zero", "kink1", "kink2", "slope_i
 def build_envelope(fee: FeeStructure, p: HaraParams, v0: float) -> ConcaveEnvelope:
     """The concave envelope of one fee: envelope_lanes on a single lane."""
     lanes = envelope_lanes(np.array([fee.m]), np.array([fee.alpha]), np.array([fee.c]), p, v0)
-    case = CaseTag(lanes.case[0])
-    # case A has one band, B two, C three
-    bands = tuple(Band(*(float(x[j, 0]) for x in lanes[:4])) for j in range("ABC".index(case.value) + 1))
-    return ConcaveEnvelope(fee=fee, hara=p, v0=v0, case_tag=case, bands=bands, lanes=lanes,
+    return ConcaveEnvelope(fee=fee, hara=p, v0=v0, case=str(lanes.case[0]), lanes=lanes,
                            **{name: float(getattr(lanes, name)[0]) for name in _SCALARS})
 
 
@@ -152,15 +136,21 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
 
     kink1, kink2 = (1.0 + m - c) * v0, (1.0 + m) * v0
     ruin = v0 * (m - c) + a                    # utility base of the manager's payoff on the flat piece
-    u_ruin = _power_lanes(ruin, 1.0 - b)
+    u_ruin = _power(ruin, 1.0 - b)
+    # infinite only for b > 1 (near the domain edge, or with a huge b), where
+    # it leaves the chord from zero no slope; the power at the upper kink is
+    # then finite, as its base is larger
+    all_lanes = np.arange(m.size)
+    require(np.isfinite(u_ruin), all_lanes,
+            lambda i: f"utility power (v0 (m - c) + a)^(1-b) = {u_ruin[i]} at the ruin payoff beyond double range")
     # the regime: the chord slope from zero to the upper kink against the
     # one-sided marginals there, ties to B
-    h = (_power_lanes(m * v0 + a, 1.0 - b) - u_ruin) / ((1.0 - b) * (1.0 + m) * v0)
-    slope_i2 = _power_lanes(m * v0 + a, -b)
+    h = (_power(m * v0 + a, 1.0 - b) - u_ruin) / ((1.0 - b) * (1.0 + m) * v0)
+    slope_i2 = _power(m * v0 + a, -b)
     slope_i3 = alpha * slope_i2
     case_a = h < slope_i3
     case_c = ~case_a & ~(h <= slope_i2)
-    power_coef = _power_lanes(alpha, (1.0 - b) / b)
+    power_coef = _power(alpha, (1.0 - b) / b)
     power_const = (1.0 + m - m / alpha) * v0 - a / alpha
 
     theta1, slope = kink2.copy(), h.copy()
@@ -196,7 +186,7 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
         require(ok, T, lambda j: f"tangency root not found in [{lo[j]}, {hi[j]}]")
         theta1[T] = root
         slope[T] = s * np.exp(-b * np.log(s * root + X))
-    require(~(theta1 < kink1), np.arange(m.size), lambda i: f"theta1={theta1[i]} below the first kink {kink1[i]}")
+    require(~(theta1 < kink1), all_lanes, lambda i: f"theta1={theta1[i]} below the first kink {kink1[i]}")
 
     # the band table, performance-fee piece first: case A has that piece
     # alone, B adds the flat band at the upper kink, C the middle piece too
@@ -207,7 +197,7 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
                      np.where(case_c, slope, 0.0)])
     coef = np.stack([power_coef, zero, np.where(case_c, 1.0, 0.0)])
     const = np.stack([power_const, np.where(flat, kink2, 0.0), np.where(case_c, v0 - a, 0.0)])
-    case = np.where(case_a, CaseTag.A.value, np.where(case_c, CaseTag.C.value, CaseTag.B.value))
+    case = np.where(case_a, "A", np.where(case_c, "C", "B"))
     return EnvelopeLanes(u_lo, u_hi, coef, const, case, theta1, np.where(case_a, theta1, kink2), slope,
                          u_ruin / (1.0 - b), kink1, kink2, slope_i3, slope_i2, m, alpha, c)
 
@@ -246,9 +236,9 @@ def pointwise_argmax(env: ConcaveEnvelope, y: float, z: float) -> float:
     u = y * z
     if u >= env.slope:
         return 0.0
-    if env.case_tag is CaseTag.A:
+    if env.case == "A":
         return inverse_marginal_last(env, u)
-    if env.case_tag is CaseTag.B:
+    if env.case == "B":
         if u >= env.slope_i3:
             return env.theta2
         return inverse_marginal_last(env, u)

@@ -6,13 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Admissible fee box: management fee up to 5%, performance fee 0.1%..50%
-# (a strictly positive performance fee is assumed throughout), coverage up
-# to 30%.
-M_MAX = 0.05
-ALPHA_MIN = 0.001
-ALPHA_MAX = 0.50
-C_MAX = 0.30
+# The admissible fee box, one (name, lower, upper) row per coordinate m,
+# alpha, c: management fee up to 5%, performance fee 0.1%..50% (a strictly
+# positive performance fee is assumed throughout), coverage up to 30%.
+FEE_BOX = (
+    ("management fee m", 0.0, 0.05),
+    ("performance fee alpha", 0.001, 0.50),
+    ("first-loss coverage c", 0.0, 0.30),
+)
+FEE_LO = np.array([lo for _, lo, _ in FEE_BOX])
+FEE_HI = np.array([hi for _, _, hi in FEE_BOX])
 
 _BOUND_TOL = 1e-12
 
@@ -33,12 +36,9 @@ class FeeStructure:
     c: float
 
     def __post_init__(self) -> None:
-        if not (-_BOUND_TOL <= self.m <= M_MAX + _BOUND_TOL):
-            raise ContractError(f"management fee m={self.m} outside [0, {M_MAX}]")
-        if not (ALPHA_MIN - _BOUND_TOL <= self.alpha <= ALPHA_MAX + _BOUND_TOL):
-            raise ContractError(f"performance fee alpha={self.alpha} outside [{ALPHA_MIN}, {ALPHA_MAX}]")
-        if not (-_BOUND_TOL <= self.c <= C_MAX + _BOUND_TOL):
-            raise ContractError(f"first-loss coverage c={self.c} outside [0, {C_MAX}]")
+        for (name, lo, hi), x in zip(FEE_BOX, (self.m, self.alpha, self.c)):
+            if not (lo - _BOUND_TOL <= x <= hi + _BOUND_TOL):
+                raise ContractError(f"{name}={x} outside [{lo:g}, {hi:g}]")
 
     @classmethod
     def raw(cls, m: float, alpha: float, c: float) -> "FeeStructure":
@@ -69,11 +69,10 @@ def fee_label(m: float, alpha: float, c: float) -> str:
 def in_fee_box(m: np.ndarray, alpha: np.ndarray, c: np.ndarray) -> np.ndarray:
     """FeeStructure's box check over arrays: True where (m, alpha, c) is a
     valid fee, with the same tolerance; NaN is outside."""
-    return (
-        (-_BOUND_TOL <= m) & (m <= M_MAX + _BOUND_TOL)
-        & (ALPHA_MIN - _BOUND_TOL <= alpha) & (alpha <= ALPHA_MAX + _BOUND_TOL)
-        & (-_BOUND_TOL <= c) & (c <= C_MAX + _BOUND_TOL)
-    )
+    inside = True
+    for (_, lo, hi), x in zip(FEE_BOX, (m, alpha, c)):
+        inside = inside & (lo - _BOUND_TOL <= x) & (x <= hi + _BOUND_TOL)
+    return inside
 
 
 def investor_payoff(fee: FeeStructure, v0: float, vT: float) -> float:

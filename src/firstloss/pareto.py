@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import ALPHA_MAX, ALPHA_MIN, C_MAX, M_MAX, FeeStructure, fee_label
+from .contract import FEE_HI, FEE_LO, FeeStructure, fee_label
 from .market import MarketParams
 from .preferences import HaraParams, admissible_lanes
 from .roots import newton_root, pattern_search
@@ -42,7 +42,6 @@ from .wealth import SolveError
 _SEED_TOL = 1e-12
 _BOUND_SNAP = 1e-7
 _EPS = np.finfo(float).eps
-_BOX = np.array([0.0, ALPHA_MIN, 0.0]), np.array([M_MAX, ALPHA_MAX, C_MAX])
 
 
 class InfeasibleReservation(ValueError):
@@ -67,13 +66,13 @@ class GridSteps:
             raise ValueError("grid steps must be positive")
 
     def m_grid(self) -> np.ndarray:
-        return np.round(np.arange(0.0, M_MAX + self.dm / 2, self.dm), 12)
+        return np.round(np.arange(FEE_LO[0], FEE_HI[0] + self.dm / 2, self.dm), 12)
 
     def alpha_grid(self) -> np.ndarray:
-        return np.round(np.arange(self.dalpha, ALPHA_MAX + self.dalpha / 2, self.dalpha), 12)
+        return np.round(np.arange(self.dalpha, FEE_HI[1] + self.dalpha / 2, self.dalpha), 12)
 
     def c_grid(self) -> np.ndarray:
-        return np.round(np.arange(0.0, C_MAX + self.dc / 2, self.dc), 12)
+        return np.round(np.arange(FEE_LO[2], FEE_HI[2] + self.dc / 2, self.dc), 12)
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,7 @@ def _span(rows: np.ndarray, axis: int, manager: HaraParams, investor: HaraParams
     """The range of fee coordinate axis (0 m, 1 alpha, 2 c) at each row's
     other two: the box, cut where c - m leaves [-a_I, a_M] / v0, and 1e-9
     inside a cut that is itself inadmissible (b > 1, or b < 1 by rounding)."""
-    lo = np.full(len(rows), (0.0, ALPHA_MIN, 0.0)[axis])
-    hi = np.full(len(rows), (M_MAX, ALPHA_MAX, C_MAX)[axis])
+    lo, hi = np.full(len(rows), FEE_LO[axis]), np.full(len(rows), FEE_HI[axis])
     if axis != 1:
         held = rows[:, 2 - axis]
         d_lo, d_hi = (-investor.a / v0, manager.a / v0) if axis == 2 else (-manager.a / v0, investor.a / v0)
@@ -247,7 +245,7 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
     x_u = np.array([scan.fees[best]])
     f_u, u = phi_I(x_u, scan.t[[best]])
     pattern_search(lambda points, lanes, fee: phi_I(points, fee[:, 3]), x_u, f_u, u,
-                   np.array([[steps.dm, steps.dalpha, steps.dc]]), *_BOX)
+                   np.array([[steps.dm, steps.dalpha, steps.dc]]), FEE_LO, FEE_HI)
     slack = levels <= evaluate_fees(x_u, market, manager, investor, u[:, 3]).phi_M[0]
     fees = np.where(slack[:, None], u, math.nan)
     found = np.where(slack, f_u[0], -math.inf)
@@ -298,7 +296,7 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
     # from the seeds' own binding fees
     fx, fee = G(starts[:, :2], np.arange(owner.size), starts)
     h = np.tile([steps.dm, steps.dalpha], (owner.size, 1))
-    pattern_search(G, fee[:, :2].copy(), fx, fee, h, _BOX[0][:2], _BOX[1][:2])
+    pattern_search(G, fee[:, :2].copy(), fx, fee, h, FEE_LO[:2], FEE_HI[:2])
     fees[owner], found[owner] = fee[:, :4], fx
 
     # a level's best feasible lattice fee stands where the search did not beat it
@@ -306,13 +304,14 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
     first = seeds[lattice]
     fees[lattice] = np.column_stack([np.reshape([scan.fees[j] for j in first], (-1, 3)), scan.t[first]])
     final = evaluate_fees(fees[:, :3], market, manager, investor, fees[:, 3])
-    c_top = _span(np.array([[M_MAX, ALPHA_MAX, 0.0]]), 2, manager, investor, v0)[1][0]
+    # a fee on a face of the box, the top of c where the coverage range cuts it
+    lo = FEE_LO + _BOUND_SNAP
+    hi = np.append(FEE_HI[:2], _span(FEE_HI[None], 2, manager, investor, v0)[1]) - _BOUND_SNAP
     points = []
     for i, level in enumerate(levels.tolist()):
         fee = FeeStructure(*fees[i, :3].tolist())
-        bounds = (("m_low", fee.m <= _BOUND_SNAP), ("m_high", fee.m >= M_MAX - _BOUND_SNAP),
-                  ("alpha_low", fee.alpha <= ALPHA_MIN + _BOUND_SNAP), ("alpha_high", fee.alpha >= ALPHA_MAX - _BOUND_SNAP),
-                  ("c_low", fee.c <= _BOUND_SNAP), ("c_high", fee.c >= c_top - _BOUND_SNAP))
+        bounds = (("m_low", fee.m <= lo[0]), ("m_high", fee.m >= hi[0]), ("alpha_low", fee.alpha <= lo[1]),
+                  ("alpha_high", fee.alpha >= hi[1]), ("c_low", fee.c <= lo[2]), ("c_high", fee.c >= hi[2]))
         points.append(ParetoPoint(phi_min=level, fee=fee, phi_M=float(final.phi_M[i]), phi_I=float(final.phi_I[i]),
                                   sharpe=float(final.sharpe[i]), bound_flags=tuple(name for name, hit in bounds if hit),
                                   seed_phi_I=float(seed_phi_I[i])))

@@ -1,10 +1,8 @@
-"""HARA utilities, the manager's composite (non-concave) utility, the
-admissibility of a fee, and the three concavification regimes (CaseTag),
-which concavify.envelope_lanes tells apart."""
+"""HARA utilities, the manager's composite (non-concave) utility and the
+admissibility of a fee."""
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -44,68 +42,42 @@ class HaraParams:
             raise PreferenceError("b = 1 (log utility) is not supported")
 
 
-class CaseTag(enum.Enum):
-    """Shape regime of the concave envelope of the manager's utility.
-
-    A -- the envelope's line is tangent beyond the upper payoff kink
-    B -- the line ends exactly at the upper kink
-    C -- the line is tangent between the two kinks
-    """
-
-    A = "A"
-    B = "B"
-    C = "C"
-
-
-def _power(base: float, exponent: float) -> float:
-    # exp(e*log(base)) with a guard: a tiny base with a negative exponent
-    # signals an inadmissible wealth, not an infinite utility.
-    if base < 0.0:
-        raise PreferenceError(f"negative utility base {base}")
-    if base == 0.0:
-        if exponent > 0.0:
-            return 0.0
-        raise PreferenceError("zero utility base with non-positive exponent")
-    if base < _TINY_BASE and exponent < 0.0:
-        raise PreferenceError(f"utility base {base} too small for exponent {exponent}")
-    try:
-        return math.exp(exponent * math.log(base))
-    except OverflowError:    # inf, as _power_lanes gives it
-        return math.inf
-
-
 def _in_power_domain(base: np.ndarray, exponent: float) -> np.ndarray:
-    # the bases _power and _power_lanes accept: >= 0, and not tiny if exponent < 0
-    return (base >= 0.0) & ((base > 0.0) | (exponent > 0.0)) & ((base >= _TINY_BASE) | (exponent >= 0.0))
+    # the bases _power accepts: >= 0, > 0 if exponent <= 0, not tiny if exponent < 0
+    if exponent > 0.0:
+        return base >= 0.0
+    return base > 0.0 if exponent == 0.0 else base >= _TINY_BASE
 
 
-def _power_lanes(base: np.ndarray, exponent: float) -> np.ndarray:
-    # _power over an array of bases, with the same guard: the first lane it
-    # rejects raises, naming the lane
-    bad = ~_in_power_domain(base, exponent)
-    if bad.any():
-        lane = int(np.flatnonzero(bad)[0])
-        x = base[lane]
+def _power(base, exponent: float):
+    """base^exponent as exp(exponent log base), for a float base (giving a
+    float) or an array of bases.
+
+    A tiny base with a negative exponent signals an inadmissible wealth, not
+    an infinite utility: a base outside _in_power_domain raises
+    PreferenceError, and for an array the first such lane raises, carrying
+    its index as ``lane``.  A result beyond double range is inf, silently.
+    """
+    x = np.asarray(base, dtype=float)
+    ok = _in_power_domain(x, exponent)
+    if not ok.all():
+        lane = int(np.argmin(ok))
+        v = float(x.flat[lane])
         exc = PreferenceError(
-            f"negative utility base {x}" if x < 0.0 else
-            "zero utility base with non-positive exponent" if x == 0.0 else
-            f"utility base {x} too small for exponent {exponent}")
-        exc.lane = lane
+            f"negative utility base {v}" if v < 0.0 else
+            "zero utility base with non-positive exponent" if v == 0.0 else
+            f"utility base {v} too small for exponent {exponent}")
+        if x.ndim:
+            exc.lane = lane
         raise exc
-    with np.errstate(divide="ignore"):
-        return np.exp(exponent * np.log(base))
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.exp(exponent * np.log(x))
+    return out if x.ndim else float(out)
 
 
 def hara_utility(p: HaraParams, wealth: float) -> float:
-    """(wealth + a)^(1-b) / (1-b); requires wealth + a > 0 (= 0 only if b < 1)."""
-    base = wealth + p.a
-    if base < 0.0:
-        raise PreferenceError(f"wealth {wealth} below the utility domain (-{p.a})")
-    if base == 0.0:
-        if p.b > 1.0:
-            raise PreferenceError("utility is -inf at the domain edge for b > 1")
-        return 0.0
-    return _power(base, 1.0 - p.b) / (1.0 - p.b)
+    """(wealth + a)^(1-b) / (1-b), for wealth + a in _power's domain."""
+    return _power(wealth + p.a, 1.0 - p.b) / (1.0 - p.b)
 
 
 def fee_admissible(fee: FeeStructure, manager: HaraParams, investor: HaraParams, v0: float) -> bool:

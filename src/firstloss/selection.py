@@ -4,7 +4,7 @@ the constant-mix benchmark."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -14,11 +14,8 @@ from .market import MarketParams, MomentRangeError
 from .pareto import Frontier, GridSteps, InfeasibleReservation, grid_scan, sweep_frontier
 from .preferences import HaraParams, PreferenceError, hara_utility
 from .quadrature import QuadratureError, integrate
-from .valuation import evaluate_fee
+from .valuation import _INV_SQRT_2PI, _W_CUTOFF, evaluate_fee
 from .wealth import SolveError
-
-_W_CUTOFF = 10.0
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class SelectionError(ValueError):
@@ -41,19 +38,20 @@ class PreferredFee:
     found: bool = True
 
 
-def preferred_fee(frontier: Frontier) -> PreferredFee:
-    """Frontier point with the highest fund Sharpe ratio.
+def _sharpe_max(points, provenance: str) -> PreferredFee:
+    """The point with the highest fund Sharpe ratio; ties resolve toward the
+    smaller reservation level, so reruns are stable."""
+    best = max(points, key=lambda p: (p.sharpe, -p.phi_min))
+    return PreferredFee(fee=best.fee, sharpe=best.sharpe, phi_M=best.phi_M, phi_I=best.phi_I,
+                        phi_min=best.phi_min, provenance=provenance)
 
-    Ties resolve toward the smaller reservation level, so reruns are stable.
-    """
+
+def preferred_fee(frontier: Frontier) -> PreferredFee:
+    """Frontier point with the highest fund Sharpe ratio (_sharpe_max)."""
     usable = [p for p in frontier.points if math.isfinite(p.sharpe)]
     if not usable:
         raise SelectionError("empty frontier")
-    best = max(usable, key=lambda p: (p.sharpe, -p.phi_min))
-    return PreferredFee(
-        fee=best.fee, sharpe=best.sharpe, phi_M=best.phi_M, phi_I=best.phi_I,
-        phi_min=best.phi_min, provenance="sharpe-max over frontier",
-    )
+    return _sharpe_max(usable, "sharpe-max over frontier")
 
 
 def constrained_preferred_fee(
@@ -78,11 +76,7 @@ def constrained_preferred_fee(
             fee=None, sharpe=math.nan, phi_M=floor_val, phi_I=math.nan, phi_min=math.nan,
             provenance=f"no frontier point clears the floor phi_M={floor_val:.6f}", found=False,
         )
-    best = max(eligible, key=lambda p: (p.sharpe, -p.phi_min))
-    return PreferredFee(
-        fee=best.fee, sharpe=best.sharpe, phi_M=best.phi_M, phi_I=best.phi_I,
-        phi_min=best.phi_min, provenance=f"sharpe-max over frontier with floor phi_M>={floor_val:.6f}",
-    )
+    return _sharpe_max(eligible, f"sharpe-max over frontier with floor phi_M>={floor_val:.6f}")
 
 
 @dataclass(frozen=True)
@@ -133,17 +127,11 @@ def sensitivity_sweep(
         mkt, man, inv = market, manager, investor
         if axis == "ba":
             b_m, b_i = value
-            man = HaraParams(a=manager.a, b=b_m)
-            inv = HaraParams(a=investor.a, b=b_i)
+            man, inv = replace(manager, b=b_m), replace(investor, b=b_i)
             label = f"bM={b_m},bI={b_i}"
-        elif axis == "r":
-            mkt = MarketParams(r=float(value), gamma=market.gamma, horizon_T=market.horizon_T,
-                               v0=market.v0, sigma=market.sigma)
-            label = f"r={value}"
         else:
-            mkt = MarketParams(r=market.r, gamma=float(value), horizon_T=market.horizon_T,
-                               v0=market.v0, sigma=market.sigma)
-            label = f"gamma={value}"
+            mkt = replace(market, **{axis: float(value)})
+            label = f"{axis}={value}"
         inputs.append((label, mkt, man, inv))
     cells: list[SweepCell] = []
     for label, mkt, man, inv in inputs:

@@ -24,17 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concavify import EnvelopeError, envelope_lanes
-from .contract import ALPHA_MAX, ALPHA_MIN, M_MAX, ContractError, FeeStructure, fee_label, in_fee_box
+from .contract import FEE_HI, FEE_LO, ContractError, FeeStructure, fee_label, in_fee_box
 from .market import MarketParams, partial_power_expectation_normal as ppe
-from .preferences import (
-    CaseTag,
-    HaraParams,
-    PreferenceError,
-    _power,
-    _power_lanes,
-    admissible_lanes,
-    require_admissible,
-)
+from .preferences import HaraParams, PreferenceError, _power, admissible_lanes, require_admissible
 from .quadrature import QuadratureError, integrate_lanes
 from .roots import pattern_search
 from .wealth import (
@@ -58,16 +50,13 @@ _LANES = 1024
 
 @dataclass(frozen=True)
 class FeeMetrics:
-    """Everything the sweeps need for one fee, from a single budget solve."""
+    """Both parties' values and the Sharpe ratio of one fee, and its regime
+    ('A', 'B' or 'C'), from a single budget solve."""
 
     fee: FeeStructure
-    case_tag: CaseTag
-    y_star: float
-    theta1: float
+    case: str
     phi_M: float
     phi_I: float
-    expected_value: float
-    variance: float
     sharpe: float
 
 
@@ -130,7 +119,7 @@ def investor_value_lanes(w: WealthLanes, manager: HaraParams, investor: HaraPara
     v0, mu, sig = market.v0, market.log_drift, market.log_vol
     bM, bI, aI = manager.b, investor.b, investor.a
 
-    phi_i = _power_lanes(v0 * (env.c - env.m) + aI, 1.0 - bI) / (1.0 - bI) * w.beyond_support
+    phi_i = _power(v0 * (env.c - env.m) + aI, 1.0 - bI) / (1.0 - bI) * w.beyond_support
     # the bands after the first (flat band, loss absorption) are contiguous
     # and pay the investor exactly v0; the range is empty with a single band
     phi_i += _power(v0 + aI, 1.0 - bI) / (1.0 - bI) * ppe(market, 0.0, w.d_hi[0], w.d_support)
@@ -171,18 +160,9 @@ def evaluate_fee(fee: FeeStructure, market: MarketParams, manager: HaraParams, i
     """Solve once, then read off both value functions and the Sharpe ratio:
     evaluate_fees's chain on a single lane."""
     require_admissible(fee, manager, investor, market.v0)
-    w, phi_m, phi_i, ev, ev2, sharpe = _evaluate_block(np.array([[fee.m, fee.alpha, fee.c]]), market, manager, investor)
-    return FeeMetrics(
-        fee=fee,
-        case_tag=CaseTag(w.env.case[0]),
-        y_star=math.exp(w.t[0]),
-        theta1=float(w.env.theta1[0]),
-        phi_M=float(phi_m[0]),
-        phi_I=float(phi_i[0]),
-        expected_value=float(ev[0]),
-        variance=float(ev2[0] - ev[0] * ev[0]),
-        sharpe=float(sharpe[0]),
-    )
+    w, phi_m, phi_i, sharpe = _evaluate_block(np.array([[fee.m, fee.alpha, fee.c]]), market, manager, investor)
+    return FeeMetrics(fee=fee, case=str(w.env.case[0]), phi_M=float(phi_m[0]), phi_I=float(phi_i[0]),
+                      sharpe=float(sharpe[0]))
 
 
 @dataclass(frozen=True)
@@ -242,7 +222,7 @@ def evaluate_fees(
         case=np.full(n, "-"), feasible=feasible, t=np.full(n, math.nan),
     )
     for idx in blocks:
-        w, out.phi_M[idx], out.phi_I[idx], _, _, out.sharpe[idx] = _evaluate_block(
+        w, out.phi_M[idx], out.phi_I[idx], out.sharpe[idx] = _evaluate_block(
             rows[idx], market, manager, investor, None if t_near is None else t_near[idx])
         out.case[idx], out.t[idx] = w.env.case, w.t
     return out
@@ -279,8 +259,8 @@ def _manager_block(rows: np.ndarray, market: MarketParams, manager: HaraParams, 
 
 def _evaluate_block(rows: np.ndarray, market: MarketParams, manager: HaraParams, investor: HaraParams,
                     t_near: np.ndarray | None = None) -> tuple:
-    """Per row: the optimal fund value's lanes, phi_M, phi_I, E[V], E[V^2]
-    and the Sharpe ratio."""
+    """Per row: the optimal fund value's lanes, phi_M, phi_I and the Sharpe
+    ratio."""
     w, phi_m = _manager_block(rows, market, manager, t_near)
     try:
         ev, ev2 = moment_lanes(w, manager.b)
@@ -290,7 +270,7 @@ def _evaluate_block(rows: np.ndarray, market: MarketParams, manager: HaraParams,
             f"non-finite value phi_M={phi_m[i]}, phi_I={phi_i[i]}, SR={sharpe[i]} for fee {fee_label(*rows[i])}"))
     except (PreferenceError, SolveError, QuadratureError) as exc:
         raise _at_fee(exc, rows[exc.lane])
-    return w, phi_m, phi_i, ev, ev2, sharpe
+    return w, phi_m, phi_i, sharpe
 
 
 def optimize_traditional(
@@ -303,8 +283,8 @@ def optimize_traditional(
     """Investor-optimal traditional fee (c = 0) over the fee box: dense grid,
     then the lane-wise pattern search from its best fee, which it never
     falls below."""
-    ms = np.round(np.arange(0.0, M_MAX + dm / 2, dm), 10)
-    alphas = np.round(np.arange(max(ALPHA_MIN, dalpha), ALPHA_MAX + dalpha / 2, dalpha), 10)
+    ms = np.round(np.arange(FEE_LO[0], FEE_HI[0] + dm / 2, dm), 10)
+    alphas = np.round(np.arange(max(FEE_LO[1], dalpha), FEE_HI[1] + dalpha / 2, dalpha), 10)
     grid = [(float(m), float(a), 0.0) for m in ms for a in alphas]
     batch = evaluate_fees(grid, market, manager, investor)
     if not batch.feasible.all():
@@ -317,5 +297,5 @@ def optimize_traditional(
 
     x = np.array([grid[i][:2]])
     pattern_search(phi_i, x, batch.phi_I[i:i + 1].copy(), np.array([grid[i]]), np.array([[dm, dalpha]]),
-                   np.array([0.0, ALPHA_MIN]), np.array([M_MAX, ALPHA_MAX]))
+                   FEE_LO[:2], FEE_HI[:2])
     return float(x[0, 0]), float(x[0, 1])

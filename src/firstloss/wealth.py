@@ -24,7 +24,7 @@ import numpy as np
 from .concavify import ConcaveEnvelope, EnvelopeLanes, build_envelope
 from .contract import FeeStructure, fee_label
 from .market import MarketParams, kernel_bound_normal, partial_power_expectation_normal as ppe
-from .preferences import CaseTag, HaraParams
+from .preferences import HaraParams
 from .roots import MAX_ITER, XRTOL
 
 _BUDGET_RTOL = 1e-11
@@ -188,7 +188,7 @@ class OptimalWealthSolution:
     @property
     def z_power_end(self) -> float:
         """Kernel value where the performance-fee power branch ends."""
-        return self.envelope.bands[0].u_hi / self.y_star
+        return self.thresholds()[0]
 
     @property
     def z_support(self) -> float:
@@ -196,8 +196,8 @@ class OptimalWealthSolution:
         return self.envelope.slope / self.y_star
 
     @property
-    def case_tag(self) -> CaseTag:
-        return self.envelope.case_tag
+    def case(self) -> str:
+        return self.envelope.case
 
     @property
     def fee(self) -> FeeStructure:
@@ -209,7 +209,9 @@ class OptimalWealthSolution:
 
     def thresholds(self) -> tuple[float, ...]:
         """Right edges of the kernel bands, the support edge last."""
-        return tuple(band.u_hi / self.y_star for band in self.envelope.bands)
+        y = self.y_star
+        # one lane's band table; its zero rows are empty bands
+        return tuple(u_hi / y for u_hi in self.envelope.lanes.u_hi[:, 0].tolist() if u_hi > 0.0)
 
     def lanes(self) -> WealthLanes:
         """The solution as the one lane of wealth_lanes."""
@@ -240,14 +242,15 @@ def terminal_value_array(sol: OptimalWealthSolution, z: np.ndarray) -> np.ndarra
     edge on, as in pointwise_argmax (ties are null events under the
     continuous kernel law).
     """
-    env, y = sol.envelope, sol.y_star
+    env, y = sol.envelope.lanes, sol.y_star
     z = np.asarray(z, dtype=float)
     if not (z > 0.0).all():
         raise ValueError("kernel values must be > 0")
     out = np.zeros_like(z)
-    for u_lo, u_hi, coef, const in env.bands:
+    # one lane's band table; its zero rows are empty bands
+    for u_lo, u_hi, coef, const in zip(env.u_lo[:, 0], env.u_hi[:, 0], env.coef[:, 0], env.const[:, 0]):
         on = (z >= u_lo / y) & (z < u_hi / y)
-        out[on] = coef * (y * z[on]) ** (-1.0 / env.hara.b) + const
+        out[on] = coef * (y * z[on]) ** (-1.0 / sol.envelope.hara.b) + const
     return out
 
 

@@ -207,7 +207,7 @@ def test_envelope_lanes_match_scalar(b_m, base_market):
         np.testing.assert_allclose(got, table, rtol=1e-12, atol=0.0, err_msg=str(r["fee"]))
         # the one-fee envelope is this lane
         env = build_envelope(FeeStructure(*r["fee"]), manager, v0)
-        assert (env.case_tag.value, env.theta1, env.slope) == (r["case"], lanes.theta1[i], lanes.slope[i])
+        assert (env.case, env.theta1, env.slope) == (r["case"], lanes.theta1[i], lanes.slope[i])
     # the utility is -inf at the worst payoff of the refused fees (b_M > 1)
     refused = [r["fee"] for r in frozen if r["case"] == "-"]
     assert bool(refused) == (b_m > 1.0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from firstloss import (
-    CaseTag,
     HaraParams,
     brute_pointwise,
     build_envelope,
@@ -20,14 +19,14 @@ def test_theta1_frozen_grid_oracle(base_manager):
     # brute-force chord-slope maximization over v in (1, 50], 2e6-point grid
     # plus golden refinement: theta1 = 3.82147252, slope = 0.2198871521
     env = build_envelope(fee_pct(0, 20, 0), base_manager, 1.0)
-    assert env.case_tag is CaseTag.A
+    assert env.case == "A"
     assert env.theta1 == pytest.approx(3.82147252, abs=1e-6)
     assert env.slope == pytest.approx(0.2198871521, rel=1e-8)
 
 
 def test_case_b_theta1_is_upper_kink(base_manager):
     env = build_envelope(fee_pct(5, 10, 26), base_manager, 1.0)
-    assert env.case_tag is CaseTag.B
+    assert env.case == "B"
     assert env.theta1 == (1.0 + 0.05) * 1.0
     assert env.theta2 == env.theta1
 
@@ -38,7 +37,7 @@ def test_tangency_cases_a_and_c(base_manager):
     assert abs(env_a.slope - env_a.utility_slope(env_a.theta1)) <= 1e-10 * env_a.slope
 
     env_c = build_envelope(fee_pct(0, 10, 25), HaraParams(0.3, 5.0), 1.0)
-    assert env_c.case_tag is CaseTag.C
+    assert env_c.case == "C"
     assert env_c.kink1 < env_c.theta1 < env_c.kink2
     assert abs(env_c.slope - env_c.utility_slope(env_c.theta1)) <= 1e-10 * env_c.slope
 
@@ -152,10 +151,10 @@ def test_envelope_continuous_across_case_boundary(base_manager):
     tags, theta1s = [], []
     for c in cs:
         env = build_envelope(fee_pct(5, 10, 100 * c), base_manager, 1.0)
-        tags.append(env.case_tag)
+        tags.append(env.case)
         theta1s.append(env.theta1)
-    assert CaseTag.A in tags and CaseTag.B in tags
-    switch = tags.index(CaseTag.B)
+    assert "A" in tags and "B" in tags
+    switch = tags.index("B")
     assert theta1s[switch] == pytest.approx(1.05, abs=1e-12)
     assert theta1s[switch - 1] == pytest.approx(1.05, abs=2e-3)
     assert np.abs(np.diff(theta1s)).max() < 2e-3

@@ -1,8 +1,12 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firstloss import ContractError, FeeStructure, investor_payoff, manager_payoff
+from firstloss.contract import _BOUND_TOL, FEE_BOX, in_fee_box
 
 from conftest import fee_pct
 
@@ -81,3 +85,21 @@ def test_branch_slopes():
         dm = (manager_payoff(fee, 1.0, v + eps) - manager_payoff(fee, 1.0, v)) / eps
         assert di == pytest.approx(slope_i, abs=1e-6)
         assert dm == pytest.approx(slope_m, abs=1e-6)
+
+
+def _near_bounds(lo, hi):
+    # each bound, and a hair inside and outside its tolerance, among other values
+    edges = [x + d for x in (lo, hi) for d in (0.0, -_BOUND_TOL, _BOUND_TOL, -2 * _BOUND_TOL, 2 * _BOUND_TOL)]
+    return st.one_of(st.sampled_from(edges + [math.nan, math.inf, -math.inf]),
+                     st.floats(lo - 0.01, hi + 0.01), st.floats())
+
+
+@given(st.tuples(*(_near_bounds(lo, hi) for _, lo, hi in FEE_BOX)))
+@settings(max_examples=500, deadline=None)
+def test_in_fee_box_is_fee_structure_check(fee):
+    try:
+        FeeStructure(*fee)
+        constructs = True
+    except ContractError:
+        constructs = False
+    assert bool(in_fee_box(*(np.array([x]) for x in fee))[0]) is constructs

@@ -5,7 +5,7 @@ import pytest
 
 from firstloss import HaraParams, PreferenceError, hara_utility, manager_composite_utility
 from firstloss.concavify import envelope_lanes
-from firstloss.preferences import fee_admissible
+from firstloss.preferences import _power, fee_admissible
 
 from conftest import fee_pct
 
@@ -30,6 +30,22 @@ def test_hara_domain_errors():
     for a, b in ((math.inf, 0.65), (-math.inf, 2.5), (math.nan, 0.65), (0.3, math.inf), (0.3, math.nan)):
         with pytest.raises(PreferenceError, match="must be finite"):
             HaraParams(a, b)
+
+
+@pytest.mark.parametrize("exponent", [0.35, -0.65, -1e300])
+@pytest.mark.parametrize("base", [0.0, 1e-301, -1e-12, 1.3, 1e300])
+def test_power_of_a_float_is_its_one_lane_array(base, exponent):
+    # one power function: a float base gives a float, bit for bit the lane's
+    # value, or the lane's error message
+    try:
+        got = _power(base, exponent)
+    except PreferenceError as exc:
+        with pytest.raises(PreferenceError) as lane:
+            _power(np.array([base]), exponent)
+        assert (str(lane.value), lane.value.lane, exc.lane) == (str(exc), 0, None)
+        return
+    assert type(got) is float
+    assert _power(np.array([base]), exponent).tobytes() == np.array([got]).tobytes()
 
 
 def test_composite_utility_flat_then_continuous(base_manager):

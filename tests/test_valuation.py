@@ -101,7 +101,7 @@ def test_degenerate_full_performance_fee_closed_form(base_market, base_manager, 
     ppe = lambda kk, lo, hi: partial_power_expectation(base_market, kk, lo, hi)
     expect = _power(v0 * (f.c - f.m) + base_investor.a, 1.0 - bI) / (1.0 - bI) * ppe(0.0, sol.z_support, math.inf)
     expect += _power(l, 1.0 - bI) / (1.0 - bI) * ppe(0.0, 0.0, sol.z_power_end)
-    if sol.case_tag.value != "A":
+    if sol.case != "A":
         expect += _power(v0 + base_investor.a, 1.0 - bI) / (1.0 - bI) * ppe(0.0, sol.z_power_end, sol.z_support)
     assert investor_value(sol, base_investor) == pytest.approx(expect, abs=1e-12)
 
@@ -132,7 +132,7 @@ def test_mixed_term_vs_scipy_quad(base_market, base_manager, base_investor):
         closed_rest = investor_value(sol, base_investor)
         ppe = lambda kk, lo, hi: partial_power_expectation(base_market, kk, lo, hi)
         base_terms = _power(f.c - f.m + 0.3, 1.0 - bI) / (1.0 - bI) * ppe(0.0, sol.z_support, math.inf)
-        if sol.case_tag.value != "A":
+        if sol.case != "A":
             base_terms += _power(1.3, 1.0 - bI) / (1.0 - bI) * ppe(0.0, sol.z_power_end, sol.z_support)
         assert closed_rest - base_terms == pytest.approx(ref_total, rel=1e-9, abs=1e-12)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from firstloss import (
-    CaseTag,
     HaraParams,
     MarketParams,
     build_envelope,
@@ -24,13 +23,15 @@ from firstloss.wealth import budget, solve_from_envelope
 from conftest import fee_pct
 
 CASE_FEES = [
-    (fee_pct(0, 20, 0), HaraParams(0.3, 0.65), CaseTag.A),
-    (fee_pct(5, 35.5, 26), HaraParams(0.3, 0.65), CaseTag.B),
-    (fee_pct(5, 37.5, 26), HaraParams(0.3, 0.65), CaseTag.A),
-    (fee_pct(5, 10, 26), HaraParams(0.3, 0.65), CaseTag.B),
-    (fee_pct(0, 10, 25), HaraParams(0.3, 5.0), CaseTag.C),
-    (fee_pct(4.8, 50, 30), HaraParams(0.3, 2.5), CaseTag.C),
+    (fee_pct(0, 20, 0), HaraParams(0.3, 0.65), "A"),
+    (fee_pct(5, 35.5, 26), HaraParams(0.3, 0.65), "B"),
+    (fee_pct(5, 37.5, 26), HaraParams(0.3, 0.65), "A"),
+    (fee_pct(5, 10, 26), HaraParams(0.3, 0.65), "B"),
+    (fee_pct(0, 10, 25), HaraParams(0.3, 5.0), "C"),
+    (fee_pct(4.8, 50, 30), HaraParams(0.3, 2.5), "C"),
 ]
+# the test ids of CASE_FEES, named as when the regime was an enum
+CASE_IDS = [f"fee{i}-hara{i}-CaseTag.{case}" for i, (_, _, case) in enumerate(CASE_FEES)]
 
 # values of the case-by-case closed forms that preceded the band table, at the
 # base market with investor HaraParams(0.3, 0.65): y*, thresholds(),
@@ -56,7 +57,7 @@ def test_frozen_band_values(case_fee, frozen, base_market, base_investor):
     fee, hara, case = case_fee
     y_star, thresholds, fund_moments, phi_m, phi_i, sharpe = frozen
     sol = solve_y_star(fee, hara, base_market)
-    assert sol.case_tag is case
+    assert sol.case == case
     assert sol.y_star == pytest.approx(y_star, rel=1e-12, abs=0.0)
     assert sol.thresholds() == pytest.approx(thresholds, rel=1e-12, abs=0.0)
     assert moments(sol) == pytest.approx(fund_moments, rel=1e-12, abs=0.0)
@@ -65,10 +66,10 @@ def test_frozen_band_values(case_fee, frozen, base_market, base_investor):
     assert sharpe_ratio(sol) == pytest.approx(sharpe, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("fee,hara,case", CASE_FEES)
+@pytest.mark.parametrize("fee,hara,case", CASE_FEES, ids=CASE_IDS)
 def test_budget_binds(fee, hara, case, base_market):
     sol = solve_y_star(fee, hara, base_market)
-    assert sol.case_tag is case
+    assert sol.case == case
     residual = budget(sol.envelope, base_market, sol.y_star) - base_market.v0
     assert abs(residual) <= 1e-9 * base_market.v0
 
@@ -87,14 +88,14 @@ def test_y_star_frozen_mc_oracle(base_market, base_manager):
     assert abs(sol.y_star - 0.3005431) <= 1e-3
 
 
-@pytest.mark.parametrize("fee,hara,case", CASE_FEES)
+@pytest.mark.parametrize("fee,hara,case", CASE_FEES, ids=CASE_IDS)
 def test_mc_budget_covers_v0(fee, hara, case, base_market):
     sol = solve_y_star(fee, hara, base_market)
     est = mc_budget(sol, base_market, seed=101, n=1_000_000)
     assert est.covers(base_market.v0, 4.0)
 
 
-@pytest.mark.parametrize("fee,hara,case", CASE_FEES)
+@pytest.mark.parametrize("fee,hara,case", CASE_FEES, ids=CASE_IDS)
 def test_terminal_value_support_and_monotone(fee, hara, case, base_market):
     sol = solve_y_star(fee, hara, base_market)
     z = np.sort(sample_z(base_market, seed=23, n=100_000))
@@ -107,7 +108,7 @@ def test_terminal_value_support_and_monotone(fee, hara, case, base_market):
         assert pointwise_argmax(sol.envelope, sol.y_star, float(z[i])) == pytest.approx(float(v[i]), abs=1e-12)
 
 
-@pytest.mark.parametrize("fee,hara,case", CASE_FEES)
+@pytest.mark.parametrize("fee,hara,case", CASE_FEES, ids=CASE_IDS)
 def test_terminal_value_matches_pointwise_argmax(fee, hara, case, base_market):
     sol = solve_y_star(fee, hara, base_market)
     env = sol.envelope
@@ -121,7 +122,7 @@ def test_terminal_value_matches_pointwise_argmax(fee, hara, case, base_market):
 
 def test_terminal_value_edges(base_market, base_manager):
     sol = solve_y_star(fee_pct(5, 10, 26), base_manager, base_market)
-    assert sol.case_tag is CaseTag.B
+    assert sol.case == "B"
     env, y = sol.envelope, sol.y_star
     mid = 0.5 * (sol.z_power_end + sol.z_support)
     z = np.array([sol.z_support * (1.0 - 1e-9), sol.z_support, sol.z_support * 1.0001, mid])
@@ -134,7 +135,7 @@ def test_terminal_value_edges(base_market, base_manager):
         terminal_value_array(sol, np.array([1.0, 0.0]))
 
 
-@pytest.mark.parametrize("fee,hara,case", CASE_FEES)
+@pytest.mark.parametrize("fee,hara,case", CASE_FEES, ids=CASE_IDS)
 def test_budget_closed_form_vs_numerical_integral(fee, hara, case, base_market):
     # independent route: integrate z * argmax(y, z) against the lognormal law
     # in the normal coordinate, panel edges at the band breakpoints
@@ -156,7 +157,7 @@ def test_budget_closed_form_vs_numerical_integral(fee, hara, case, base_market):
         assert closed == pytest.approx(numeric, rel=1e-8)
 
 
-@pytest.mark.parametrize("fee,hara,case", CASE_FEES)
+@pytest.mark.parametrize("fee,hara,case", CASE_FEES, ids=CASE_IDS)
 def test_moments_vs_mc(fee, hara, case, base_market):
     sol = solve_y_star(fee, hara, base_market)
     ev, ev2 = moments(sol)
