@@ -116,7 +116,7 @@ def cmd_envelope(config: RunConfig, args) -> str:
     fee = _parse_fee(args.fee)
     env = build_envelope(fee, config.manager, config.market.v0)
     grid = np.linspace(0.0, args.vmax, args.grid_n)
-    rows = [[float(v), env.utility(float(v)), envelope_eval(env, float(v))] for v in grid]
+    rows = np.column_stack([grid, env.utility(grid), envelope_eval(env, grid)]).tolist()
     path = _out(config, "envelope.csv")
     _write_csv(path, config, ["v", "utility", "envelope"], rows)
     return (

@@ -89,8 +89,9 @@ class ConcaveEnvelope:
 
     lanes: EnvelopeLanes = field(repr=False, compare=False)    # the band table
 
-    def utility(self, v: float) -> float:
-        """The original (non-concave) composite utility."""
+    def utility(self, v):
+        """The original (non-concave) composite utility, at a float or an
+        array v."""
         return manager_composite_utility(self.fee, self.hara, self.v0, v)
 
     def utility_slope(self, v: float) -> float:
@@ -202,13 +203,14 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
                          u_ruin / (1.0 - b), kink1, kink2, slope_i3, slope_i2, m, alpha, c)
 
 
-def envelope_eval(env: ConcaveEnvelope, v: float) -> float:
-    """The envelope itself: linear up to theta1, the composite utility after."""
-    if v < 0.0:
-        raise PreferenceError(f"fund value must be >= 0 (got {v})")
-    if v < env.theta1:
-        return env.u_at_zero + env.slope * v
-    return env.utility(v)
+def envelope_eval(env: ConcaveEnvelope, v):
+    """The envelope itself: linear up to theta1, the composite utility after;
+    a float v gives a float, an array an array."""
+    x = np.asarray(v, dtype=float)
+    if (x < 0.0).any():
+        raise PreferenceError(f"fund value must be >= 0 (got {x[x < 0.0].flat[0]})")
+    out = np.where(x < env.theta1, env.u_at_zero + env.slope * x, env.utility(x))
+    return out if x.ndim else float(out)
 
 
 def inverse_marginal_last(env: ConcaveEnvelope, u: float) -> float:

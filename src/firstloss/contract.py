@@ -75,31 +75,34 @@ def in_fee_box(m: np.ndarray, alpha: np.ndarray, c: np.ndarray) -> np.ndarray:
     return inside
 
 
-def investor_payoff(fee: FeeStructure, v0: float, vT: float) -> float:
-    """Investor's terminal wealth for fund value vT.
+def _fund_values(vT):
+    """vT as an array, checked >= 0."""
+    v = np.asarray(vT, dtype=float)
+    if (v < 0.0).any():
+        raise ContractError(f"fund value must be >= 0 (got {v[v < 0.0].flat[0]})")
+    return v
+
+
+def investor_payoff(fee: FeeStructure, v0: float, vT):
+    """Investor's terminal wealth for fund value vT, a float (giving a float)
+    or an array.
 
     Three branches keyed on vT - m*v0: loss coverage below (1-c)v0, a flat
     guarantee of v0 up to v0, and the surplus net of the performance fee above.
     Continuous and nondecreasing in vT.
     """
-    if vT < 0.0:
-        raise ContractError(f"fund value must be >= 0 (got {vT})")
-    net = vT - fee.m * v0
-    if net < (1.0 - fee.c) * v0:
-        return vT + v0 * (fee.c - fee.m)
-    if net < v0:
-        return v0
-    return net - fee.alpha * (vT - (1.0 + fee.m) * v0)
+    v = _fund_values(vT)
+    net = v - fee.m * v0
+    out = np.where(net < (1.0 - fee.c) * v0, v + v0 * (fee.c - fee.m),
+                   np.where(net < v0, v0, net - fee.alpha * (v - (1.0 + fee.m) * v0)))
+    return out if v.ndim else float(out)
 
 
-def manager_payoff(fee: FeeStructure, v0: float, vT: float) -> float:
-    """Manager's terminal wealth; complements investor_payoff to vT exactly."""
-    if vT < 0.0:
-        raise ContractError(f"fund value must be >= 0 (got {vT})")
-    net = vT - fee.m * v0
-    if net < (1.0 - fee.c) * v0:
-        return v0 * (fee.m - fee.c)
-    if net < v0:
-        return vT - v0
-    return fee.m * v0 + fee.alpha * (vT - (1.0 + fee.m) * v0)
-
+def manager_payoff(fee: FeeStructure, v0: float, vT):
+    """Manager's terminal wealth, for a float or an array vT as
+    investor_payoff; complements investor_payoff to vT exactly."""
+    v = _fund_values(vT)
+    net = v - fee.m * v0
+    out = np.where(net < (1.0 - fee.c) * v0, v0 * (fee.m - fee.c),
+                   np.where(net < v0, v - v0, fee.m * v0 + fee.alpha * (v - (1.0 + fee.m) * v0)))
+    return out if v.ndim else float(out)

@@ -4,7 +4,7 @@ brute-force scalar maximization.
 Every closed form in the wealth and valuation modules has a counterpart
 here that bypasses the analytic route entirely: utilities are evaluated on
 simulated kernels through the raw payoff maps, and the pointwise dual
-problem is maximized by grid search plus golden-section refinement.
+problem is maximized over the envelope itself by nested grid search.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concavify import ConcaveEnvelope, envelope_eval
-from .contract import FeeStructure
+from .contract import FeeStructure, investor_payoff, manager_payoff
 from .market import MarketParams
-from .preferences import HaraParams
+from .preferences import HaraParams, hara_utility
 from .wealth import OptimalWealthSolution, terminal_value_array
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _STREAMS = 8    # independent child streams per estimate; they bound peak memory
+_STAGE = np.linspace(0.0, 1.0, 257)    # brute_pointwise's refinement grid on [0, 1]
 
 
 class OracleError(ValueError):
@@ -93,34 +93,9 @@ def mc_value(
     """Monte Carlo expected utility of one party at the optimal fund value."""
     if party not in ("M", "I"):
         raise OracleError(f"party must be 'M' or 'I' (got {party!r})")
-    hara = manager if party == "M" else investor
-    v0 = market.v0
-
-    def value_of_z(z: np.ndarray) -> np.ndarray:
-        v = terminal_value_array(sol, z)
-        pay = _payoff_array(fee, v0, v, party)
-        return (pay + hara.a) ** (1.0 - hara.b) / (1.0 - hara.b)
-
-    return _mc_mean(market, seed, n, value_of_z)
-
-
-def _payoff_array(fee: FeeStructure, v0: float, v: np.ndarray, party: str) -> np.ndarray:
-    # vectorized mirror of the scalar payoff maps (cross-checked in tests)
-    net = v - fee.m * v0
-    mgr = np.where(
-        net < (1.0 - fee.c) * v0,
-        v0 * (fee.m - fee.c),
-        np.where(net < v0, v - v0, fee.m * v0 + fee.alpha * (v - (1.0 + fee.m) * v0)),
-    )
-    return mgr if party == "M" else v - mgr
-
-
-def _envelope_values(env: ConcaveEnvelope, v: np.ndarray) -> np.ndarray:
-    # vectorized envelope, independent of the branch table under test
-    p = env.hara
-    pay = _payoff_array(env.fee, env.v0, v, "M")
-    util = (pay + p.a) ** (1.0 - p.b) / (1.0 - p.b)
-    return np.where(v < env.theta1, env.u_at_zero + env.slope * v, util)
+    hara, payoff = (manager, manager_payoff) if party == "M" else (investor, investor_payoff)
+    return _mc_mean(market, seed, n,
+                    lambda z: hara_utility(hara, payoff(fee, market.v0, terminal_value_array(sol, z))))
 
 
 def brute_pointwise(
@@ -130,34 +105,27 @@ def brute_pointwise(
     v_max: float = 1e6,
     grid_n: int = 4096,
 ) -> float:
-    """Grid argmax of envelope(v) - y z v on [0, v_max], golden-polished.
+    """Grid argmax of envelope(v) - y z v on [0, v_max], refined by the same
+    argmax on a 257-point grid over the best point's two neighbouring cells
+    until they are 1e-12 wide; the objective is concave, so its maximum
+    stays inside them.
 
     A maximizer at the right edge means v_max was too small.
     """
     if grid_n < 1_000:
         raise OracleError(f"need grid_n >= 1000 (got {grid_n})")
+    f = lambda v: envelope_eval(env, v) - y * z * v
     grid = np.linspace(0.0, v_max, grid_n)
-    obj = _envelope_values(env, grid) - y * z * grid
-    k = int(np.argmax(obj))
+    k = int(np.argmax(f(grid)))
     if k == grid_n - 1:
         raise OracleError(f"brute-force maximizer hit v_max={v_max}; enlarge the window")
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid_n - 1)]
-
-    f = lambda v: envelope_eval(env, v) - y * z * v
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > 1e-12 * max(1.0, b):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    mid = 0.5 * (a + b)
+    while True:
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+        grid = lo + (hi - lo) * _STAGE
+        k = int(np.argmax(f(grid)))
+    mid = 0.5 * (lo + hi)
     # the flat objective on [0, theta1] at the tie makes 0 as good as any
-    return 0.0 if f(0.0) >= f(mid) else mid
+    at_zero, at_mid = f(np.array([0.0, mid]))
+    return 0.0 if at_zero >= at_mid else float(mid)

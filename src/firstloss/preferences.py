@@ -75,8 +75,9 @@ def _power(base, exponent: float):
     return out if x.ndim else float(out)
 
 
-def hara_utility(p: HaraParams, wealth: float) -> float:
-    """(wealth + a)^(1-b) / (1-b), for wealth + a in _power's domain."""
+def hara_utility(p: HaraParams, wealth):
+    """(wealth + a)^(1-b) / (1-b), for wealth + a in _power's domain; a
+    float wealth gives a float, an array an array."""
     return _power(wealth + p.a, 1.0 - p.b) / (1.0 - p.b)
 
 
@@ -104,8 +105,8 @@ def require_admissible(fee: FeeStructure, manager: HaraParams, investor: HaraPar
         )
 
 
-def manager_composite_utility(fee: FeeStructure, p: HaraParams, v0: float, vT: float) -> float:
-    """Manager's utility of her payoff at fund value vT.
+def manager_composite_utility(fee: FeeStructure, p: HaraParams, v0: float, vT):
+    """Manager's utility of her payoff at fund value vT (a float or an array).
 
     Constant below (1+m-c)v0, then two increasing concave pieces joined
     continuously; the middle/last pieces meet with a concave kink.

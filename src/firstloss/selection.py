@@ -174,13 +174,6 @@ def constant_mix_benchmark(
     growth = (r + pi * sig * market.gamma - 0.5 * (pi * sig) ** 2) * T
     vol = pi * sig * math.sqrt(T)
 
-    def fund_value(w: np.ndarray) -> np.ndarray:
-        return v0 * np.exp(growth + vol * w)
-
-    def utility_of(w_arr: np.ndarray, payoff, hara: HaraParams) -> np.ndarray:
-        values = fund_value(w_arr)
-        return np.array([hara_utility(hara, payoff(fee, v0, float(v))) for v in values])
-
     if pi == 0.0:
         v_T = v0 * math.exp(r * T)
         return ConstantMixResult(
@@ -203,7 +196,8 @@ def constant_mix_benchmark(
 
     def integrand(payoff, hara):
         def f(w: np.ndarray) -> np.ndarray:
-            return utility_of(w, payoff, hara) * np.exp(-0.5 * w * w) * _INV_SQRT_2PI
+            fund_value = v0 * np.exp(growth + vol * w)
+            return hara_utility(hara, payoff(fee, v0, fund_value)) * np.exp(-0.5 * w * w) * _INV_SQRT_2PI
         return f
 
     phi_m = integrate(integrand(manager_payoff, manager), -_W_CUTOFF, _W_CUTOFF, breakpoints=kinks)

@@ -119,10 +119,16 @@ def investor_value_lanes(w: WealthLanes, manager: HaraParams, investor: HaraPara
     v0, mu, sig = market.v0, market.log_drift, market.log_vol
     bM, bI, aI = manager.b, investor.b, investor.a
 
-    phi_i = _power(v0 * (env.c - env.m) + aI, 1.0 - bI) / (1.0 - bI) * w.beyond_support
+    u_ruin, u_v0 = _power(v0 * (env.c - env.m) + aI, 1.0 - bI), _power(v0 + aI, 1.0 - bI)
+    # beyond double range at a tiny base or with a huge b_I (b_I > 1); raised
+    # here, before it meets a probability of 0, as inf * 0 is NaN
+    _require(np.isfinite(u_ruin) & np.isfinite(u_v0), lambda i: SolveError(
+        f"investor utility powers (v0 (c - m) + a)^(1-b) = {u_ruin[i]} at the ruin payoff and (v0 + a)^(1-b) = "
+        f"{u_v0} at v0 not both within double range for fee {fee_label(env.m[i], env.alpha[i], env.c[i])}"))
+    phi_i = u_ruin / (1.0 - bI) * w.beyond_support
     # the bands after the first (flat band, loss absorption) are contiguous
     # and pay the investor exactly v0; the range is empty with a single band
-    phi_i += _power(v0 + aI, 1.0 - bI) / (1.0 - bI) * ppe(market, 0.0, w.d_hi[0], w.d_support)
+    phi_i += u_v0 / (1.0 - bI) * ppe(market, 0.0, w.d_hi[0], w.d_support)
     k_mix, l_mix = investor_mixed_coefficients(w, manager, investor)
     quad = np.flatnonzero(w.d_hi[0] < _W_CUTOFF)
     k_q, l_q = k_mix[quad, None], l_mix[quad, None]

@@ -88,8 +88,8 @@ def test_envelope_eval_continuity_and_intercept(base_manager):
 def test_dominance_and_concavity_on_grid(fee, hara):
     env = build_envelope(fee, hara, 1.0)
     grid = np.linspace(0.0, 6.0 * max(1.0, env.theta1), 10_000)
-    values = np.array([envelope_eval(env, float(v)) for v in grid])
-    original = np.array([env.utility(float(v)) for v in grid])
+    values = envelope_eval(env, grid)
+    original = env.utility(grid)
     scale = np.maximum(1.0, np.abs(values))
     assert (values >= original - 1e-12 * scale).all()
     # equality beyond theta1
@@ -97,11 +97,9 @@ def test_dominance_and_concavity_on_grid(fee, hara):
     np.testing.assert_allclose(values[beyond], original[beyond], rtol=1e-12, atol=1e-12)
     # midpoint concavity on random pairs
     rng = np.random.default_rng(5)
-    idx = rng.integers(0, grid.size, size=(2000, 2))
-    for i, j in idx:
-        mid = 0.5 * (grid[i] + grid[j])
-        chord = 0.5 * (values[i] + values[j])
-        assert envelope_eval(env, float(mid)) >= chord - 1e-12 * max(1.0, abs(chord))
+    i, j = rng.integers(0, grid.size, size=(2000, 2)).T
+    chord = 0.5 * (values[i] + values[j])
+    assert (envelope_eval(env, 0.5 * (grid[i] + grid[j])) >= chord - 1e-12 * np.maximum(1.0, np.abs(chord))).all()
 
 
 def test_pointwise_argmax_branches(base_manager):

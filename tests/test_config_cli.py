@@ -348,16 +348,19 @@ def test_cli_fuzz_exits_0_1_or_2(overrides, fee, tmp_path):
 COARSE = ["--set", "sweep.dm=0.025", "--set", "sweep.dalpha=0.1", "--set", "sweep.dc=0.1"]
 
 
-@pytest.mark.parametrize("key", ["manager.b", "investor.b"])
+@pytest.mark.parametrize("key, v0", [("manager.b", 1.0), ("investor.b", 1.0), ("investor.b", 0.5)],
+                         ids=["manager.b", "investor.b", "investor.b-v0=0.5"])
 @pytest.mark.parametrize("command", [["value", "--fee=0,20,0"], ["wealth", "--fee=0,20,0"], [*COARSE, "grid"]],
                          ids=["value", "wealth", "grid"])
-def test_cli_utility_overflow_exits_without_runtime_warning(key, command, tmp_path, capsys):
+def test_cli_utility_overflow_exits_without_runtime_warning(key, v0, command, tmp_path, capsys):
     # b = 1e300 takes a utility power beyond double range: a typed error
     # naming the fee, not a numpy warning on the way to it (the investor's
-    # utility is not evaluated by `wealth`)
+    # utility is not evaluated by `wealth`); at v0 = 0.5 the investor's
+    # powers at the ruin payoff and at v0 are both infinite
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = main(["--set", f"run.outdir={tmp_path}", "--set", f"{key}=1e300", *command])
+        code = main(["--set", f"run.outdir={tmp_path}", "--set", f"market.v0={v0}", "--set", f"{key}=1e300",
+                     *command])
     if key == "investor.b" and command[0] == "wealth":
         assert code == 0
     else:

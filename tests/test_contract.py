@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firstloss import ContractError, FeeStructure, investor_payoff, manager_payoff
+from firstloss import (
+    ContractError,
+    FeeStructure,
+    PreferenceError,
+    build_envelope,
+    envelope_eval,
+    investor_payoff,
+    manager_payoff,
+)
 from firstloss.contract import _BOUND_TOL, FEE_BOX, in_fee_box
 
 from conftest import fee_pct
@@ -39,6 +47,23 @@ def test_negative_fund_value_rejected():
         investor_payoff(fee, 1.0, -0.1)
     with pytest.raises(ContractError):
         manager_payoff(fee, 1.0, -0.1)
+
+
+def test_payoff_maps_on_arrays_match_floats(base_manager):
+    # an array of fund values gives, element for element, each float's payoff
+    fee = fee_pct(3, 35, 15)
+    env = build_envelope(fee, base_manager, 1.0)
+    # and the branch edges: both kinks and the end of the envelope's chord
+    v = np.concatenate([np.linspace(0.0, 4.0, 1001), [env.kink1, env.kink2, env.theta1]])
+    for payoff in (investor_payoff, manager_payoff):
+        assert (payoff(fee, 1.0, v) == [payoff(fee, 1.0, float(x)) for x in v]).all()
+    assert (envelope_eval(env, v) == [envelope_eval(env, float(x)) for x in v]).all()
+    bad = np.array([0.5, -0.1, 1.0])
+    for payoff in (investor_payoff, manager_payoff):
+        with pytest.raises(ContractError):
+            payoff(fee, 1.0, bad)
+    with pytest.raises(PreferenceError):
+        envelope_eval(env, bad)
 
 
 def test_fee_box_enforced():

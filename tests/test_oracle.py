@@ -1,17 +1,7 @@
-import numpy as np
 import pytest
 
-from firstloss import (
-    HaraParams,
-    brute_pointwise,
-    build_envelope,
-    investor_payoff,
-    manager_payoff,
-    mc_budget,
-    mc_value,
-    solve_y_star,
-)
-from firstloss.oracle import OracleError, _payoff_array
+from firstloss import brute_pointwise, build_envelope, mc_budget, mc_value, solve_y_star
+from firstloss.oracle import OracleError
 
 from conftest import fee_pct
 
@@ -43,16 +33,6 @@ def test_mc_guards(base_market, base_manager, base_investor):
         mc_budget(sol, base_market, seed=1, n=100)
     with pytest.raises(OracleError):
         mc_value(sol, fee, base_manager, base_investor, base_market, "X", seed=1, n=10_000)
-
-
-def test_payoff_array_matches_scalar(base_market):
-    fee = fee_pct(3, 35, 15)
-    v = np.linspace(0.0, 4.0, 1001)
-    mgr = _payoff_array(fee, 1.0, v, "M")
-    inv = _payoff_array(fee, 1.0, v, "I")
-    for i in range(0, v.size, 17):
-        assert mgr[i] == pytest.approx(manager_payoff(fee, 1.0, float(v[i])), abs=1e-14)
-        assert inv[i] == pytest.approx(investor_payoff(fee, 1.0, float(v[i])), abs=1e-14)
 
 
 def test_brute_pointwise_edges(base_manager):

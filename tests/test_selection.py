@@ -166,7 +166,7 @@ def test_constant_mix_values_mc(base_market, base_manager, base_investor):
     w = rng.standard_normal(n)
     growth = (0.02 + pi * 0.2 * 0.4 - 0.5 * (pi * 0.2) ** 2) * 1.0
     v = np.exp(growth + pi * 0.2 * w)
-    um = np.array([hara_utility(base_manager, manager_payoff(fee, 1.0, float(x))) for x in v[:50_000]])
+    um = hara_utility(base_manager, manager_payoff(fee, 1.0, v[:50_000]))
     assert abs(um.mean() - res.phi_M) <= 4 * um.std() / math.sqrt(um.size)
 
 
