@@ -1,5 +1,5 @@
 """Independent verification engine: seeded Monte Carlo estimators and
-brute-force scalar maximization.
+brute-force grid maximization.
 
 Every closed form in the wealth and valuation modules has a counterpart
 here that bypasses the analytic route entirely: utilities are evaluated on

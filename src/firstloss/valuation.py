@@ -122,7 +122,7 @@ def investor_value_lanes(w: WealthLanes, manager: HaraParams, investor: HaraPara
     u_ruin, u_v0 = _power(v0 * (env.c - env.m) + aI, 1.0 - bI), _power(v0 + aI, 1.0 - bI)
     # beyond double range at a tiny base or with a huge b_I (b_I > 1); raised
     # here, before it meets a probability of 0, as inf * 0 is NaN
-    _require(np.isfinite(u_ruin) & np.isfinite(u_v0), lambda i: SolveError(
+    _require(np.isfinite(u_ruin) & math.isfinite(u_v0), lambda i: SolveError(
         f"investor utility powers (v0 (c - m) + a)^(1-b) = {u_ruin[i]} at the ruin payoff and (v0 + a)^(1-b) = "
         f"{u_v0} at v0 not both within double range for fee {fee_label(env.m[i], env.alpha[i], env.c[i])}"))
     phi_i = u_ruin / (1.0 - bI) * w.beyond_support
