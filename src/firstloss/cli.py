@@ -36,7 +36,7 @@ from .selection import (
     sensitivity_sweep,
 )
 from .valuation import evaluate_fee, investor_value, manager_value
-from .wealth import SolveError, moments, sharpe_from_moments, solve_y_star
+from .wealth import SolveError, moments, sharpe_ratio, solve_y_star
 
 CONFIG_ENV = "FIRSTLOSS_CONFIG"
 
@@ -137,7 +137,7 @@ def cmd_wealth(config: RunConfig, args) -> str:
         "z_thresholds": list(sol.thresholds()),
         "expected_value": ev,
         "variance": ev2 - ev * ev,
-        "sharpe": float(sharpe_from_moments(config.market, ev, ev2)),
+        "sharpe": sharpe_ratio(sol),
     }
     path = _out(config, "wealth.json")
     _write_json(path, config, payload)
@@ -161,14 +161,12 @@ def cmd_value(config: RunConfig, args) -> str:
 
 def cmd_grid(config: RunConfig, args) -> str:
     scan = grid_scan(config.market, config.manager, config.investor, config.steps)
-    rows = []
-    for fee, pm, pi, sr, case, ok in zip(
-        scan.fees, scan.phi_M, scan.phi_I, scan.sharpe, scan.case, scan.feasible
-    ):
-        rows.append([
-            round(100 * fee[0], 4), round(100 * fee[1], 4), round(100 * fee[2], 4),
-            float(pm), float(pi), float(sr), case, int(ok),
-        ])
+    # Python's round and float repr: np.round and np.float64's repr would change the CSV
+    rows = [
+        [round(100 * m, 4), round(100 * a, 4), round(100 * c, 4), pm, pi, sr, case, int(ok)]
+        for (m, a, c), pm, pi, sr, case, ok in zip(*(x.tolist() for x in (
+            scan.fees, scan.phi_M, scan.phi_I, scan.sharpe, scan.case, scan.feasible)))
+    ]
     path = _out(config, "grid.csv")
     _write_csv(path, config, ["m_pct", "alpha_pct", "c_pct", "phi_M", "phi_I", "sharpe", "case", "feasible"], rows)
     return f"grid: {len(rows)} fee points, phi_M in [{scan.phi_M_min:.6f}, {scan.phi_M_max:.6f}] -> {path}"

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .contract import FeeStructure, fee_label
-from .preferences import HaraParams, PreferenceError, _power, manager_composite_utility
+from .preferences import HaraParams, PreferenceError, _in_power_domain, _power, manager_composite_utility
 from .roots import bracketed_root
 
 _BRACKET_CAP = 2.0**60
@@ -127,27 +127,31 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
     m, alpha, c = (np.asarray(x, dtype=float) for x in (m, alpha, c))
     b, a = p.b, p.a
 
-    def require(ok: np.ndarray, lanes: np.ndarray, text) -> None:
-        # EnvelopeError for the first lane not ok, naming its fee
+    def require(ok: np.ndarray, lanes: np.ndarray, text, error=EnvelopeError) -> None:
+        # error for the first lane not ok, naming its fee
         if not ok.all():
             j = int(np.argmin(ok))
-            exc = EnvelopeError(f"{text(j)} for fee {fee_label(m[lanes[j]], alpha[lanes[j]], c[lanes[j]])}")
+            exc = error(f"{text(j)} for fee {fee_label(m[lanes[j]], alpha[lanes[j]], c[lanes[j]])}")
             exc.lane = int(lanes[j])
             raise exc
 
     kink1, kink2 = (1.0 + m - c) * v0, (1.0 + m) * v0
     ruin = v0 * (m - c) + a                    # utility base of the manager's payoff on the flat piece
+    top = m * v0 + a                           # and at the upper kink, where its marginal utility is taken
+    all_lanes = np.arange(m.size)
+    require(_in_power_domain(ruin, 1.0 - b) & _in_power_domain(top, -b), all_lanes,
+            lambda i: f"manager utility bases {ruin[i]} at the ruin payoff and {top[i]} at the upper kink "
+                      f"not within the domains of (.)^(1-b) and (.)^(-b)", PreferenceError)
     u_ruin = _power(ruin, 1.0 - b)
     # infinite only for b > 1 (near the domain edge, or with a huge b), where
     # it leaves the chord from zero no slope; the power at the upper kink is
     # then finite, as its base is larger
-    all_lanes = np.arange(m.size)
     require(np.isfinite(u_ruin), all_lanes,
             lambda i: f"utility power (v0 (m - c) + a)^(1-b) = {u_ruin[i]} at the ruin payoff beyond double range")
     # the regime: the chord slope from zero to the upper kink against the
     # one-sided marginals there, ties to B
-    h = (_power(m * v0 + a, 1.0 - b) - u_ruin) / ((1.0 - b) * (1.0 + m) * v0)
-    slope_i2 = _power(m * v0 + a, -b)
+    h = (_power(top, 1.0 - b) - u_ruin) / ((1.0 - b) * (1.0 + m) * v0)
+    slope_i2 = _power(top, -b)
     slope_i3 = alpha * slope_i2
     case_a = h < slope_i3
     case_c = ~case_a & ~(h <= slope_i2)
@@ -172,17 +176,19 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
         # case C's marginal utility is infinite at the lower kink where ruin = 0
         lo = np.where(on_last, kink2[T], kink1[T] + np.where(ruin[T] <= 0.0, 1e-12 * v0, 0.0))
         hi = np.where(on_last, 2.0 * kink2[T], kink2[T])
-        g_lo, g_hi = g(lo, every), g(hi, every)
         # case A's bracket doubles until g changes sign, as it must for
-        # admissible inputs; case C's spans the kinks
-        grow = every[on_last & (g_hi * g_lo > 0.0)]
-        while grow.size:
-            hi[grow] *= 2.0
-            require(hi[grow] <= _BRACKET_CAP * v0, T[grow],
-                    lambda j: f"no tangency bracket in [{lo[grow[j]]}, {hi[grow[j]]}]")
-            g_hi[grow] = g(hi[grow], grow)
-            grow = grow[g_hi[grow] * g_lo[grow] > 0.0]
-        require(~(g_lo * g_hi > 0.0), T, lambda j: f"no tangency bracket in [{lo[j]}, {hi[j]}]")
+        # admissible inputs; case C's spans the kinks.  Only the sign of
+        # g_lo g_hi is read, which stays right where the product overflows
+        with np.errstate(over="ignore"):
+            g_lo, g_hi = g(lo, every), g(hi, every)
+            grow = every[on_last & (g_hi * g_lo > 0.0)]
+            while grow.size:
+                hi[grow] *= 2.0
+                require(hi[grow] <= _BRACKET_CAP * v0, T[grow],
+                        lambda j: f"no tangency bracket in [{lo[grow[j]]}, {hi[grow[j]]}]")
+                g_hi[grow] = g(hi[grow], grow)
+                grow = grow[g_hi[grow] * g_lo[grow] > 0.0]
+            require(~(g_lo * g_hi > 0.0), T, lambda j: f"no tangency bracket in [{lo[j]}, {hi[j]}]")
         root, _, ok = bracketed_root(g, lo, g_lo, hi, g_hi, 1e-13 * v0)
         require(ok, T, lambda j: f"tangency root not found in [{lo[j]}, {hi[j]}]")
         theta1[T] = root

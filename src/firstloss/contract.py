@@ -38,7 +38,7 @@ class FeeStructure:
     def __post_init__(self) -> None:
         for (name, lo, hi), x in zip(FEE_BOX, (self.m, self.alpha, self.c)):
             if not (lo - _BOUND_TOL <= x <= hi + _BOUND_TOL):
-                raise ContractError(f"{name}={x} outside [{lo:g}, {hi:g}]")
+                raise ContractError(f"{name}={x} outside [{lo:g}, {hi:g}] in fee {self}")
 
     @classmethod
     def raw(cls, m: float, alpha: float, c: float) -> "FeeStructure":

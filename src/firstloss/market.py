@@ -59,13 +59,14 @@ class MarketParams:
             raise MarketError(f"v0 must be > 0 (got {self.v0})")
         if self.sigma is not None and not self.sigma > 0.0:
             raise MarketError(f"sigma must be > 0 when present (got {self.sigma})")
+        # the kernel's normal coordinates divide by the volatility
         try:
-            finite = math.isfinite(self.log_drift) and math.isfinite(self.log_vol)
-        except OverflowError:
+            finite = all(math.isfinite(x) for x in (self.log_drift, self.log_vol, self.log_drift / self.log_vol))
+        except ArithmeticError:     # overflow, or a volatility that underflows to 0
             finite = False
         if not finite:
             raise MarketError(
-                f"log Z_T's drift or volatility is beyond double range "
+                f"log Z_T's drift, volatility or their ratio is beyond double range "
                 f"(r={self.r}, gamma={self.gamma}, horizon_T={self.horizon_T})")
 
     @cached_property

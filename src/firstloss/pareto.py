@@ -36,12 +36,13 @@ from .contract import FEE_HI, FEE_LO, FeeStructure, fee_label
 from .market import MarketParams
 from .preferences import HaraParams, admissible_lanes
 from .roots import newton_root, pattern_search
-from .valuation import evaluate_fees, manager_values
+from .valuation import FeeBatch, evaluate_fees, manager_values
 from .wealth import SolveError
 
 _SEED_TOL = 1e-12
 _BOUND_SNAP = 1e-7
 _EPS = np.finfo(float).eps
+_MAX_AXIS = np.iinfo(np.intp).max // np.dtype(float).itemsize     # the longest float array np.arange can size
 
 
 class InfeasibleReservation(ValueError):
@@ -62,8 +63,14 @@ class GridSteps:
     n_phi: int = 200
 
     def __post_init__(self) -> None:
-        if min(self.dm, self.dalpha, self.dc) <= 0 or self.n_phi < 1:
-            raise ValueError("grid steps must be positive")
+        # np.arange cannot size the axis of a NaN, infinite or vanishing step
+        for name, span in zip(("dm", "dalpha", "dc"), (FEE_HI - FEE_LO).tolist()):
+            step = getattr(self, name)
+            if not (math.isfinite(step) and step > 0 and span / step < _MAX_AXIS):
+                raise ValueError(f"lattice step {name} must be finite and > 0, with fewer than {_MAX_AXIS:.3g} "
+                                 f"points along its fee axis (got {step})")
+        if self.n_phi < 1:
+            raise ValueError(f"n_phi must be at least 1 (got {self.n_phi})")
 
     def m_grid(self) -> np.ndarray:
         return np.round(np.arange(FEE_LO[0], FEE_HI[0] + self.dm / 2, self.dm), 12)
@@ -76,17 +83,12 @@ class GridSteps:
 
 
 @dataclass(frozen=True)
-class GridScan:
-    """Full lattice evaluation: one row per fee of the Cartesian grid."""
+class GridScan(FeeBatch):
+    """Full lattice evaluation: the FeeBatch of the Cartesian grid's fees,
+    one row (m, alpha, c) each, m slowest and c fastest."""
 
     steps: GridSteps
-    fees: tuple[tuple[float, float, float], ...]
-    phi_M: np.ndarray
-    phi_I: np.ndarray
-    sharpe: np.ndarray
-    case: tuple[str, ...]
-    feasible: np.ndarray
-    t: np.ndarray                       # log y* per fee, which starts the frontier's budget roots warm
+    fees: np.ndarray
 
     @property
     def phi_M_min(self) -> float:
@@ -95,10 +97,6 @@ class GridScan:
     @property
     def phi_M_max(self) -> float:
         return float(np.max(self.phi_M[self.feasible]))
-
-    def argmax_phi_M(self) -> tuple[float, float, float]:
-        idx = int(np.argmax(np.where(self.feasible, self.phi_M, -np.inf)))
-        return self.fees[idx]
 
 
 @dataclass(frozen=True)
@@ -115,9 +113,6 @@ class ParetoPoint:
 @dataclass(frozen=True)
 class Frontier:
     points: tuple[ParetoPoint, ...]
-    steps: GridSteps
-    phi_M_min: float
-    phi_M_max: float
     failures: tuple[tuple[float, str], ...] = ()      # always empty: a failing level raises
 
 
@@ -139,13 +134,12 @@ def grid_scan(
     Inadmissible cells (possible only for b > 1 at the coverage edge) are
     recorded infeasible rather than failing the scan.
     """
-    ms, alphas, cs = steps.m_grid(), steps.alpha_grid(), steps.c_grid()
-    fees = [(float(m), float(a), float(c)) for m in ms for a in alphas for c in cs]
+    axes = np.meshgrid(steps.m_grid(), steps.alpha_grid(), steps.c_grid(), indexing="ij")
+    fees = np.stack(axes, axis=-1).reshape(-1, 3)
     batch = evaluate_fees(fees, market, manager, investor)
     if not batch.feasible.any():
         raise InfeasibleReservation("no admissible fee on the lattice; check utility shifts")
-    return GridScan(steps=steps, fees=tuple(fees), phi_M=batch.phi_M, phi_I=batch.phi_I, sharpe=batch.sharpe,
-                    case=tuple(batch.case.tolist()), feasible=batch.feasible, t=batch.t)
+    return GridScan(steps=steps, fees=fees, **vars(batch))
 
 
 def _span(rows: np.ndarray, axis: int, manager: HaraParams, investor: HaraParams, v0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +236,7 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
     # the unconstrained maximum over (m, alpha, c), from the best lattice fee;
     # a fee is a row (m, alpha, c, t) from here on
     best = int(np.argmax(np.where(scan.feasible, scan.phi_I, -np.inf)))
-    x_u = np.array([scan.fees[best]])
+    x_u = scan.fees[[best]]
     f_u, u = phi_I(x_u, scan.t[[best]])
     pattern_search(lambda points, lanes, fee: phi_I(points, fee[:, 3]), x_u, f_u, u,
                    np.array([[steps.dm, steps.dalpha, steps.dc]]), FEE_LO, FEE_HI)
@@ -255,7 +249,7 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
     start = seeds[owner]
     # a fee in G is a row (m, alpha, c, t, dc/dm, dc/dalpha), the last two
     # the slopes of c_bind there (NaN where not known)
-    starts = np.column_stack([np.reshape([scan.fees[j] for j in start], (-1, 3)), scan.t[start],
+    starts = np.column_stack([scan.fees[start], scan.t[start],
                               np.full((start.size, 2), math.nan)])
     lane_min = levels[owner]
     bind = lambda rows, axis, t, lanes: _bind(rows, axis, t, lane_min[lanes], market, manager, investor)
@@ -302,7 +296,7 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
     # a level's best feasible lattice fee stands where the search did not beat it
     lattice = np.flatnonzero(found <= seed_phi_I)
     first = seeds[lattice]
-    fees[lattice] = np.column_stack([np.reshape([scan.fees[j] for j in first], (-1, 3)), scan.t[first]])
+    fees[lattice] = np.column_stack([scan.fees[first], scan.t[first]])
     final = evaluate_fees(fees[:, :3], market, manager, investor, fees[:, 3])
     # a fee on a face of the box, the top of c where the coverage range cuts it
     lo = FEE_LO + _BOUND_SNAP
@@ -345,5 +339,4 @@ def sweep_frontier(
     if scan is None:
         scan = grid_scan(market, manager, investor, steps)
     levels = np.linspace(scan.phi_M_min, scan.phi_M_max, steps.n_phi + 1)
-    return Frontier(points=tuple(_solve_levels(levels, scan, market, manager, investor)), steps=steps,
-                    phi_M_min=scan.phi_M_min, phi_M_max=scan.phi_M_max)
+    return Frontier(points=tuple(_solve_levels(levels, scan, market, manager, investor)))

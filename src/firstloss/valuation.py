@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concavify import EnvelopeError, envelope_lanes
-from .contract import FEE_HI, FEE_LO, ContractError, FeeStructure, fee_label, in_fee_box
+from .concavify import envelope_lanes
+from .contract import FEE_HI, FEE_LO, FeeStructure, fee_label, in_fee_box
 from .market import MarketParams, partial_power_expectation_normal as ppe
-from .preferences import HaraParams, PreferenceError, _power, admissible_lanes, require_admissible
+from .preferences import HaraParams, _power, admissible_lanes, require_admissible
 from .quadrature import QuadratureError, integrate_lanes
 from .roots import pattern_search
 from .wealth import (
@@ -146,8 +146,8 @@ def investor_value_lanes(w: WealthLanes, manager: HaraParams, investor: HaraPara
     try:
         mixed = integrate_lanes(integrand, np.maximum(w.d_hi[0, quad], -_W_CUTOFF), _W_CUTOFF)
     except QuadratureError as exc:
-        exc.lane = int(quad[exc.lane])
-        raise
+        i = int(quad[exc.lane])
+        raise QuadratureError(f"{exc} for fee {fee_label(env.m[i], env.alpha[i], env.c[i])}") from None
     phi_i[quad] += mixed / (1.0 - bI)
     return phi_i
 
@@ -184,23 +184,14 @@ class FeeBatch:
     t: np.ndarray
 
 
-def _at_fee(exc: Exception, row: np.ndarray) -> Exception:
-    exc.add_note(f"lattice evaluation failed at fee {fee_label(*row)}")
-    return exc
-
-
 def _blocks(fees, market: MarketParams, manager: HaraParams, investor: HaraParams) -> tuple:
     """Rows (m, alpha, c), their admissibility, and the admissible indices in
-    blocks of _LANES; a row outside the box raises ContractError, noted."""
+    blocks of _LANES; a row outside the box raises ContractError."""
     rows = np.asarray(fees, dtype=float).reshape(-1, 3)
     m, alpha, c = rows.T
     inside = in_fee_box(m, alpha, c)
     if not inside.all():
-        i = int(np.argmin(inside))
-        try:
-            FeeStructure(*rows[i])
-        except ContractError as exc:
-            raise _at_fee(exc, rows[i])
+        FeeStructure(*rows[np.argmin(inside)].tolist())     # raises ContractError, naming the fee
     feasible = admissible_lanes(m, c, manager, investor, market.v0)
     todo = np.flatnonzero(feasible)
     return rows, feasible, [todo[start:start + _LANES] for start in range(0, todo.size, _LANES)]
@@ -219,7 +210,7 @@ def evaluate_fees(
 
     Inadmissible fees (possible only for b > 1 at the coverage edge) are
     infeasible rather than an error.  A fee that fails raises its typed error
-    (a row outside the fee box: ContractError), with a note naming the fee.
+    (a row outside the fee box: ContractError), whose message names the fee.
     """
     rows, feasible, blocks = _blocks(fees, market, manager, investor)
     n = len(rows)
@@ -252,14 +243,11 @@ def _manager_block(rows: np.ndarray, market: MarketParams, manager: HaraParams, 
     """Per row: the optimal fund value's lanes and phi_M, the budget root
     started from t_near where it is finite."""
     m, alpha, c = np.ascontiguousarray(rows.T)
-    try:
-        env = envelope_lanes(m, alpha, c, manager, market.v0)
-        w = wealth_lanes(env, market, solve_budget(env, market, manager.b, t_near))
-        phi_m = manager_value_lanes(w, manager)
-        _require(np.isfinite(phi_m), lambda i: SolveError(
-            f"non-finite value phi_M={phi_m[i]} for fee {fee_label(*rows[i])}"))
-    except (EnvelopeError, PreferenceError, SolveError) as exc:
-        raise _at_fee(exc, rows[exc.lane])
+    env = envelope_lanes(m, alpha, c, manager, market.v0)
+    w = wealth_lanes(env, market, solve_budget(env, market, manager.b, t_near))
+    phi_m = manager_value_lanes(w, manager)
+    _require(np.isfinite(phi_m), lambda i: SolveError(
+        f"non-finite value phi_M={phi_m[i]} for fee {fee_label(*rows[i])}"))
     return w, phi_m
 
 
@@ -268,14 +256,11 @@ def _evaluate_block(rows: np.ndarray, market: MarketParams, manager: HaraParams,
     """Per row: the optimal fund value's lanes, phi_M, phi_I and the Sharpe
     ratio."""
     w, phi_m = _manager_block(rows, market, manager, t_near)
-    try:
-        ev, ev2 = moment_lanes(w, manager.b)
-        sharpe = sharpe_from_moments(market, ev, ev2)
-        phi_i = investor_value_lanes(w, manager, investor)
-        _require(np.isfinite(phi_i) & np.isfinite(sharpe), lambda i: SolveError(
-            f"non-finite value phi_M={phi_m[i]}, phi_I={phi_i[i]}, SR={sharpe[i]} for fee {fee_label(*rows[i])}"))
-    except (PreferenceError, SolveError, QuadratureError) as exc:
-        raise _at_fee(exc, rows[exc.lane])
+    ev, ev2 = moment_lanes(w, manager.b)
+    sharpe = sharpe_from_moments(w, ev, ev2)
+    phi_i = investor_value_lanes(w, manager, investor)
+    _require(np.isfinite(phi_i) & np.isfinite(sharpe), lambda i: SolveError(
+        f"non-finite value phi_M={phi_m[i]}, phi_I={phi_i[i]}, SR={sharpe[i]} for fee {fee_label(*rows[i])}"))
     return w, phi_m, phi_i, sharpe
 
 
@@ -291,17 +276,17 @@ def optimize_traditional(
     falls below."""
     ms = np.round(np.arange(FEE_LO[0], FEE_HI[0] + dm / 2, dm), 10)
     alphas = np.round(np.arange(max(FEE_LO[1], dalpha), FEE_HI[1] + dalpha / 2, dalpha), 10)
-    grid = [(float(m), float(a), 0.0) for m in ms for a in alphas]
+    grid = np.stack(np.meshgrid(ms, alphas, [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
     batch = evaluate_fees(grid, market, manager, investor)
     if not batch.feasible.all():
-        require_admissible(FeeStructure(*grid[int(np.argmin(batch.feasible))]), manager, investor, market.v0)
+        require_admissible(FeeStructure(*grid[np.argmin(batch.feasible)].tolist()), manager, investor, market.v0)
     i = int(np.argmax(batch.phi_I))
 
     def phi_i(points, lanes, fee):
         fees = np.column_stack([points, np.zeros(len(points))])
         return evaluate_fees(fees, market, manager, investor).phi_I, fees
 
-    x = np.array([grid[i][:2]])
-    pattern_search(phi_i, x, batch.phi_I[i:i + 1].copy(), np.array([grid[i]]), np.array([[dm, dalpha]]),
+    x = grid[[i], :2]
+    pattern_search(phi_i, x, batch.phi_I[i:i + 1].copy(), grid[[i]], np.array([[dm, dalpha]]),
                    FEE_LO[:2], FEE_HI[:2])
     return float(x[0, 0]), float(x[0, 1])

@@ -65,10 +65,10 @@ class WealthLanes(NamedTuple):
     beyond_support: np.ndarray
 
 
-def _log_edges(env: EnvelopeLanes) -> tuple[np.ndarray, np.ndarray]:
-    # the band edges as log u, -inf at u = 0
+def _log_edges(env: EnvelopeLanes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the band edges and the support edge (the slope) as log u, -inf at u = 0
     with np.errstate(divide="ignore"):
-        return np.log(env.u_lo), np.log(env.u_hi)
+        return np.log(env.u_lo), np.log(env.u_hi), np.log(env.slope)
 
 
 def _budget(market: MarketParams, b: float, coef, const, log_lo, log_hi, theta1, log_support,
@@ -103,8 +103,8 @@ def solve_budget(env: EnvelopeLanes, market: MarketParams, b: float, t_near: np.
     only when every lane of a call has one, as the call waits for its
     slowest lane.
     """
-    log_lo, log_hi = _log_edges(env)
-    coef, const, theta1, log_support, v0 = env.coef, env.const, env.theta1, np.log(env.slope), market.v0
+    log_lo, log_hi, log_support = _log_edges(env)
+    coef, const, theta1, v0 = env.coef, env.const, env.theta1, market.v0
     n = env.m.size
     guess = np.full(n, math.nan) if t_near is None else np.asarray(t_near, dtype=float)
     x = np.where(np.isfinite(guess), np.clip(guess, -_REACH, _REACH), 0.0)
@@ -112,15 +112,16 @@ def solve_budget(env: EnvelopeLanes, market: MarketParams, b: float, t_near: np.
     best, miss = x.copy(), np.full(n, math.inf)
     lanes = np.arange(n)
     for _ in range(MAX_ITER):
-        h, dh = _budget(market, b, coef[:, lanes], const[:, lanes], log_lo[:, lanes], log_hi[:, lanes],
-                        theta1[lanes], log_support[lanes], x)
+        # h and its slope overflow far from the root: a point there only closes the bracket
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            h, dh = _budget(market, b, coef[:, lanes], const[:, lanes], log_lo[:, lanes], log_hi[:, lanes],
+                            theta1[lanes], log_support[lanes], x)
+            step = -np.log(h / v0) * h / dh
+            target = x + step
         gap, up = np.abs(h - v0), h > v0
         closer = gap < miss[lanes]
         best[lanes[closer]], miss[lanes[closer]] = x[closer], gap[closer]
         lo[lanes[up]], hi[lanes[h < v0]] = x[up], x[h < v0]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = -np.log(h / v0) * h / dh
-            target = x + step
         # done: a short step or bracket, or a reach end still short of the root
         a, z, tol = lo[lanes], hi[lanes], XRTOL * np.abs(x) + XRTOL
         stop = (np.abs(step) <= tol) | (z - a <= tol) | (gap == 0.0) | (a == _REACH) | (z == -_REACH)
@@ -144,10 +145,10 @@ def solve_budget(env: EnvelopeLanes, market: MarketParams, b: float, t_near: np.
 
 def wealth_lanes(env: EnvelopeLanes, market: MarketParams, t: np.ndarray) -> WealthLanes:
     """The fund value of every lane of env at the multiplier e^t."""
-    log_lo, log_hi = _log_edges(env)
+    log_lo, log_hi, log_support = _log_edges(env)
     d_lo = kernel_bound_normal(market, log_lo - t)
     d_hi = kernel_bound_normal(market, log_hi - t)
-    d_support = kernel_bound_normal(market, np.log(env.slope) - t)
+    d_support = kernel_bound_normal(market, log_support - t)
     return WealthLanes(env, market, t, d_lo, d_hi, d_support,
                        ppe(market, 0.0, d_lo, d_hi), ppe(market, 0.0, d_support, -math.inf))
 
@@ -163,13 +164,14 @@ def moment_lanes(w: WealthLanes, b: float) -> tuple[np.ndarray, np.ndarray]:
     return ev, ev2
 
 
-def sharpe_from_moments(market: MarketParams, ev: np.ndarray, ev2: np.ndarray) -> np.ndarray:
-    """(E[V] - v0 (1+r)) / std(V) per lane; a numerically deterministic fund
-    raises SolveError."""
-    var = ev2 - ev * ev
+def sharpe_from_moments(w: WealthLanes, ev: np.ndarray, ev2: np.ndarray) -> np.ndarray:
+    """(E[V] - v0 (1+r)) / std(V) per lane of w, from its moments; a
+    numerically deterministic fund raises SolveError naming its fee."""
+    var, env = ev2 - ev * ev, w.env
     _require(var > _VAR_FLOOR, lambda i: SolveError(
-        f"fund value variance {np.ravel(var)[i]:.3e} is numerically degenerate"))
-    return (ev - market.v0 * (1.0 + market.r)) / np.sqrt(var)
+        f"fund value variance {np.ravel(var)[i]:.3e} is numerically degenerate "
+        f"for fee {fee_label(env.m[i], env.alpha[i], env.c[i])}"))
+    return (ev - w.market.v0 * (1.0 + w.market.r)) / np.sqrt(var)
 
 
 @dataclass(frozen=True)
@@ -221,8 +223,8 @@ class OptimalWealthSolution:
 def budget(envelope: ConcaveEnvelope, market: MarketParams, y: float) -> float:
     """h(y) = E[Z V(y, Z)] of one envelope."""
     env = envelope.lanes
-    h, _ = _budget(market, envelope.hara.b, env.coef, env.const, *_log_edges(env), env.theta1, np.log(env.slope),
-                   np.log([y]))
+    log_lo, log_hi, log_support = _log_edges(env)
+    h, _ = _budget(market, envelope.hara.b, env.coef, env.const, log_lo, log_hi, env.theta1, log_support, np.log([y]))
     return float(h[0])
 
 
@@ -262,4 +264,5 @@ def moments(sol: OptimalWealthSolution) -> tuple[float, float]:
 
 def sharpe_ratio(sol: OptimalWealthSolution) -> float:
     """Sharpe ratio of the optimal fund value."""
-    return float(sharpe_from_moments(sol.market, *moments(sol)))
+    w = sol.lanes()
+    return float(sharpe_from_moments(w, *moment_lanes(w, sol.envelope.hara.b))[0])

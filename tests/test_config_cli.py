@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -251,7 +252,7 @@ def test_cli_grid_solve_error_exits_2(tmp_path, monkeypatch, capsys):
         assert main(["--config", str(cfg), "--set", f"run.outdir={tmp_path}", "grid"]) == 2
     err = capsys.readouterr().err
     assert "budget bracket expansion failed" in err
-    assert "lattice evaluation failed at fee (2.5000%, 30.0000%, 10.0000%)" in err
+    assert err.count("(2.5000%, 30.0000%, 10.0000%)") == 1
 
 
 def test_cli_frontier_search_failure_exits_2(tmp_path, monkeypatch, capsys):
@@ -366,3 +367,38 @@ def test_cli_utility_overflow_exits_without_runtime_warning(key, v0, command, tm
     else:
         assert code == 2
         assert "for fee (" in capsys.readouterr().err
+
+
+EXTREME = {
+    "gamma=1e-300": (["market.gamma=1e-300"], 2),                              # the budget's slope overflows
+    "a=1e300,b=1e-05": (["manager.a=1e300", "manager.b=1e-05"], 2),            # the tangency bracket overflows
+    "a=1e300,b=1e5": (["manager.a=1e300", "manager.b=100000.0"], 2),           # the envelope's slope is 0
+    "gamma=1e-150,r=1e300": (["market.gamma=1e-150", "market.r=1e300"], 1),    # drift / volatility overflows
+}
+
+
+@pytest.mark.parametrize("overrides, code", EXTREME.values(), ids=EXTREME.keys())
+@pytest.mark.parametrize("command", [["value", "--fee=0,20,0"], ["wealth", "--fee=0,20,0"], [*COARSE, "grid"]],
+                         ids=["value", "wealth", "grid"])
+def test_cli_extreme_config_fails_once_without_runtime_warning(overrides, code, command, tmp_path, capsys):
+    # a typed error with no numpy warning on the way to it; a numerical
+    # failure names its fee once, as the stage that failed quotes it
+    argv = ["--set", f"run.outdir={tmp_path}"]
+    for item in overrides:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*argv, *command]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert len(re.findall(r"\(\d+\.\d{4}%, \d+\.\d{4}%, \d+\.\d{4}%\)", err)) == 1, err
+        assert "lattice" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e-300"])
+@pytest.mark.parametrize("key", ["sweep.dm", "sweep.dalpha", "sweep.dc"])
+def test_cli_unusable_sweep_step_exits_1(key, value, tmp_path, capsys):
+    # np.arange cannot size the axis of a NaN, infinite or vanishing step
+    assert main(["--set", f"run.outdir={tmp_path}", "--set", f"{key}={value}", "grid"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: lattice step ") and f"step {key.split('.')[1]} " in err

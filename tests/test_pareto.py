@@ -33,8 +33,8 @@ def small_frontier(base_market, base_manager, base_investor, small_scan):
 def test_lattice_size_is_cartesian_product(small_scan):
     expected = len(SMALL.m_grid()) * len(SMALL.alpha_grid()) * len(SMALL.c_grid())
     assert len(small_scan.fees) == expected
-    assert small_scan.fees == tuple(
-        (float(m), float(a), float(c)) for m in SMALL.m_grid() for a in SMALL.alpha_grid() for c in SMALL.c_grid())
+    assert small_scan.fees.tolist() == [
+        [float(m), float(a), float(c)] for m in SMALL.m_grid() for a in SMALL.alpha_grid() for c in SMALL.c_grid()]
     assert small_scan.feasible.all()
 
 
@@ -43,11 +43,12 @@ def test_lattice_determinism(base_market, base_manager, base_investor, small_sca
     np.testing.assert_array_equal(small_scan.phi_M, again.phi_M)
     np.testing.assert_array_equal(small_scan.phi_I, again.phi_I)
     np.testing.assert_array_equal(small_scan.sharpe, again.sharpe)
-    assert small_scan.case == again.case
+    np.testing.assert_array_equal(small_scan.case, again.case)
 
 
 def test_manager_max_at_aggressive_corner(small_scan):
-    assert small_scan.argmax_phi_M() == (0.05, 0.5, 0.0)
+    best = np.argmax(np.where(small_scan.feasible, small_scan.phi_M, -np.inf))
+    assert small_scan.fees[best].tolist() == [0.05, 0.5, 0.0]
 
 
 def test_infeasible_sliver_recorded_not_fatal(base_market, base_investor):
@@ -93,8 +94,8 @@ def test_select_seeds_matches_a_loop_per_level():
     phi_M, phi_I = rng.normal(size=n), np.round(rng.normal(size=n), 1)
     feasible = rng.uniform(size=n) > 0.2
     phi_M[~feasible] = phi_I[~feasible] = np.nan
-    scan = GridScan(steps=SMALL, fees=((0.0, 0.2, 0.0),) * n, phi_M=phi_M, phi_I=phi_I, sharpe=np.zeros(n),
-                    case=("A",) * n, feasible=feasible, t=np.zeros(n))
+    scan = GridScan(steps=SMALL, fees=np.tile([0.0, 0.2, 0.0], (n, 1)), phi_M=phi_M, phi_I=phi_I,
+                    sharpe=np.zeros(n), case=np.full(n, "A"), feasible=feasible, t=np.zeros(n))
     top = np.nanmax(phi_M)
     # levels at a fee's phi_M, at the seed tolerance above it (the two meet
     # exactly there) and beyond that

@@ -38,18 +38,13 @@ def test_preferred_is_sharpe_argmax(small_frontier):
 
 
 def test_preferred_singleton(small_frontier):
-    single = Frontier(
-        points=small_frontier.points[3:4],
-        steps=small_frontier.steps,
-        phi_M_min=small_frontier.phi_M_min,
-        phi_M_max=small_frontier.phi_M_max,
-    )
+    single = Frontier(points=small_frontier.points[3:4])
     pref = preferred_fee(single)
     assert pref.fee == small_frontier.points[3].fee
 
 
 def test_preferred_empty_rejected(small_frontier):
-    empty = Frontier(points=(), steps=small_frontier.steps, phi_M_min=0.0, phi_M_max=1.0)
+    empty = Frontier(points=())
     with pytest.raises(SelectionError):
         preferred_fee(empty)
 
@@ -75,10 +70,7 @@ def test_constrained_preferred(small_frontier, base_market, base_manager, base_i
 def test_constrained_preferred_empty_is_result(small_frontier, base_market, base_manager, base_investor):
     # an unreachable floor yields an explicit no-improvement result
     points = tuple(p for p in small_frontier.points if p.phi_M < 2.6)
-    trimmed = Frontier(
-        points=points, steps=small_frontier.steps,
-        phi_M_min=small_frontier.phi_M_min, phi_M_max=small_frontier.phi_M_max,
-    )
+    trimmed = Frontier(points=points)
     res = constrained_preferred_fee(trimmed, base_market, base_manager, base_investor, fee_pct(5, 50, 0))
     assert not res.found
     assert res.fee is None
