@@ -178,8 +178,9 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
         hi = np.where(on_last, 2.0 * kink2[T], kink2[T])
         # case A's bracket doubles until g changes sign, as it must for
         # admissible inputs; case C's spans the kinks.  Only the sign of
-        # g_lo g_hi is read, which stays right where the product overflows
-        with np.errstate(over="ignore"):
+        # g_lo g_hi is read, which stays right where the product overflows,
+        # or where s v + X cancels to 0 at lo and its log is -inf
+        with np.errstate(over="ignore", divide="ignore"):
             g_lo, g_hi = g(lo, every), g(hi, every)
             grow = every[on_last & (g_hi * g_lo > 0.0)]
             while grow.size:

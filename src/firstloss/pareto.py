@@ -63,12 +63,19 @@ class GridSteps:
     n_phi: int = 200
 
     def __post_init__(self) -> None:
-        # np.arange cannot size the axis of a NaN, infinite or vanishing step
-        for name, span in zip(("dm", "dalpha", "dc"), (FEE_HI - FEE_LO).tolist()):
+        # np.arange cannot size the axis of a NaN, infinite or vanishing step,
+        # nor numpy the (n, 3) fee array of a lattice that fine
+        names, points = ("dm", "dalpha", "dc"), []
+        for name, span in zip(names, (FEE_HI - FEE_LO).tolist()):
             step = getattr(self, name)
             if not (math.isfinite(step) and step > 0 and span / step < _MAX_AXIS):
                 raise ValueError(f"lattice step {name} must be finite and > 0, with fewer than {_MAX_AXIS:.3g} "
                                  f"points along its fee axis (got {step})")
+            points.append(span / step + 1.0)
+        if 3.0 * math.prod(points) >= _MAX_AXIS:
+            name = names[int(np.argmax(points))]
+            raise ValueError(f"lattice step {name} = {getattr(self, name)} gives a lattice of about "
+                             f"{math.prod(points):.3g} fees, not fewer than {_MAX_AXIS / 3:.3g}")
         if self.n_phi < 1:
             raise ValueError(f"n_phi must be at least 1 (got {self.n_phi})")
 

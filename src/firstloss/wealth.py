@@ -30,6 +30,7 @@ from .roots import MAX_ITER, XRTOL
 _BUDGET_RTOL = 1e-11
 _VAR_FLOOR = 1e-16
 _REACH = math.log(1e2) + 15.0 * math.log(16.0)    # the budget root's farthest |t| = |log y|
+_NEWTON_ROUNDS = 32         # the budget root's rounds before a step longer than half the bracket bisects
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -95,9 +96,11 @@ def solve_budget(env: EnvelopeLanes, market: MarketParams, b: float, t_near: np.
     from t = 0.  h falls in t, so every point evaluated closes one side of
     the lane's bracket.  A Newton point outside the bracket, or not finite,
     is replaced by the bracket's midpoint, or by the reach end |t| = _REACH
-    on the root's side while no point lies there.  A lane stops when its
-    Newton step or its bracket is at most XRTOL |t| + XRTOL, and returns the
-    point it evaluated with the least |h - v0|.  A lane with no root within
+    on the root's side while no point lies there; after _NEWTON_ROUNDS
+    rounds, as Newton can cycle across a stretch where h is nearly flat, so
+    is a step longer than half the bracket.  A lane stops when its Newton
+    step or its bracket is at most XRTOL |t| + XRTOL, and returns the point
+    it evaluated with the least |h - v0|.  A lane with no root within
     the reach, or whose best point misses v0 by more than _BUDGET_RTOL v0,
     raises SolveError naming its fee.  Lanes never mix: the warm start pays
     only when every lane of a call has one, as the call waits for its
@@ -111,7 +114,7 @@ def solve_budget(env: EnvelopeLanes, market: MarketParams, b: float, t_near: np.
     lo, hi = np.full(n, -math.inf), np.full(n, math.inf)     # h > v0 at lo, h < v0 at hi; infinite: unseen
     best, miss = x.copy(), np.full(n, math.inf)
     lanes = np.arange(n)
-    for _ in range(MAX_ITER):
+    for k in range(MAX_ITER):
         # h and its slope overflow far from the root: a point there only closes the bracket
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             h, dh = _budget(market, b, coef[:, lanes], const[:, lanes], log_lo[:, lanes], log_hi[:, lanes],
@@ -132,8 +135,13 @@ def solve_budget(env: EnvelopeLanes, market: MarketParams, b: float, t_near: np.
         # the Newton point inside the bracket, else the unseen reach end on
         # the root's side, else the bracket's midpoint
         unseen = np.isinf(np.where(up, hi[lanes], lo[lanes]))
-        x = np.where((target > a) & (target < z), target,
-                     np.where(unseen, np.where(up, _REACH, -_REACH), 0.5 * (a + z)))
+        newton = (target > a) & (target < z)
+        if k >= _NEWTON_ROUNDS:
+            # Newton can cycle between two points inside the bracket across
+            # a near-flat stretch of h, each a new end of it: past
+            # _NEWTON_ROUNDS, a step longer than half the bracket bisects
+            newton &= unseen | (np.abs(step[go]) <= 0.5 * (z - a))
+        x = np.where(newton, target, np.where(unseen, np.where(up, _REACH, -_REACH), 0.5 * (a + z)))
     label = lambda i: fee_label(env.m[i], env.alpha[i], env.c[i])
     _require((lo != _REACH) & (hi != -_REACH), lambda i: SolveError(
         f"budget bracket expansion failed within y in [{math.exp(-_REACH):.3e}, {math.exp(_REACH):.3e}] "

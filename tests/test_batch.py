@@ -13,6 +13,7 @@ from firstloss import (
     EnvelopeError,
     FeeStructure,
     HaraParams,
+    MarketParams,
     PreferenceError,
     QuadratureError,
     SolveError,
@@ -179,6 +180,18 @@ def test_warm_budget_root_at_the_domain_edge(base_market):
     cold = solve_budget(env, base_market, 0.65)
     for guess in (-40.0, -30.0, -5.0, cold[0] + 5.0, 30.0, 40.0, -math.inf, math.inf, math.nan):
         _assert_cold_root(env, base_market, 0.65, solve_budget(env, base_market, 0.65, np.array([guess])), cold)
+
+
+def test_budget_root_across_a_flat_stretch_of_h():
+    # at (0, 0.625%, 30%) with b_M = 0.35, h(e^t) is nearly flat for t in
+    # [-3, -2] (h' down to -2.5e-6), right of the root t = -3.509: from
+    # t = 0, Newton's method cycled between t = -6.78 and -3.14, each point
+    # inside the bracket, and ended 2.4e-2 from v0
+    market = MarketParams(r=0.025, gamma=0.394)
+    env = envelope_lanes([0.0], [0.00625], [0.3], HaraParams(0.3, 0.35), market.v0)
+    cold = solve_budget(env, market, 0.35)
+    for guess in (-5.0, -3.0, -2.0, -1.0, 0.0, math.nan):
+        _assert_cold_root(env, market, 0.35, solve_budget(env, market, 0.35, np.array([guess])), cold)
 
 
 def test_warm_lane_alone_equals_the_mixed_call(base_market):

@@ -395,10 +395,25 @@ def test_cli_extreme_config_fails_once_without_runtime_warning(overrides, code, 
         assert "lattice" not in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "1e-300"])
+@pytest.mark.parametrize("command", [["value", "--fee=0,1,0"], ["wealth", "--fee=0,1,0"], [*COARSE, "grid"]],
+                         ids=["value", "wealth", "grid"])
+def test_cli_tiny_manager_shift_runs_without_runtime_warning(command, tmp_path):
+    # manager.a = 1e-300: at the tangency bracket's lower end, the upper
+    # kink, s v + X cancels to 0 and its log is -inf, of which only the sign
+    # of the residual is read
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--set", f"run.outdir={tmp_path}", "--set", "manager.a=1e-300", *command]) == 0
+    if command[0] == "value":
+        doc = json.loads((tmp_path / "value.json").read_text())
+        assert all(math.isfinite(doc[key]) for key in ("phi_M", "phi_I", "sharpe"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e-300", "5e-20"])
 @pytest.mark.parametrize("key", ["sweep.dm", "sweep.dalpha", "sweep.dc"])
 def test_cli_unusable_sweep_step_exits_1(key, value, tmp_path, capsys):
-    # np.arange cannot size the axis of a NaN, infinite or vanishing step
+    # np.arange cannot size the axis of a NaN, infinite or vanishing step,
+    # nor numpy the (n, 3) fee array of a lattice of 1e18 and more fees
     assert main(["--set", f"run.outdir={tmp_path}", "--set", f"{key}={value}", "grid"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: lattice step ") and f"step {key.split('.')[1]} " in err

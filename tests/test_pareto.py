@@ -156,17 +156,19 @@ def test_one_level_alone_equals_the_sweep(base_market, base_manager, base_invest
 
 
 # Budget evaluations (wealth._budget calls, lattice included) of the SMALL
-# frontier per manager b_M: 544 and 939 with the budget root by Newton's
-# method on log h, against 1,097 and 1,635 with the growing budget bracket and
-# Chandrupatla's method just before it; 1,108 and 1,734 with one search per
-# level from its best lattice fee and that bracket, against 1,222 and 1,913
-# from three lattice starts per level and a cold restart of a warm bracket
-# that missed, both with the binding roots by Newton's method on phi_M's
-# gradient; 1,646 and 3,050 with the bracketed binding roots and the
-# quadratic-model step of the pattern search, 2,309 and 4,541 with the
-# stencil alone, and 5,326 and 10,716 when every budget root started cold.
+# frontier per manager b_M: 342 and 884 with the pattern search's step cut
+# 4-fold and grown 2-fold, against 544 and 939 when it was only halved, both
+# with the budget root by Newton's method on log h, against 1,097 and 1,635
+# with the growing budget bracket and Chandrupatla's method just before it;
+# 1,108 and 1,734 with one search per level from its best lattice fee and
+# that bracket, against 1,222 and 1,913 from three lattice starts per level
+# and a cold restart of a warm bracket that missed, both with the binding
+# roots by Newton's method on phi_M's gradient; 1,646 and 3,050 with the
+# bracketed binding roots and the quadratic-model step of the pattern
+# search, 2,309 and 4,541 with the stencil alone, and 5,326 and 10,716 when
+# every budget root started cold.
 # The bounds leave 5% for a search path that moves with the last bits.
-BUDGET_CALLS = {0.65: 572, 2.5: 986}
+BUDGET_CALLS = {0.65: 360, 2.5: 929}
 
 
 @pytest.mark.parametrize("b_m", sorted(BUDGET_CALLS))
@@ -185,11 +187,13 @@ def test_frontier_budget_work(b_m, monkeypatch, base_market, base_investor):
 
 # Rounds of the manager's value (valuation._manager_block calls, one per
 # block of lanes, the lattice's and phi_I's included) of the SMALL frontier
-# per manager b_M: 153 and 207 with one search per level from its best
-# lattice fee, against 161 and 223 from three lattice starts per level, both
-# with the binding roots by Newton's method on phi_M's gradient; 297 and 387
-# with the bracketed binding roots.  The bounds leave 5%, as above.
-BIND_ROUNDS = {0.65: 160, 2.5: 217}
+# per manager b_M: 98 and 183 with the pattern search's step cut 4-fold and
+# grown 2-fold, against 153 and 206 when it was only halved, both with one
+# search per level from its best lattice fee (153 and 207 at first), against
+# 161 and 223 from three lattice starts per level, all with the binding
+# roots by Newton's method on phi_M's gradient; 297 and 387 with the
+# bracketed binding roots.  The bounds leave 5%, as above.
+BIND_ROUNDS = {0.65: 103, 2.5: 193}
 
 
 @pytest.mark.parametrize("b_m", sorted(BIND_ROUNDS))
@@ -208,16 +212,18 @@ def test_frontier_bind_rounds(b_m, monkeypatch, base_market, base_investor):
 
 # Objective calls of each pattern_search of the SMALL frontier per manager
 # b_M: the unconstrained maximum x_u, then the levels' search from each
-# level's best lattice fee: 23, 25 at b_M = 0.65 and 26, 27 at 2.5.  From
+# level's best lattice fee: 13, 16 at b_M = 0.65 and 16, 23 at 2.5 with the
+# step cut 4-fold on a failed or model step and doubled (up to the start
+# step) on a stencil step; 23, 25 and 26, 27 when a step only halved.  From
 # three lattice starts per level, four steps each before only the best went
 # on, there were three searches: with the quadratic-model step 23, 4, 21 and
 # 26, 4, 24 (23, 4, 20 and 26, 4, 23 with the Newton binding roots); with
 # the stencil alone 41, 4, 38 and 35, 4, 65.  The bounds leave 5%, as above.
-SEARCH_STEPS = {0.65: [24, 26], 2.5: [27, 28]}
+SEARCH_STEPS = {0.65: [14, 17], 2.5: [17, 25]}
 
 
-@pytest.mark.parametrize("b_m", sorted(SEARCH_STEPS))
-def test_frontier_search_steps(b_m, monkeypatch, base_market, base_investor):
+def search_steps(monkeypatch, *frontier_args):
+    """Objective calls of each pattern_search of sweep_frontier(*frontier_args)."""
     steps = []
 
     def counted(objective, *args, **kwargs):
@@ -231,9 +237,27 @@ def test_frontier_search_steps(b_m, monkeypatch, base_market, base_investor):
 
     search = pareto.pattern_search
     monkeypatch.setattr(pareto, "pattern_search", counted)
-    sweep_frontier(base_market, HaraParams(0.3, b_m), base_investor, SMALL)
+    sweep_frontier(*frontier_args)
+    return steps
+
+
+@pytest.mark.parametrize("b_m", sorted(SEARCH_STEPS))
+def test_frontier_search_steps(b_m, monkeypatch, base_market, base_investor):
+    steps = search_steps(monkeypatch, base_market, HaraParams(0.3, b_m), base_investor, SMALL)
     assert len(steps) == len(SEARCH_STEPS[b_m])
     assert all(n <= bound for n, bound in zip(steps, SEARCH_STEPS[b_m])), steps
+
+
+def test_frontier_search_does_not_creep(monkeypatch):
+    # (r, gamma, b_M, b_I) = (0.06, 0.5, 2.5, 2.5), n_phi = 16: while a
+    # stencil step kept h, a few levels' lanes moved a stencil step at a time
+    # at an h long since halved, and the levels' search took 1,190 objective
+    # calls (x_u 22); 242 (x_u 11) now that such a step doubles h, up to the
+    # start step.  The bounds leave 5%, as above.
+    steps = search_steps(monkeypatch, MarketParams(r=0.06, gamma=0.5), HaraParams(0.3, 2.5), HaraParams(0.3, 2.5),
+                         GridSteps(dm=0.0125, dalpha=0.025, dc=0.025, n_phi=16))
+    assert len(steps) == 2
+    assert all(n <= bound for n, bound in zip(steps, [12, 255])), steps
 
 
 @pytest.mark.parametrize("b_m", [0.65, 2.5])
