@@ -12,7 +12,7 @@ from .config import ConfigError, RunConfig, load_config
 from .contract import ContractError, FeeStructure, investor_payoff, manager_payoff
 from .market import MarketError, MarketParams, partial_power_expectation, sample_z, state_price_density
 from .oracle import McEstimate, brute_pointwise, mc_budget, mc_value
-from .pareto import Frontier, GridScan, GridSteps, ParetoPoint, grid_scan, solve_fbpo, sweep_frontier
+from .pareto import Frontier, GridScan, GridSteps, ParetoPoint, grid_scan, optimize_traditional, solve_fbpo, sweep_frontier
 from .preferences import HaraParams, PreferenceError, hara_utility, manager_composite_utility
 from .quadrature import QuadratureError, integrate
 from .selection import (
@@ -31,7 +31,6 @@ from .valuation import (
     evaluate_fees,
     investor_value,
     manager_value,
-    optimize_traditional,
 )
 from .wealth import (
     OptimalWealthSolution,

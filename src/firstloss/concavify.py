@@ -27,9 +27,7 @@ _BRACKET_CAP = 2.0**60
 
 
 class EnvelopeError(RuntimeError):
-    """Root bracketing failed; carries the index of the lane that failed."""
-
-    lane: int | None = None
+    """Root bracketing failed."""
 
 
 class EnvelopeLanes(NamedTuple):
@@ -120,9 +118,8 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
 
     The regime is read off the chord slope from zero to the upper kink
     against the one-sided marginals there (ties to B), and the tangency roots
-    of cases A and C are solved lane-wise, in one root call.  A lane that
-    fails raises EnvelopeError or PreferenceError, with the lane's index as
-    ``lane``.
+    of cases A and C are solved lane-wise, in one root call.  The first lane
+    that fails raises EnvelopeError or PreferenceError, naming its fee.
     """
     m, alpha, c = (np.asarray(x, dtype=float) for x in (m, alpha, c))
     b, a = p.b, p.a
@@ -131,9 +128,7 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
         # error for the first lane not ok, naming its fee
         if not ok.all():
             j = int(np.argmin(ok))
-            exc = error(f"{text(j)} for fee {fee_label(m[lanes[j]], alpha[lanes[j]], c[lanes[j]])}")
-            exc.lane = int(lanes[j])
-            raise exc
+            raise error(f"{text(j)} for fee {fee_label(m[lanes[j]], alpha[lanes[j]], c[lanes[j]])}")
 
     kink1, kink2 = (1.0 + m - c) * v0, (1.0 + m) * v0
     ruin = v0 * (m - c) + a                    # utility base of the manager's payoff on the flat piece

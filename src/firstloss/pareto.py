@@ -23,6 +23,10 @@ both ends of its span.  Each fee carries its t = log y* and
 those slopes, so every budget root of the search starts warm from the lane's
 last one.  A level's answer is the better of the search's result and its
 best feasible lattice fee, so it never falls below the lattice.
+
+The investor's best traditional fee (c = 0), the baseline of the paper's
+claims, runs the same pattern search from the best fee of the same lattice
+axes.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from .contract import FEE_HI, FEE_LO, FeeStructure, fee_label
 from .market import MarketParams
-from .preferences import HaraParams, admissible_lanes
+from .preferences import HaraParams, admissible_lanes, require_admissible
 from .roots import newton_root, pattern_search
 from .valuation import FeeBatch, evaluate_fees, manager_values
 from .wealth import SolveError
@@ -76,17 +80,27 @@ class GridSteps:
             name = names[int(np.argmax(points))]
             raise ValueError(f"lattice step {name} = {getattr(self, name)} gives a lattice of about "
                              f"{math.prod(points):.3g} fees, not fewer than {_MAX_AXIS / 3:.3g}")
+        if self.dalpha > FEE_HI[1]:
+            raise ValueError(f"lattice step dalpha = {self.dalpha} leaves no performance fee on its axis, "
+                             f"which starts at dalpha: it must not exceed {FEE_HI[1]:g}")
         if self.n_phi < 1:
             raise ValueError(f"n_phi must be at least 1 (got {self.n_phi})")
 
+    @staticmethod
+    def _axis(k: int, start: float, step: float) -> np.ndarray:
+        # start + i step, rounded to 12 decimals, up to half a step past the
+        # box's end; only the points inside the box are fees
+        axis = np.round(np.arange(start, FEE_HI[k] + step / 2, step), 12)
+        return axis[(FEE_LO[k] <= axis) & (axis <= FEE_HI[k])]
+
     def m_grid(self) -> np.ndarray:
-        return np.round(np.arange(FEE_LO[0], FEE_HI[0] + self.dm / 2, self.dm), 12)
+        return self._axis(0, FEE_LO[0], self.dm)
 
     def alpha_grid(self) -> np.ndarray:
-        return np.round(np.arange(self.dalpha, FEE_HI[1] + self.dalpha / 2, self.dalpha), 12)
+        return self._axis(1, self.dalpha, self.dalpha)
 
     def c_grid(self) -> np.ndarray:
-        return np.round(np.arange(FEE_LO[2], FEE_HI[2] + self.dc / 2, self.dc), 12)
+        return self._axis(2, FEE_LO[2], self.dc)
 
 
 @dataclass(frozen=True)
@@ -347,3 +361,30 @@ def sweep_frontier(
         scan = grid_scan(market, manager, investor, steps)
     levels = np.linspace(scan.phi_M_min, scan.phi_M_max, steps.n_phi + 1)
     return Frontier(points=tuple(_solve_levels(levels, scan, market, manager, investor)))
+
+
+def optimize_traditional(
+    investor: HaraParams,
+    manager: HaraParams,
+    market: MarketParams,
+    dm: float = 0.0025,
+    dalpha: float = 0.0025,
+) -> tuple[float, float]:
+    """Investor-optimal traditional fee (c = 0) over the fee box: the (m,
+    alpha) axes of GridSteps(dm, dalpha), then the lane-wise pattern search
+    from their best fee, which it never falls below."""
+    steps = GridSteps(dm=dm, dalpha=dalpha)
+    grid = np.stack(np.meshgrid(steps.m_grid(), steps.alpha_grid(), [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
+    batch = evaluate_fees(grid, market, manager, investor)
+    if not batch.feasible.all():
+        require_admissible(FeeStructure(*grid[np.argmin(batch.feasible)].tolist()), manager, investor, market.v0)
+    i = int(np.argmax(batch.phi_I))
+
+    def phi_i(points, lanes, fee):
+        fees = np.column_stack([points, np.zeros(len(points))])
+        return evaluate_fees(fees, market, manager, investor).phi_I, fees
+
+    x = grid[[i], :2]
+    pattern_search(phi_i, x, batch.phi_I[i:i + 1].copy(), grid[[i]], np.array([[dm, dalpha]]),
+                   FEE_LO[:2], FEE_HI[:2])
+    return float(x[0, 0]), float(x[0, 1])

@@ -14,10 +14,7 @@ _TINY_BASE = 1e-300
 
 
 class PreferenceError(ValueError):
-    """Utility parameters incompatible with the wealth they must evaluate;
-    raised for one lane of an array, it carries the lane's index."""
-
-    lane: int | None = None
+    """Utility parameters incompatible with the wealth they must evaluate."""
 
 
 @dataclass(frozen=True)
@@ -55,21 +52,17 @@ def _power(base, exponent: float):
 
     A tiny base with a negative exponent signals an inadmissible wealth, not
     an infinite utility: a base outside _in_power_domain raises
-    PreferenceError, and for an array the first such lane raises, carrying
-    its index as ``lane``.  A result beyond double range is inf, silently.
+    PreferenceError, and for an array the first such lane raises.  A result
+    beyond double range is inf, silently.
     """
     x = np.asarray(base, dtype=float)
     ok = _in_power_domain(x, exponent)
     if not ok.all():
-        lane = int(np.argmin(ok))
-        v = float(x.flat[lane])
-        exc = PreferenceError(
+        v = float(x.flat[int(np.argmin(ok))])
+        raise PreferenceError(
             f"negative utility base {v}" if v < 0.0 else
             "zero utility base with non-positive exponent" if v == 0.0 else
             f"utility base {v} too small for exponent {exponent}")
-        if x.ndim:
-            exc.lane = lane
-        raise exc
     with np.errstate(divide="ignore", over="ignore"):
         out = np.exp(exponent * np.log(x))
     return out if x.ndim else float(out)

@@ -7,11 +7,12 @@ the slope is known too, newton_root finds per lane the end of {g >= 0} of a
 monotone g by a safeguarded Newton's method: the frontier's binding fees.
 The frontier and the traditional fee maximize by the lane-wise pattern
 search: a compass stencil per lane, plus the maximum of the quadratic model
-that the stencil's own values fit, so that a lane follows a ridge no
-stencil direction lies along.  Its step shrinks 4-fold where a stencil
-fails or the model point wins, and grows 2-fold, up to its start, where a
-stencil point wins: once the model has found a maximum, few rounds remain
-before MIN_STEP, and a lane that is still moving does not creep.
+that the stencil's own values fit, at any distance within the box, so that
+a lane follows a ridge no stencil direction lies along.  Its step shrinks
+4-fold where a stencil fails or the model point wins, and grows 2-fold, up
+to its start, where a stencil point wins: once the model has found a
+maximum, few rounds remain before MIN_STEP, and a lane that is still moving
+does not creep.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 MAX_ITER = 100
 XRTOL = 4.0 * math.ulp(1.0)              # relative bracket width at which a lane stops
 MIN_STEP = 1e-8                          # pattern_search's last step in every coordinate
-_MODEL_REACH = 16.0                      # farthest model step, in steps h of each coordinate
 
 
 def bracketed_root(
@@ -217,13 +217,15 @@ def pattern_search(objective: Callable, x: np.ndarray, fx: np.ndarray, fee: np.n
 
     Each stencil, with fx at its centre, also fits a quadratic model of the
     lane by central differences: where the model's Hessian is negative
-    definite, its maximum x - H^-1 g lies within _MODEL_REACH h of x in every
-    coordinate, and h / 4 still leaves the lane searching, that point joins
-    the lane's next step as one more candidate.  A lane that moves to it
-    divides h by 4, as a failed step does, so a lane still stops only after
-    a stencil with no better point.  A coordinate whose stencil the box
-    clips is held fixed in the model, and a stencil with a -inf value fits
-    none.
+    definite and h / 4 still leaves the lane searching, its maximum
+    x - H^-1 g, however far, clipped to [lo, hi], joins the lane's next
+    step as one more candidate.  A lane that moves to it divides h by 4, as
+    a failed step does, so a lane still moves only to a better point and
+    stops only after a stencil with no better point: the model point is a
+    search step beside the stencil's poll, and the stop rule rests on the
+    poll alone (Kolda, Lewis and Torczon, SIAM Review 45(3), 2003), so how
+    far it lies does not matter.  A coordinate whose stencil the box clips
+    is held fixed in the model, and a stencil with a -inf value fits none.
 
     Any contraction factor in (0, 1) and expansion factor >= 1 keep a
     compass search convergent (Kolda, Lewis and Torczon, SIAM Review 45(3),
@@ -283,7 +285,5 @@ def pattern_search(objective: Callable, x: np.ndarray, fx: np.ndarray, fee: np.n
         fit = np.flatnonzero(fit)
         fit = fit[np.linalg.eigvalsh(H[fit]).max(axis=1) < 0.0]
         s = np.linalg.solve(H[fit], -g[fit, :, None])[..., 0]
-        near = np.all(np.abs(s) <= _MODEL_REACH, axis=1)          # False where s is not finite
-        fit, s = fit[near], s[near]
         model[live] = math.nan
         model[live[fit]] = np.clip(x0[fit] + s * h0[fit], lo, hi)

@@ -1,5 +1,4 @@
-"""Expected utilities of both parties at the optimal fund value, and the
-traditional-fee (no coverage) optimizer.
+"""Expected utilities of both parties at the optimal fund value.
 
 The manager's value is fully closed-form.  The investor's value has one term
 with no closed form, E[(k Z^(-1/b_M) + l)^(1-b_I)] over the performance-fee
@@ -11,8 +10,8 @@ Every formula runs over many fees at once: evaluate_fees builds the
 envelopes as arrays, and the tangency and budget roots, the closed forms and
 the quadrature work on all lanes together.  The lattice, the frontier and the
 traditional optimizer call it (or manager_values, its first half, which also
-gives phi_M's gradient in closed form);
-evaluate_fee, manager_value and investor_value read a single lane.
+gives phi_M's gradient in closed form); evaluate_fee, manager_value and
+investor_value read a single lane.
 """
 
 from __future__ import annotations
@@ -24,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concavify import envelope_lanes
-from .contract import FEE_HI, FEE_LO, FeeStructure, fee_label, in_fee_box
+from .contract import FeeStructure, fee_label, in_fee_box
 from .market import MarketParams, partial_power_expectation_normal as ppe
 from .preferences import HaraParams, _power, admissible_lanes, require_admissible
 from .quadrature import QuadratureError, integrate_lanes
-from .roots import pattern_search
 from .wealth import (
     OptimalWealthSolution,
     SolveError,
@@ -262,31 +260,3 @@ def _evaluate_block(rows: np.ndarray, market: MarketParams, manager: HaraParams,
     _require(np.isfinite(phi_i) & np.isfinite(sharpe), lambda i: SolveError(
         f"non-finite value phi_M={phi_m[i]}, phi_I={phi_i[i]}, SR={sharpe[i]} for fee {fee_label(*rows[i])}"))
     return w, phi_m, phi_i, sharpe
-
-
-def optimize_traditional(
-    investor: HaraParams,
-    manager: HaraParams,
-    market: MarketParams,
-    dm: float = 0.0025,
-    dalpha: float = 0.0025,
-) -> tuple[float, float]:
-    """Investor-optimal traditional fee (c = 0) over the fee box: dense grid,
-    then the lane-wise pattern search from its best fee, which it never
-    falls below."""
-    ms = np.round(np.arange(FEE_LO[0], FEE_HI[0] + dm / 2, dm), 10)
-    alphas = np.round(np.arange(max(FEE_LO[1], dalpha), FEE_HI[1] + dalpha / 2, dalpha), 10)
-    grid = np.stack(np.meshgrid(ms, alphas, [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
-    batch = evaluate_fees(grid, market, manager, investor)
-    if not batch.feasible.all():
-        require_admissible(FeeStructure(*grid[np.argmin(batch.feasible)].tolist()), manager, investor, market.v0)
-    i = int(np.argmax(batch.phi_I))
-
-    def phi_i(points, lanes, fee):
-        fees = np.column_stack([points, np.zeros(len(points))])
-        return evaluate_fees(fees, market, manager, investor).phi_I, fees
-
-    x = grid[[i], :2]
-    pattern_search(phi_i, x, batch.phi_I[i:i + 1].copy(), grid[[i]], np.array([[dm, dalpha]]),
-                   FEE_LO[:2], FEE_HI[:2])
-    return float(x[0, 0]), float(x[0, 1])

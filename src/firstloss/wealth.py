@@ -35,19 +35,14 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class SolveError(RuntimeError):
-    """Budget equation could not be bracketed or met its tolerance; raised
-    for one lane of an array, it carries the lane's index."""
-
-    lane: int | None = None
+    """Budget equation could not be bracketed or met its tolerance."""
 
 
 def _require(ok: np.ndarray, error) -> None:
-    """Raise error(i), carrying the lane i, for the first lane i not ok."""
+    """Raise error(i) for the first lane i not ok."""
     bad = np.flatnonzero(np.logical_not(ok))
     if bad.size:
-        exc = error(int(bad[0]))
-        exc.lane = int(bad[0])
-        raise exc
+        raise error(int(bad[0]))
 
 
 class WealthLanes(NamedTuple):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from firstloss import ConfigError, RunConfig, load_config, pareto, valuation
 from firstloss.cli import main
+from firstloss.contract import in_fee_box
 
 
 def test_defaults_are_base_case():
@@ -190,6 +191,21 @@ def test_cli_grid(tmp_path):
     rows = [l for l in (out / "grid.csv").read_text().splitlines() if not l.startswith("#")]
     assert rows[0].startswith("m_pct,alpha_pct,c_pct")
     assert len(rows) - 1 == 3 * 5 * 4
+
+
+# a step that does not divide its fee axis, and an alpha step below the
+# box's 0.1%: each axis keeps only its points inside the box, so 0.06, 0.501,
+# 0.315 and 0.0005 are not fees of the lattice
+@pytest.mark.parametrize("key,value,fees", [("sweep.dm", "0.03", 2 * 5 * 4), ("sweep.dalpha", "0.003", 3 * 166 * 4),
+                                            ("sweep.dc", "0.035", 3 * 5 * 9), ("sweep.dalpha", "0.0005", 3 * 999 * 4)])
+def test_cli_grid_keeps_the_lattice_inside_the_box(key, value, fees, tmp_path):
+    steps = {"sweep.dm": "0.025", "sweep.dalpha": "0.1", "sweep.dc": "0.1", key: value}
+    args = [arg for item in steps.items() for arg in ("--set", "=".join(item))]
+    assert main(["--set", f"run.outdir={tmp_path}", *args, "grid"]) == 0
+    rows = [l.split(",") for l in (tmp_path / "grid.csv").read_text().splitlines() if not l.startswith("#")][1:]
+    pct = np.array([[float(x) for x in r[:3]] for r in rows])
+    assert len(pct) == fees
+    assert in_fee_box(*(pct / 100.0).T).all()
 
 
 @pytest.mark.parametrize("axis,values", [("r", "x"), ("ba", "0.65")])
@@ -409,11 +425,12 @@ def test_cli_tiny_manager_shift_runs_without_runtime_warning(command, tmp_path):
         assert all(math.isfinite(doc[key]) for key in ("phi_M", "phi_I", "sharpe"))
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "1e-300", "5e-20"])
-@pytest.mark.parametrize("key", ["sweep.dm", "sweep.dalpha", "sweep.dc"])
+@pytest.mark.parametrize("key,value", [(key, value) for key in ("sweep.dalpha", "sweep.dc", "sweep.dm")
+                                       for value in ("1e-300", "5e-20", "inf", "nan")] + [("sweep.dalpha", "0.6")])
 def test_cli_unusable_sweep_step_exits_1(key, value, tmp_path, capsys):
     # np.arange cannot size the axis of a NaN, infinite or vanishing step,
-    # nor numpy the (n, 3) fee array of a lattice of 1e18 and more fees
+    # nor numpy the (n, 3) fee array of a lattice of 1e18 and more fees; an
+    # alpha axis starts at its step, so a step above 50% leaves it empty
     assert main(["--set", f"run.outdir={tmp_path}", "--set", f"{key}={value}", "grid"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: lattice step ") and f"step {key.split('.')[1]} " in err

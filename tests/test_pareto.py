@@ -156,10 +156,12 @@ def test_one_level_alone_equals_the_sweep(base_market, base_manager, base_invest
 
 
 # Budget evaluations (wealth._budget calls, lattice included) of the SMALL
-# frontier per manager b_M: 342 and 884 with the pattern search's step cut
-# 4-fold and grown 2-fold, against 544 and 939 when it was only halved, both
-# with the budget root by Newton's method on log h, against 1,097 and 1,635
-# with the growing budget bracket and Chandrupatla's method just before it;
+# frontier per manager b_M: 342 and 898 with the quadratic model's point
+# offered at any distance, against 342 and 884 when it was capped at 16
+# steps, both with the pattern search's step cut 4-fold and grown 2-fold,
+# against 544 and 939 when it was only halved, all with the budget root by
+# Newton's method on log h, against 1,097 and 1,635 with the growing budget
+# bracket and Chandrupatla's method just before it;
 # 1,108 and 1,734 with one search per level from its best lattice fee and
 # that bracket, against 1,222 and 1,913 from three lattice starts per level
 # and a cold restart of a warm bracket that missed, both with the binding
@@ -187,12 +189,13 @@ def test_frontier_budget_work(b_m, monkeypatch, base_market, base_investor):
 
 # Rounds of the manager's value (valuation._manager_block calls, one per
 # block of lanes, the lattice's and phi_I's included) of the SMALL frontier
-# per manager b_M: 98 and 183 with the pattern search's step cut 4-fold and
-# grown 2-fold, against 153 and 206 when it was only halved, both with one
-# search per level from its best lattice fee (153 and 207 at first), against
-# 161 and 223 from three lattice starts per level, all with the binding
-# roots by Newton's method on phi_M's gradient; 297 and 387 with the
-# bracketed binding roots.  The bounds leave 5%, as above.
+# per manager b_M: 98 and 186 with the model's point at any distance, 98 and
+# 183 when it was capped at 16 steps, both with the pattern search's step
+# cut 4-fold and grown 2-fold, against 153 and 206 when it was only halved,
+# all with one search per level from its best lattice fee (153 and 207 at
+# first), against 161 and 223 from three lattice starts per level, all with
+# the binding roots by Newton's method on phi_M's gradient; 297 and 387 with
+# the bracketed binding roots.  The bounds leave 5%, as above.
 BIND_ROUNDS = {0.65: 103, 2.5: 193}
 
 
@@ -214,7 +217,8 @@ def test_frontier_bind_rounds(b_m, monkeypatch, base_market, base_investor):
 # b_M: the unconstrained maximum x_u, then the levels' search from each
 # level's best lattice fee: 13, 16 at b_M = 0.65 and 16, 23 at 2.5 with the
 # step cut 4-fold on a failed or model step and doubled (up to the start
-# step) on a stencil step; 23, 25 and 26, 27 when a step only halved.  From
+# step) on a stencil step, the model's point at any distance or capped at 16
+# steps alike; 23, 25 and 26, 27 when a step only halved.  From
 # three lattice starts per level, four steps each before only the best went
 # on, there were three searches: with the quadratic-model step 23, 4, 21 and
 # 26, 4, 24 (23, 4, 20 and 26, 4, 23 with the Newton binding roots); with
@@ -248,16 +252,25 @@ def test_frontier_search_steps(b_m, monkeypatch, base_market, base_investor):
     assert all(n <= bound for n, bound in zip(steps, SEARCH_STEPS[b_m])), steps
 
 
+# Objective calls of the x_u and level searches of two frontiers that crept,
+# (r, gamma) -> bounds, b_M = b_I = 2.5, n_phi = 16 at the SMALL lattice:
+# - (0.06, 0.5): while a stencil step kept h, a few levels' lanes moved a
+#   stencil step at a time at an h long since halved, and the levels' search
+#   took 1,190 calls (x_u 22); 242 (x_u 11) once such a step doubled h, up to
+#   the start step; 20 (x_u 11) now that the model's point is offered however
+#   far it lies, where a cap of 16 steps made the lanes on a ridge creep;
+# - the base market: 101 (x_u 13) with that cap, 17 (x_u 13) without it.
+# The bounds leave 5%, as above.
+CREEP_STEPS = {(0.06, 0.5): [12, 21], (0.02, 0.4): [14, 18]}
+
+
 def test_frontier_search_does_not_creep(monkeypatch):
-    # (r, gamma, b_M, b_I) = (0.06, 0.5, 2.5, 2.5), n_phi = 16: while a
-    # stencil step kept h, a few levels' lanes moved a stencil step at a time
-    # at an h long since halved, and the levels' search took 1,190 objective
-    # calls (x_u 22); 242 (x_u 11) now that such a step doubles h, up to the
-    # start step.  The bounds leave 5%, as above.
-    steps = search_steps(monkeypatch, MarketParams(r=0.06, gamma=0.5), HaraParams(0.3, 2.5), HaraParams(0.3, 2.5),
-                         GridSteps(dm=0.0125, dalpha=0.025, dc=0.025, n_phi=16))
-    assert len(steps) == 2
-    assert all(n <= bound for n, bound in zip(steps, [12, 255])), steps
+    for (r, gamma), bounds in CREEP_STEPS.items():
+        with monkeypatch.context() as patch:
+            steps = search_steps(patch, MarketParams(r=r, gamma=gamma), HaraParams(0.3, 2.5), HaraParams(0.3, 2.5),
+                                 GridSteps(dm=0.0125, dalpha=0.025, dc=0.025, n_phi=16))
+        assert len(steps) == 2
+        assert all(n <= bound for n, bound in zip(steps, bounds)), (r, gamma, steps)
 
 
 @pytest.mark.parametrize("b_m", [0.65, 2.5])

@@ -42,7 +42,7 @@ def test_power_of_a_float_is_its_one_lane_array(base, exponent):
     except PreferenceError as exc:
         with pytest.raises(PreferenceError) as lane:
             _power(np.array([base]), exponent)
-        assert (str(lane.value), lane.value.lane, exc.lane) == (str(exc), 0, None)
+        assert str(lane.value) == str(exc)
         return
     assert type(got) is float
     assert _power(np.array([base]), exponent).tobytes() == np.array([got]).tobytes()

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from firstloss import roots
 from firstloss.roots import XRTOL, bracketed_root, newton_root, pattern_search
 
 # x^3 - k on brackets of very different widths; the last one is given in
@@ -210,12 +209,18 @@ def search(which):
     return x, fx, h, seen
 
 
+def no_model(monkeypatch):
+    # every stencil's Hessian reports a zero eigenvalue, so no model is concave
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: np.zeros(H.shape[:-1]))
+
+
 def test_model_step_halves_the_calls_on_a_narrow_ridge(monkeypatch):
-    # objective calls from (3, 2): 31 with the model step, 143 without it,
-    # with h cut 4-fold and grown 2-fold; 43 and 102 when h only halved
+    # objective calls from (3, 2): 13 with the model step at any distance,
+    # 143 without it (31 when the model step was capped at 16 h), with h cut
+    # 4-fold and grown 2-fold; 43 and 102 when h only halved
     x, _, _, seen = search([0])
     np.testing.assert_allclose(x[0], LANES[0][2], rtol=0.0, atol=1e-7)
-    monkeypatch.setattr(roots, "_MODEL_REACH", -1.0)         # no model step is within reach
+    no_model(monkeypatch)
     assert len(seen[0]) <= 0.5 * len(search([0])[3][0])
 
 
@@ -230,7 +235,7 @@ def test_model_step_converges_to_a_face_optimum():
 def test_stencil_with_minus_inf_fits_no_model(monkeypatch):
     x, fx, h, seen = search([2])
     np.testing.assert_allclose(x[0], LANES[2][2], rtol=0.0, atol=1e-7)
-    monkeypatch.setattr(roots, "_MODEL_REACH", -1.0)
+    no_model(monkeypatch)
     ref = search([2])
     for got, want in zip((x, fx, h), ref):
         np.testing.assert_array_equal(got, want)
