@@ -15,6 +15,7 @@ over it point by point, independently of the band table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -113,27 +114,41 @@ def build_envelope(fee: FeeStructure, p: HaraParams, v0: float) -> ConcaveEnvelo
                            **{name: float(getattr(lanes, name)[0]) for name in _SCALARS})
 
 
-def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParams, v0: float) -> EnvelopeLanes:
-    """The concave envelope of every fee (m[i], alpha[i], c[i]) at once.
+class Regime(NamedTuple):
+    """The regime of many fees and what envelope_lanes builds on it, per
+    lane: the band count (1 in case A, 2 in B, 3 in C), the manager's
+    utility base at the ruin payoff and its power, the chord slope from zero
+    to the upper kink, and the one-sided marginals there, slope_i2 from
+    below and slope_i3 from above."""
 
-    The regime is read off the chord slope from zero to the upper kink
-    against the one-sided marginals there (ties to B), and the tangency roots
-    of cases A and C are solved lane-wise, in one root call.  The first lane
-    that fails raises EnvelopeError or PreferenceError, naming its fee.
+    bands: np.ndarray
+    ruin: np.ndarray
+    u_ruin: np.ndarray
+    chord: np.ndarray
+    slope_i2: np.ndarray
+    slope_i3: np.ndarray
+
+
+def _require(fees: tuple, ok: np.ndarray, lanes: np.ndarray, text, error=EnvelopeError) -> None:
+    # error for the first lane j not ok, naming its fee (m, alpha, c)[lanes[j]]
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise error(f"{text(j)} for fee {fee_label(*(x[lanes[j]] for x in fees))}")
+
+
+def regime_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParams, v0: float) -> Regime:
+    """The regime of every fee (m[i], alpha[i], c[i]): the chord slope from
+    zero to the upper kink against the one-sided marginals there, ties to B.
+
+    The first lane whose manager utility bases lie outside the power domains
+    raises PreferenceError, and the first whose utility at the ruin payoff
+    is beyond double range EnvelopeError, naming its fee.
     """
     m, alpha, c = (np.asarray(x, dtype=float) for x in (m, alpha, c))
     b, a = p.b, p.a
-
-    def require(ok: np.ndarray, lanes: np.ndarray, text, error=EnvelopeError) -> None:
-        # error for the first lane not ok, naming its fee
-        if not ok.all():
-            j = int(np.argmin(ok))
-            raise error(f"{text(j)} for fee {fee_label(m[lanes[j]], alpha[lanes[j]], c[lanes[j]])}")
-
-    kink1, kink2 = (1.0 + m - c) * v0, (1.0 + m) * v0
+    require, all_lanes = partial(_require, (m, alpha, c)), np.arange(m.size)
     ruin = v0 * (m - c) + a                    # utility base of the manager's payoff on the flat piece
     top = m * v0 + a                           # and at the upper kink, where its marginal utility is taken
-    all_lanes = np.arange(m.size)
     require(_in_power_domain(ruin, 1.0 - b) & _in_power_domain(top, -b), all_lanes,
             lambda i: f"manager utility bases {ruin[i]} at the ruin payoff and {top[i]} at the upper kink "
                       f"not within the domains of (.)^(1-b) and (.)^(-b)", PreferenceError)
@@ -143,13 +158,26 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
     # then finite, as its base is larger
     require(np.isfinite(u_ruin), all_lanes,
             lambda i: f"utility power (v0 (m - c) + a)^(1-b) = {u_ruin[i]} at the ruin payoff beyond double range")
-    # the regime: the chord slope from zero to the upper kink against the
-    # one-sided marginals there, ties to B
     h = (_power(top, 1.0 - b) - u_ruin) / ((1.0 - b) * (1.0 + m) * v0)
     slope_i2 = _power(top, -b)
     slope_i3 = alpha * slope_i2
-    case_a = h < slope_i3
-    case_c = ~case_a & ~(h <= slope_i2)
+    bands = np.where(h < slope_i3, 1, np.where(h <= slope_i2, 2, 3))
+    return Regime(bands, ruin, u_ruin, h, slope_i2, slope_i3)
+
+
+def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParams, v0: float) -> EnvelopeLanes:
+    """The concave envelope of every fee (m[i], alpha[i], c[i]) at once.
+
+    The regime is regime_lanes', and the tangency roots of cases A and C
+    are solved lane-wise, in one root call.  The first lane that fails
+    raises EnvelopeError or PreferenceError, naming its fee.
+    """
+    m, alpha, c = (np.asarray(x, dtype=float) for x in (m, alpha, c))
+    b, a = p.b, p.a
+    require, all_lanes = partial(_require, (m, alpha, c)), np.arange(m.size)
+    bands, ruin, u_ruin, h, slope_i2, slope_i3 = regime_lanes(m, alpha, c, p, v0)
+    case_a, case_c = bands == 1, bands == 3
+    kink1, kink2 = (1.0 + m - c) * v0, (1.0 + m) * v0
     power_coef = _power(alpha, (1.0 - b) / b)
     power_const = (1.0 + m - m / alpha) * v0 - a / alpha
 

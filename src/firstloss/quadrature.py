@@ -2,6 +2,8 @@
 
 Composite high-order panels, doubled until two successive refinements agree;
 integrands are evaluated vectorized, which keeps dense fee sweeps cheap.
+integrate_lanes refines its lanes in blocks of _BLOCK, which bounds the
+(lanes, panels, nodes) arrays it holds at once however many lanes it gets.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-13
 _ORDER = 32
 _MAX_DOUBLINGS = 10
+_BLOCK = 1024       # lanes refined at once
 
 
 class QuadratureError(RuntimeError):
@@ -100,13 +103,16 @@ def integrate_lanes(
     f(., i) over [lo[i], hi[i]], on the panels and at the default tolerances
     integrate would use.
 
-    f(x, lanes) gets the nodes x, one row per lane in ``lanes``, and returns
-    the integrand there.  A lane leaves the work once two levels agree; the
-    first lane still open after the last doubling raises QuadratureError.
+    f(x, lanes) gets the nodes x, one row per lane in ``lanes`` (indices
+    into lo and hi), and returns the integrand there.  The lanes are refined
+    in blocks of _BLOCK; a lane leaves the work once two levels agree, and
+    the first lane of the first block still open after the last doubling
+    raises QuadratureError.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     out = np.zeros(lo.shape)
-    lanes = np.flatnonzero(hi > lo)
-    if not lanes.size:
-        return out
-    return _refine(f, out, lanes, np.stack([lo[lanes], hi[lanes]], axis=1), DEFAULT_REL_TOL, DEFAULT_ABS_TOL)
+    todo = np.flatnonzero(hi > lo)
+    for start in range(0, todo.size, _BLOCK):
+        lanes = todo[start:start + _BLOCK]
+        _refine(f, out, lanes, np.stack([lo[lanes], hi[lanes]], axis=1), DEFAULT_REL_TOL, DEFAULT_ABS_TOL)
+    return out

@@ -8,10 +8,16 @@ tolerances used anywhere in this package.
 
 Every formula runs over many fees at once: evaluate_fees builds the
 envelopes as arrays, and the tangency and budget roots, the closed forms and
-the quadrature work on all lanes together.  The lattice, the frontier and the
-traditional optimizer call it (or manager_values, its first half, which also
-gives phi_M's gradient in closed form); evaluate_fee, manager_value and
-investor_value read a single lane.
+the quadrature work on all lanes of a block together.  The lattice, the
+frontier and the traditional optimizer call it (or manager_values, its first
+half, which also gives phi_M's gradient in closed form); evaluate_fee,
+manager_value and investor_value read a single lane.
+
+A call of more than one block sorts its fees by their band count (case A
+has one band, B two, C three) before it cuts them into blocks, and each
+block's band table keeps only the rows its lanes use: a fee pays for its own
+bands, and a row cut from the table only ever added 0 to a lane, so each
+lane's result is the same in any block.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concavify import envelope_lanes
+from .concavify import envelope_lanes, regime_lanes
 from .contract import FeeStructure, fee_label, in_fee_box
 from .market import MarketParams, partial_power_expectation_normal as ppe
 from .preferences import HaraParams, _power, admissible_lanes, require_admissible
@@ -41,9 +47,10 @@ from .wealth import (
 _W_CUTOFF = 10.0
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Fees per evaluate_fees block: bounds the (lanes, panels, nodes) arrays of
-# the quadrature held at once.
-_LANES = 1024
+# Fees per evaluate_fees block: each block pays once for the fixed costs of a
+# call (the tangency root, the budget root's last rounds); the quadrature
+# bounds its own (lanes, panels, nodes) arrays.
+_LANES = 8192
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,7 @@ def manager_gradient_lanes(w: WealthLanes, manager: HaraParams) -> np.ndarray:
     With y = e^t and U'(x) = x^(-b_M): the ruin payoff (m - c) v0 moves
     with m and c; the performance-fee band (band 0) pays
     alpha V + (m - alpha (1+m)) v0, whose U' is y Z / alpha there; and on
-    the flat band (band 1, empty in case A) V sits at the upper kink
+    the flat band (band 1, empty or cut in case A) V sits at the upper kink
     (1+m) v0, which moves with m against the budget:
       d/dc     = -v0 U'(v0 (m-c) + a_M) P(ruin)
       d/dalpha = (y/alpha) (E[Z V 1{band 0}] - (1+m) v0 E[Z 1{band 0}])
@@ -93,10 +100,12 @@ def manager_gradient_lanes(w: WealthLanes, manager: HaraParams) -> np.ndarray:
     with np.errstate(divide="ignore"):
         ruin = np.power(v0 * (m - env.c) + manager.a, -bM) * w.beyond_support
     band0 = lambda k: ppe(market, k, math.inf, w.d_hi[0])      # E[Z^k 1{band 0}]
-    ez0, ez1 = band0(1.0), ppe(market, 1.0, w.d_lo[1], w.d_hi[1])
+    ez0 = band0(1.0)
+    # a table cut to case A's one row has no flat band: an empty one
+    ez1, p_flat = (ppe(market, 1.0, w.d_lo[1], w.d_hi[1]), w.p0[1]) if len(w.p0) > 1 else (0.0, 0.0)
     # V - (1+m) v0 = coef u^(-1/b_M) - (m v0 + a_M) / alpha on band 0
     ez_excess = env.coef[0] * np.exp((-1.0 / bM) * w.t) * band0(1.0 - 1.0 / bM) - (m * v0 + manager.a) / alpha * ez0
-    d_m = v0 * ((1.0 - alpha) / alpha * y * ez0 + np.power(m * v0 + manager.a, -bM) * w.p0[1] - y * ez1 + ruin)
+    d_m = v0 * ((1.0 - alpha) / alpha * y * ez0 + np.power(m * v0 + manager.a, -bM) * p_flat - y * ez1 + ruin)
     return np.column_stack([d_m, y / alpha * ez_excess, -v0 * ruin])
 
 
@@ -184,7 +193,9 @@ class FeeBatch:
 
 def _blocks(fees, market: MarketParams, manager: HaraParams, investor: HaraParams) -> tuple:
     """Rows (m, alpha, c), their admissibility, and the admissible indices in
-    blocks of _LANES; a row outside the box raises ContractError."""
+    blocks of _LANES, sorted (stably) by band count where there is more than
+    one block; a row outside the box raises ContractError, and a fee whose
+    regime cannot be read (regime_lanes) its error."""
     rows = np.asarray(fees, dtype=float).reshape(-1, 3)
     m, alpha, c = rows.T
     inside = in_fee_box(m, alpha, c)
@@ -192,6 +203,8 @@ def _blocks(fees, market: MarketParams, manager: HaraParams, investor: HaraParam
         FeeStructure(*rows[np.argmin(inside)].tolist())     # raises ContractError, naming the fee
     feasible = admissible_lanes(m, c, manager, investor, market.v0)
     todo = np.flatnonzero(feasible)
+    if todo.size > _LANES:
+        todo = todo[np.argsort(regime_lanes(m[todo], alpha[todo], c[todo], manager, market.v0).bands, kind="stable")]
     return rows, feasible, [todo[start:start + _LANES] for start in range(0, todo.size, _LANES)]
 
 
@@ -239,9 +252,13 @@ def manager_values(fees, market: MarketParams, manager: HaraParams, investor: Ha
 
 def _manager_block(rows: np.ndarray, market: MarketParams, manager: HaraParams, t_near: np.ndarray | None) -> tuple:
     """Per row: the optimal fund value's lanes and phi_M, the budget root
-    started from t_near where it is finite."""
+    started from t_near where it is finite, on the band table cut to the
+    rows the block's lanes use."""
     m, alpha, c = np.ascontiguousarray(rows.T)
     env = envelope_lanes(m, alpha, c, manager, market.v0)
+    # the rows after the largest band count are empty bands on every lane
+    n = 1 + int((env.case != "A").any()) + int((env.case == "C").any())
+    env = env._replace(u_lo=env.u_lo[:n], u_hi=env.u_hi[:n], coef=env.coef[:n], const=env.const[:n])
     w = wealth_lanes(env, market, solve_budget(env, market, manager.b, t_near))
     phi_m = manager_value_lanes(w, manager)
     _require(np.isfinite(phi_m), lambda i: SolveError(

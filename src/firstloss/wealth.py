@@ -48,8 +48,9 @@ def _require(ok: np.ndarray, error) -> None:
 class WealthLanes(NamedTuple):
     """The optimal fund value of every lane of an envelope at the multiplier
     e^t: the bands' and the support's kernel bounds in the normal coordinate
-    (d_lo, d_hi: (3, lanes); d_support: lanes), P(band) p0 and
-    P(beyond the support)."""
+    (d_lo, d_hi: (bands, lanes), one row per row of the envelope's band
+    table, which a block may have cut to the bands its lanes use;
+    d_support: lanes), P(band) p0 and P(beyond the support)."""
 
     env: EnvelopeLanes
     market: MarketParams

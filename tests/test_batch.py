@@ -98,6 +98,63 @@ def test_result_does_not_depend_on_batch(base_market, base_investor):
             np.testing.assert_array_equal(getattr(part, key), getattr(full, key)[rows], err_msg=key)
 
 
+def test_sorted_cut_blocks_equal_each_fee_alone(monkeypatch, base_market, base_investor):
+    # blocks of 64 over a few hundred fees of cases A, B and C: sorted by
+    # band count, each block's table cut to the rows its lanes use, every
+    # lane still equals its fee evaluated alone
+    monkeypatch.setattr(valuation, "_LANES", 64)
+    tables, solve = [], valuation.solve_budget
+
+    def recorded(env, *args):
+        tables.append((env.coef.shape[0], set(env.case.tolist())))
+        return solve(env, *args)
+
+    monkeypatch.setattr(valuation, "solve_budget", recorded)
+    rng = np.random.default_rng(11)
+    n = 300
+    fees = np.column_stack([rng.uniform(0.0, 0.05, n), rng.uniform(0.001, 0.5, n), rng.uniform(0.0, 0.3, n)])
+    manager = HaraParams(0.3, 2.5)
+    batch = evaluate_fees(fees, base_market, manager, base_investor)
+    assert set(batch.case) == {"A", "B", "C"}
+    assert len(tables) == -(-n // 64)
+    assert [rows for rows, _ in tables] == [max("-ABC".index(c) for c in cases) for _, cases in tables]
+    assert (1, {"A"}) in tables
+    for i, fee in enumerate(fees):
+        alone = evaluate_fee(FeeStructure(*fee), base_market, manager, base_investor)
+        assert (alone.case, alone.phi_M, alone.phi_I, alone.sharpe) == (
+            batch.case[i], batch.phi_M[i], batch.phi_I[i], batch.sharpe[i]), i
+
+    # phi_M's gradient of case A fees in a one-row block and beside a case C fee
+    case_a = fees[batch.case == "A"][:40]
+    del tables[:]
+    alone = valuation.manager_values(case_a, base_market, manager, base_investor)
+    beside = valuation.manager_values(np.vstack([case_a, fees[batch.case == "C"][:1]]), base_market, manager,
+                                      base_investor)
+    assert [rows for rows, _ in tables] == [1, 3]
+    for got, want in zip(beside, alone):
+        assert np.array_equal(got[:len(case_a)], want)
+
+
+def test_quadrature_failure_in_a_later_block_names_its_fee(monkeypatch, base_market, base_manager, base_investor):
+    # a lane that stalls in the quadrature's second block of lanes is named
+    # by its own fee
+    fees = np.stack(np.meshgrid(np.linspace(0.0, 0.05, 11), np.linspace(0.05, 0.5, 10), np.linspace(0.0, 0.3, 11),
+                                indexing="ij"), axis=-1).reshape(-1, 3)
+    w, _ = valuation._manager_block(fees, base_market, base_manager, None)
+    quad = np.flatnonzero(w.d_hi[0] < valuation._W_CUTOFF)
+    stalled = quadrature._BLOCK + 7
+    assert quad.size > stalled
+    integrate = valuation.integrate_lanes
+
+    def poisoned(f, lo, hi):
+        return integrate(lambda x, lanes: np.where(lanes[:, None] == stalled, math.nan, f(x, lanes)), lo, hi)
+
+    monkeypatch.setattr(valuation, "integrate_lanes", poisoned)
+    with pytest.raises(QuadratureError) as info:
+        valuation.investor_value_lanes(w, base_manager, base_investor)
+    assert str(info.value).endswith(f" for fee {fee_label(*fees[quad[stalled]])}")
+
+
 def _budget_lanes(env, market, b, t):
     # h(e^t) and dh/dt per lane
     log_lo, log_hi, log_support = wealth._log_edges(env)

@@ -189,8 +189,10 @@ def test_frontier_budget_work(b_m, monkeypatch, base_market, base_investor):
 
 # Rounds of the manager's value (valuation._manager_block calls, one per
 # block of lanes, the lattice's and phi_I's included) of the SMALL frontier
-# per manager b_M: 98 and 186 with the model's point at any distance, 98 and
-# 183 when it was capped at 16 steps, both with the pattern search's step
+# per manager b_M: 97 and 185 in blocks of 8,192 lanes, where the lattice
+# is one block, against 98 and 186 in blocks of 1,024, with the model's
+# point at any distance; 98 and 183 in blocks of 1,024 when it was capped
+# at 16 steps, both with the pattern search's step
 # cut 4-fold and grown 2-fold, against 153 and 206 when it was only halved,
 # all with one search per level from its best lattice fee (153 and 207 at
 # first), against 161 and 223 from three lattice starts per level, all with

@@ -64,3 +64,34 @@ def test_lanes_name_the_lane_that_stalls(monkeypatch):
     with pytest.raises(QuadratureError) as info:
         integrate_lanes(f, np.full(3, -1.0), 1.0)
     assert info.value.lane == 1
+
+
+def test_lanes_refined_in_blocks_keep_their_global_index(monkeypatch):
+    # more lanes than one block: f sees the lanes' own indices, each lane
+    # equals its one-lane call, and a lane that stalls in the second block
+    # raises with its index among all lanes
+    n = quadrature._BLOCK + 300
+    scale = np.linspace(0.5, 4.0, n)
+    lo = np.linspace(-10.0, 9.0, n)
+    seen = []
+
+    def f(x, lanes):
+        seen.append(lanes)
+        return np.exp(-scale[lanes, None] * x * x) * np.cos(x)
+
+    got = integrate_lanes(f, lo, 10.0)
+    assert max(len(lanes) for lanes in seen) == quadrature._BLOCK
+    assert np.array_equal(np.unique(np.concatenate(seen)), np.arange(n))
+    for i in range(n):
+        one = integrate_lanes(lambda x, _: np.exp(-scale[i] * x * x) * np.cos(x), lo[i:i + 1], 10.0)
+        assert got[i] == one[0]
+
+    stalled = quadrature._BLOCK + 7
+    monkeypatch.setattr(quadrature, "_MAX_DOUBLINGS", 2)
+
+    def rough(x, lanes):
+        return np.where(lanes[:, None] == stalled, 1.0 / np.sqrt(np.abs(x) + 1e-300), x * x)
+
+    with pytest.raises(QuadratureError) as info:
+        integrate_lanes(rough, np.full(n, -1.0), 1.0)
+    assert info.value.lane == stalled
