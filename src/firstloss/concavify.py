@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contract import FeeStructure, fee_label
+from .contract import FeeStructure, require_lanes
 from .preferences import HaraParams, PreferenceError, _in_power_domain, _power, manager_composite_utility
 from .roots import bracketed_root
 
@@ -129,13 +129,6 @@ class Regime(NamedTuple):
     slope_i3: np.ndarray
 
 
-def _require(fees: tuple, ok: np.ndarray, lanes: np.ndarray, text, error=EnvelopeError) -> None:
-    # error for the first lane j not ok, naming its fee (m, alpha, c)[lanes[j]]
-    if not ok.all():
-        j = int(np.argmin(ok))
-        raise error(f"{text(j)} for fee {fee_label(*(x[lanes[j]] for x in fees))}")
-
-
 def regime_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParams, v0: float) -> Regime:
     """The regime of every fee (m[i], alpha[i], c[i]): the chord slope from
     zero to the upper kink against the one-sided marginals there, ties to B.
@@ -146,18 +139,19 @@ def regime_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParams,
     """
     m, alpha, c = (np.asarray(x, dtype=float) for x in (m, alpha, c))
     b, a = p.b, p.a
-    require, all_lanes = partial(_require, (m, alpha, c)), np.arange(m.size)
+    require = partial(require_lanes, (m, alpha, c))
     ruin = v0 * (m - c) + a                    # utility base of the manager's payoff on the flat piece
     top = m * v0 + a                           # and at the upper kink, where its marginal utility is taken
-    require(_in_power_domain(ruin, 1.0 - b) & _in_power_domain(top, -b), all_lanes,
+    require(_in_power_domain(ruin, 1.0 - b) & _in_power_domain(top, -b),
             lambda i: f"manager utility bases {ruin[i]} at the ruin payoff and {top[i]} at the upper kink "
                       f"not within the domains of (.)^(1-b) and (.)^(-b)", PreferenceError)
     u_ruin = _power(ruin, 1.0 - b)
     # infinite only for b > 1 (near the domain edge, or with a huge b), where
     # it leaves the chord from zero no slope; the power at the upper kink is
     # then finite, as its base is larger
-    require(np.isfinite(u_ruin), all_lanes,
-            lambda i: f"utility power (v0 (m - c) + a)^(1-b) = {u_ruin[i]} at the ruin payoff beyond double range")
+    require(np.isfinite(u_ruin),
+            lambda i: f"utility power (v0 (m - c) + a)^(1-b) = {u_ruin[i]} at the ruin payoff beyond double range",
+            EnvelopeError)
     h = (_power(top, 1.0 - b) - u_ruin) / ((1.0 - b) * (1.0 + m) * v0)
     slope_i2 = _power(top, -b)
     slope_i3 = alpha * slope_i2
@@ -174,7 +168,7 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
     """
     m, alpha, c = (np.asarray(x, dtype=float) for x in (m, alpha, c))
     b, a = p.b, p.a
-    require, all_lanes = partial(_require, (m, alpha, c)), np.arange(m.size)
+    require = partial(require_lanes, (m, alpha, c), error=EnvelopeError)
     bands, ruin, u_ruin, h, slope_i2, slope_i3 = regime_lanes(m, alpha, c, p, v0)
     case_a, case_c = bands == 1, bands == 3
     kink1, kink2 = (1.0 + m - c) * v0, (1.0 + m) * v0
@@ -208,16 +202,16 @@ def envelope_lanes(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, p: HaraParam
             grow = every[on_last & (g_hi * g_lo > 0.0)]
             while grow.size:
                 hi[grow] *= 2.0
-                require(hi[grow] <= _BRACKET_CAP * v0, T[grow],
-                        lambda j: f"no tangency bracket in [{lo[grow[j]]}, {hi[grow[j]]}]")
+                require(hi[grow] <= _BRACKET_CAP * v0,
+                        lambda j: f"no tangency bracket in [{lo[grow[j]]}, {hi[grow[j]]}]", lanes=T[grow])
                 g_hi[grow] = g(hi[grow], grow)
                 grow = grow[g_hi[grow] * g_lo[grow] > 0.0]
-            require(~(g_lo * g_hi > 0.0), T, lambda j: f"no tangency bracket in [{lo[j]}, {hi[j]}]")
+            require(~(g_lo * g_hi > 0.0), lambda j: f"no tangency bracket in [{lo[j]}, {hi[j]}]", lanes=T)
         root, _, ok = bracketed_root(g, lo, g_lo, hi, g_hi, 1e-13 * v0)
-        require(ok, T, lambda j: f"tangency root not found in [{lo[j]}, {hi[j]}]")
+        require(ok, lambda j: f"tangency root not found in [{lo[j]}, {hi[j]}]", lanes=T)
         theta1[T] = root
         slope[T] = s * np.exp(-b * np.log(s * root + X))
-    require(~(theta1 < kink1), all_lanes, lambda i: f"theta1={theta1[i]} below the first kink {kink1[i]}")
+    require(~(theta1 < kink1), lambda i: f"theta1={theta1[i]} below the first kink {kink1[i]}")
 
     # the band table, performance-fee piece first: case A has that piece
     # alone, B adds the flat band at the upper kink, C the middle piece too

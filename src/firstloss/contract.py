@@ -66,6 +66,16 @@ def fee_label(m: float, alpha: float, c: float) -> str:
     return f"({100.0 * m:.4f}%, {100.0 * alpha:.4f}%, {100.0 * c:.4f}%)"
 
 
+def require_lanes(fees: tuple, ok: np.ndarray, text, error, lanes: np.ndarray | None = None) -> None:
+    """Raise error(f"{text(i)} for fee (...)") for the first lane i not ok,
+    naming the fee (m, alpha, c) at lanes[i] (at i without lanes) of the
+    arrays fees = (m, alpha, c)."""
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        at = i if lanes is None else lanes[i]
+        raise error(f"{text(i)} for fee {fee_label(*(x[at] for x in fees))}")
+
+
 def in_fee_box(m: np.ndarray, alpha: np.ndarray, c: np.ndarray) -> np.ndarray:
     """FeeStructure's box check over arrays: True where (m, alpha, c) is a
     valid fee, with the same tolerance; NaN is outside."""

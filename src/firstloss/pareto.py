@@ -103,6 +103,9 @@ class GridSteps:
         return self._axis(2, FEE_LO[2], self.dc)
 
 
+_TRADITIONAL_STEPS = GridSteps(dm=0.0025, dalpha=0.0025)       # optimize_traditional's (m, alpha) axes
+
+
 @dataclass(frozen=True)
 class GridScan(FeeBatch):
     """Full lattice evaluation: the FeeBatch of the Cartesian grid's fees,
@@ -220,7 +223,7 @@ def _bind(rows: np.ndarray, axis: int | np.ndarray, t: np.ndarray, phi_min: np.n
         return phi_m - need[lanes], grad[at], t_x
 
     # ftol: about where phi_M's own rounding takes over
-    x, _, t_x, ok = newton_root(gap, held[np.arange(span.size), on], lo[span], hi[span], on != 2, 1e-15,
+    x, _, t_x, ok = newton_root(gap, held[np.arange(span.size), on], lo[span], hi[span], on != 2,
                                 8.0 * _EPS * np.maximum(1.0, np.abs(need)), t[span])
     if not ok.all():
         i = int(np.argmin(ok))
@@ -353,27 +356,21 @@ def sweep_frontier(
     manager: HaraParams,
     investor: HaraParams,
     steps: GridSteps = GridSteps(),
-    scan: GridScan | None = None,
 ) -> Frontier:
-    """Trace the Pareto frontier over an even grid of reservation levels in
-    one batched search; a numerical failure raises, noted with the fee."""
-    if scan is None:
-        scan = grid_scan(market, manager, investor, steps)
+    """Scan the lattice of steps (grid_scan), then trace the Pareto frontier
+    at its n_phi + 1 reservation levels, spaced evenly across the scan's
+    attained phi_M, in one batched search; a numerical failure raises, noted
+    with the fee."""
+    scan = grid_scan(market, manager, investor, steps)
     levels = np.linspace(scan.phi_M_min, scan.phi_M_max, steps.n_phi + 1)
     return Frontier(points=tuple(_solve_levels(levels, scan, market, manager, investor)))
 
 
-def optimize_traditional(
-    investor: HaraParams,
-    manager: HaraParams,
-    market: MarketParams,
-    dm: float = 0.0025,
-    dalpha: float = 0.0025,
-) -> tuple[float, float]:
+def optimize_traditional(investor: HaraParams, manager: HaraParams, market: MarketParams) -> tuple[float, float]:
     """Investor-optimal traditional fee (c = 0) over the fee box: the (m,
-    alpha) axes of GridSteps(dm, dalpha), then the lane-wise pattern search
+    alpha) axes of _TRADITIONAL_STEPS, then the lane-wise pattern search
     from their best fee, which it never falls below."""
-    steps = GridSteps(dm=dm, dalpha=dalpha)
+    steps = _TRADITIONAL_STEPS
     grid = np.stack(np.meshgrid(steps.m_grid(), steps.alpha_grid(), [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
     batch = evaluate_fees(grid, market, manager, investor)
     if not batch.feasible.all():
@@ -385,6 +382,6 @@ def optimize_traditional(
         return evaluate_fees(fees, market, manager, investor).phi_I, fees
 
     x = grid[[i], :2]
-    pattern_search(phi_i, x, batch.phi_I[i:i + 1].copy(), grid[[i]], np.array([[dm, dalpha]]),
+    pattern_search(phi_i, x, batch.phi_I[i:i + 1].copy(), grid[[i]], np.array([[steps.dm, steps.dalpha]]),
                    FEE_LO[:2], FEE_HI[:2])
     return float(x[0, 0]), float(x[0, 1])

@@ -1,7 +1,9 @@
 """Adaptive Gauss-Legendre quadrature on a finite interval.
 
-Composite high-order panels, doubled until two successive refinements agree;
-integrands are evaluated vectorized, which keeps dense fee sweeps cheap.
+Composite high-order panels, doubled until two successive refinements agree
+to DEFAULT_REL_TOL relative or DEFAULT_ABS_TOL absolute, the tolerances of
+every integral here; integrands are evaluated vectorized, which keeps dense
+fee sweeps cheap.
 integrate_lanes refines its lanes in blocks of _BLOCK, which bounds the
 (lanes, panels, nodes) arrays it holds at once however many lanes it gets.
 """
@@ -50,8 +52,6 @@ def _refine(
     out: np.ndarray,
     lanes: np.ndarray,
     edges: np.ndarray,
-    rel_tol: float,
-    abs_tol: float,
 ) -> np.ndarray:
     # out[lanes[i]] = the integral of f(., lanes[i]) over the panels edges[i],
     # every panel halved until two levels agree; a lane leaves the work once
@@ -64,7 +64,7 @@ def _refine(
         refined[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
         cur = _composite_lanes(f, refined, lanes)
         err = np.abs(cur - prev)
-        done = err <= np.maximum(abs_tol, rel_tol * np.abs(cur))
+        done = err <= np.maximum(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * np.abs(cur))
         out[lanes[done]] = cur[done]
         lanes, edges, prev, err = lanes[~done], refined[~done], cur[~done], err[~done]
         if not lanes.size:
@@ -79,11 +79,9 @@ def integrate(
     lo: float,
     hi: float,
     breakpoints: Sequence[float] = (),
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
 ) -> float:
-    """Integral of a vectorized f over [lo, hi]: integrate_lanes' refinement
-    on one lane.
+    """Integral of a vectorized f over [lo, hi] at the module's tolerances:
+    integrate_lanes' refinement on one lane.
 
     Interior breakpoints (integrand kinks) become fixed panel edges so the
     panels only ever see smooth pieces.
@@ -91,7 +89,7 @@ def integrate(
     if hi <= lo:
         return 0.0
     edges = np.unique(np.concatenate([[lo, hi], [b for b in breakpoints if lo < b < hi]]))
-    return float(_refine(lambda x, _: f(x[0]), np.zeros(1), np.zeros(1, dtype=int), edges[None], rel_tol, abs_tol)[0])
+    return float(_refine(lambda x, _: f(x[0]), np.zeros(1), np.zeros(1, dtype=int), edges[None])[0])
 
 
 def integrate_lanes(
@@ -100,8 +98,7 @@ def integrate_lanes(
     hi: np.ndarray,
 ) -> np.ndarray:
     """integrate for many integrands at once: lane i is the integral of
-    f(., i) over [lo[i], hi[i]], on the panels and at the default tolerances
-    integrate would use.
+    f(., i) over [lo[i], hi[i]], on the panels integrate would use.
 
     f(x, lanes) gets the nodes x, one row per lane in ``lanes`` (indices
     into lo and hi), and returns the integrand there.  The lanes are refined
@@ -114,5 +111,5 @@ def integrate_lanes(
     todo = np.flatnonzero(hi > lo)
     for start in range(0, todo.size, _BLOCK):
         lanes = todo[start:start + _BLOCK]
-        _refine(f, out, lanes, np.stack([lo[lanes], hi[lanes]], axis=1), DEFAULT_REL_TOL, DEFAULT_ABS_TOL)
+        _refine(f, out, lanes, np.stack([lo[lanes], hi[lanes]], axis=1))
     return out

@@ -24,6 +24,7 @@ import numpy as np
 
 MAX_ITER = 100
 XRTOL = 4.0 * math.ulp(1.0)              # relative bracket width at which a lane stops
+NEWTON_XATOL = 1e-15                     # newton_root's absolute tolerance in x
 MIN_STEP = 1e-8                          # pattern_search's last step in every coordinate
 
 
@@ -95,7 +96,6 @@ def newton_root(
     lo: np.ndarray,
     hi: np.ndarray,
     rises: bool | np.ndarray,
-    xatol: float,
     ftol: np.ndarray,
     warm: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -115,12 +115,12 @@ def newton_root(
     Each lane keeps a bracket: its feasible end (the evaluated point with
     g >= 0 nearest the root) and its short end (g < 0), each the span's end,
     unseen, until a point lands on that side.  The Newton step, from the end
-    whose own step is the shorter, aims one tolerance XRTOL |x| + xatol onto
-    the feasible side.  A step that points past an unseen end evaluates that
-    end, as does a bracket within two tolerances of it; a step that is not
-    finite, leaves the bracket, or fails to halve the previous step while
-    longer than four tolerances (the rtsafe rule) bisects the bracket.  A
-    lane stops when its feasible end is within two tolerances of its own
+    whose own step is the shorter, aims one tolerance XRTOL |x| + NEWTON_XATOL
+    (both constants of this module) onto the feasible side.  A step that points
+    past an unseen end evaluates that end, as does a bracket within two
+    tolerances of it; a step that is not finite, leaves the bracket, or fails
+    to halve the previous step while longer than four tolerances (the rtsafe
+    rule) bisects the bracket.  A lane stops when its feasible end is within two tolerances of its own
     Newton estimate or of a seen short end, or has g <= ftol; when the
     feasible end is the span's end on the short side (all of the span meets
     g >= 0); or when the short end is the span's end on the feasible side
@@ -165,7 +165,7 @@ def newton_root(
     lanes = np.arange(n)
     for _ in range(MAX_ITER):
         a, b, gb = short[lanes], feas[lanes], g_f[lanes]
-        tol = XRTOL * np.abs(b) + xatol
+        tol = XRTOL * np.abs(b) + NEWTON_XATOL
         with np.errstate(divide="ignore", invalid="ignore"):
             met = (np.abs(gb / d_f[lanes]) <= 2.0 * tol) | (gb <= ftol[lanes]) \
                 | (seen_s[lanes] & (np.abs(b - a) <= 2.0 * tol)) | (b == edge_s[lanes])
@@ -182,7 +182,7 @@ def newton_root(
             newton_s, newton_f = -g_s[lanes] / d_s[lanes], -g_f[lanes] / d_f[lanes]
         from_s = seen_s[lanes] & (np.abs(newton_s) < np.fmin(np.abs(newton_f), math.inf))
         x, g = np.where(from_s, a, b), np.where(from_s, g_s[lanes], g_f[lanes])
-        tol = XRTOL * np.abs(x) + xatol
+        tol = XRTOL * np.abs(x) + NEWTON_XATOL
         target = x + np.where(from_s, newton_s, newton_f) + s[lanes] * tol
         finite = np.isfinite(target)
         inside = finite & (target > np.minimum(a, b)) & (target < np.maximum(a, b))

@@ -11,7 +11,7 @@ import numpy as np
 from .concavify import EnvelopeError
 from .contract import FeeStructure, investor_payoff, manager_payoff
 from .market import MarketParams, MomentRangeError
-from .pareto import Frontier, GridSteps, InfeasibleReservation, grid_scan, sweep_frontier
+from .pareto import Frontier, GridSteps, InfeasibleReservation, sweep_frontier
 from .preferences import HaraParams, PreferenceError, hara_utility
 from .quadrature import QuadratureError, integrate
 from .valuation import _INV_SQRT_2PI, _W_CUTOFF, evaluate_fee
@@ -91,9 +91,9 @@ def run_pipeline(
     investor: HaraParams,
     steps: GridSteps = GridSteps(),
 ) -> PipelineResult:
-    """Lattice scan, frontier sweep, and Sharpe selection in one shot."""
-    scan = grid_scan(market, manager, investor, steps)
-    frontier = sweep_frontier(market, manager, investor, steps, scan=scan)
+    """The frontier of steps (sweep_frontier, which scans its lattice) and
+    its Sharpe-preferred fee."""
+    frontier = sweep_frontier(market, manager, investor, steps)
     return PipelineResult(frontier=frontier, preferred=preferred_fee(frontier))
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concavify import envelope_lanes, regime_lanes
-from .contract import FeeStructure, fee_label, in_fee_box
+from .contract import FeeStructure, fee_label, in_fee_box, require_lanes
 from .market import MarketParams, partial_power_expectation_normal as ppe
 from .preferences import HaraParams, _power, admissible_lanes, require_admissible
 from .quadrature import QuadratureError, integrate_lanes
@@ -37,7 +37,6 @@ from .wealth import (
     OptimalWealthSolution,
     SolveError,
     WealthLanes,
-    _require,
     moment_lanes,
     sharpe_from_moments,
     solve_budget,
@@ -58,7 +57,6 @@ class FeeMetrics:
     """Both parties' values and the Sharpe ratio of one fee, and its regime
     ('A', 'B' or 'C'), from a single budget solve."""
 
-    fee: FeeStructure
     case: str
     phi_M: float
     phi_I: float
@@ -129,9 +127,9 @@ def investor_value_lanes(w: WealthLanes, manager: HaraParams, investor: HaraPara
     u_ruin, u_v0 = _power(v0 * (env.c - env.m) + aI, 1.0 - bI), _power(v0 + aI, 1.0 - bI)
     # beyond double range at a tiny base or with a huge b_I (b_I > 1); raised
     # here, before it meets a probability of 0, as inf * 0 is NaN
-    _require(np.isfinite(u_ruin) & math.isfinite(u_v0), lambda i: SolveError(
+    require_lanes((env.m, env.alpha, env.c), np.isfinite(u_ruin) & math.isfinite(u_v0), lambda i: (
         f"investor utility powers (v0 (c - m) + a)^(1-b) = {u_ruin[i]} at the ruin payoff and (v0 + a)^(1-b) = "
-        f"{u_v0} at v0 not both within double range for fee {fee_label(env.m[i], env.alpha[i], env.c[i])}"))
+        f"{u_v0} at v0 not both within double range"), SolveError)
     phi_i = u_ruin / (1.0 - bI) * w.beyond_support
     # the bands after the first (flat band, loss absorption) are contiguous
     # and pay the investor exactly v0; the range is empty with a single band
@@ -174,7 +172,7 @@ def evaluate_fee(fee: FeeStructure, market: MarketParams, manager: HaraParams, i
     evaluate_fees's chain on a single lane."""
     require_admissible(fee, manager, investor, market.v0)
     w, phi_m, phi_i, sharpe = _evaluate_block(np.array([[fee.m, fee.alpha, fee.c]]), market, manager, investor)
-    return FeeMetrics(fee=fee, case=str(w.env.case[0]), phi_M=float(phi_m[0]), phi_I=float(phi_i[0]),
+    return FeeMetrics(case=str(w.env.case[0]), phi_M=float(phi_m[0]), phi_I=float(phi_i[0]),
                       sharpe=float(sharpe[0]))
 
 
@@ -261,8 +259,7 @@ def _manager_block(rows: np.ndarray, market: MarketParams, manager: HaraParams, 
     env = env._replace(u_lo=env.u_lo[:n], u_hi=env.u_hi[:n], coef=env.coef[:n], const=env.const[:n])
     w = wealth_lanes(env, market, solve_budget(env, market, manager.b, t_near))
     phi_m = manager_value_lanes(w, manager)
-    _require(np.isfinite(phi_m), lambda i: SolveError(
-        f"non-finite value phi_M={phi_m[i]} for fee {fee_label(*rows[i])}"))
+    require_lanes((m, alpha, c), np.isfinite(phi_m), lambda i: f"non-finite value phi_M={phi_m[i]}", SolveError)
     return w, phi_m
 
 
@@ -274,6 +271,6 @@ def _evaluate_block(rows: np.ndarray, market: MarketParams, manager: HaraParams,
     ev, ev2 = moment_lanes(w, manager.b)
     sharpe = sharpe_from_moments(w, ev, ev2)
     phi_i = investor_value_lanes(w, manager, investor)
-    _require(np.isfinite(phi_i) & np.isfinite(sharpe), lambda i: SolveError(
-        f"non-finite value phi_M={phi_m[i]}, phi_I={phi_i[i]}, SR={sharpe[i]} for fee {fee_label(*rows[i])}"))
+    require_lanes(rows.T, np.isfinite(phi_i) & np.isfinite(sharpe),
+                  lambda i: f"non-finite value phi_M={phi_m[i]}, phi_I={phi_i[i]}, SR={sharpe[i]}", SolveError)
     return w, phi_m, phi_i, sharpe

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .concavify import ConcaveEnvelope, EnvelopeLanes, build_envelope
-from .contract import FeeStructure, fee_label
+from .contract import FeeStructure, require_lanes
 from .market import MarketParams, kernel_bound_normal, partial_power_expectation_normal as ppe
 from .preferences import HaraParams
 from .roots import MAX_ITER, XRTOL
@@ -36,13 +36,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 class SolveError(RuntimeError):
     """Budget equation could not be bracketed or met its tolerance."""
-
-
-def _require(ok: np.ndarray, error) -> None:
-    """Raise error(i) for the first lane i not ok."""
-    bad = np.flatnonzero(np.logical_not(ok))
-    if bad.size:
-        raise error(int(bad[0]))
 
 
 class WealthLanes(NamedTuple):
@@ -73,10 +66,12 @@ def _budget(market: MarketParams, b: float, coef, const, log_lo, log_hi, theta1,
     # h(e^t) and dh/dt per lane, from the band table with its edges as log u;
     # V is continuous at the inner band edges, so dh/dt is the power bands'
     # own term and V's jump from theta1 to 0 at the support edge
-    # z_s = slope e^-t: -theta1 z_s^2 f_Z(z_s) = -theta1 z_s phi(d_support) / sigma
+    # z_s = slope e^-t: -theta1 z_s^2 f_Z(z_s) = -theta1 z_s phi(d_support) / sigma.
+    # A band with coef = 0 (flat or empty) adds no power term, also where
+    # e^(-t/b) overflows and its product would be 0 * inf
     d_lo = kernel_bound_normal(market, log_lo - t)
     d_hi = kernel_bound_normal(market, log_hi - t)
-    power = coef * np.exp((-1.0 / b) * t) * ppe(market, 1.0 - 1.0 / b, d_lo, d_hi)
+    power = np.where(coef != 0.0, coef * np.exp((-1.0 / b) * t) * ppe(market, 1.0 - 1.0 / b, d_lo, d_hi), 0.0)
     d_support = kernel_bound_normal(market, log_support - t)
     jump = theta1 * np.exp(log_support - t - 0.5 * d_support * d_support) / (_SQRT_2PI * market.log_vol)
     return np.sum(power + const * ppe(market, 1.0, d_lo, d_hi), axis=0), np.sum(power, axis=0) / -b - jump
@@ -138,12 +133,11 @@ def solve_budget(env: EnvelopeLanes, market: MarketParams, b: float, t_near: np.
             # _NEWTON_ROUNDS, a step longer than half the bracket bisects
             newton &= unseen | (np.abs(step[go]) <= 0.5 * (z - a))
         x = np.where(newton, target, np.where(unseen, np.where(up, _REACH, -_REACH), 0.5 * (a + z)))
-    label = lambda i: fee_label(env.m[i], env.alpha[i], env.c[i])
-    _require((lo != _REACH) & (hi != -_REACH), lambda i: SolveError(
-        f"budget bracket expansion failed within y in [{math.exp(-_REACH):.3e}, {math.exp(_REACH):.3e}] "
-        f"for fee {label(i)}"))
-    _require(miss <= _BUDGET_RTOL * v0, lambda i: SolveError(
-        f"budget root ended at residual {miss[i]:.3e} for fee {label(i)}"))
+    fees = (env.m, env.alpha, env.c)
+    require_lanes(fees, (lo != _REACH) & (hi != -_REACH), lambda i: (
+        f"budget bracket expansion failed within y in [{math.exp(-_REACH):.3e}, {math.exp(_REACH):.3e}]"), SolveError)
+    require_lanes(fees, miss <= _BUDGET_RTOL * v0, lambda i: f"budget root ended at residual {miss[i]:.3e}",
+                  SolveError)
     return best
 
 
@@ -172,9 +166,8 @@ def sharpe_from_moments(w: WealthLanes, ev: np.ndarray, ev2: np.ndarray) -> np.n
     """(E[V] - v0 (1+r)) / std(V) per lane of w, from its moments; a
     numerically deterministic fund raises SolveError naming its fee."""
     var, env = ev2 - ev * ev, w.env
-    _require(var > _VAR_FLOOR, lambda i: SolveError(
-        f"fund value variance {np.ravel(var)[i]:.3e} is numerically degenerate "
-        f"for fee {fee_label(env.m[i], env.alpha[i], env.c[i])}"))
+    require_lanes((env.m, env.alpha, env.c), var > _VAR_FLOOR,
+                  lambda i: f"fund value variance {np.ravel(var)[i]:.3e} is numerically degenerate", SolveError)
     return (ev - w.market.v0 * (1.0 + w.market.r)) / np.sqrt(var)
 
 
@@ -192,22 +185,8 @@ class OptimalWealthSolution:
         return math.exp(self.t)
 
     @property
-    def z_power_end(self) -> float:
-        """Kernel value where the performance-fee power branch ends."""
-        return self.thresholds()[0]
-
-    @property
-    def z_support(self) -> float:
-        """Kernel value from which on the fund is worth 0."""
-        return self.envelope.slope / self.y_star
-
-    @property
     def case(self) -> str:
         return self.envelope.case
-
-    @property
-    def fee(self) -> FeeStructure:
-        return self.envelope.fee
 
     @property
     def theta1(self) -> float:
@@ -225,10 +204,13 @@ class OptimalWealthSolution:
 
 
 def budget(envelope: ConcaveEnvelope, market: MarketParams, y: float) -> float:
-    """h(y) = E[Z V(y, Z)] of one envelope."""
+    """h(y) = E[Z V(y, Z)] of one envelope; inf where y is so small that
+    y^(-1/b) overflows."""
     env = envelope.lanes
     log_lo, log_hi, log_support = _log_edges(env)
-    h, _ = _budget(market, envelope.hara.b, env.coef, env.const, log_lo, log_hi, env.theta1, log_support, np.log([y]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, _ = _budget(market, envelope.hara.b, env.coef, env.const, log_lo, log_hi, env.theta1, log_support,
+                       np.log([y]))
     return float(h[0])
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from firstloss import FeeStructure, HaraParams, MarketParams
+from firstloss import FeeStructure, HaraParams, MarketParams, selection
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +21,16 @@ def base_investor() -> HaraParams:
 def fee_pct(m: float, alpha: float, c: float) -> FeeStructure:
     """Fee from percent coordinates, as quoted in tables."""
     return FeeStructure(m / 100.0, alpha / 100.0, c / 100.0)
+
+
+def failing_cell(monkeypatch, error):
+    """Make selection.run_pipeline raise error in the cell r = 0.03 and run
+    the others."""
+    real = selection.run_pipeline
+
+    def run(market, *args):
+        if market.r == 0.03:
+            raise error
+        return real(market, *args)
+
+    monkeypatch.setattr(selection, "run_pipeline", run)

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from firstloss import ConfigError, RunConfig, load_config, pareto, valuation
+from firstloss import ConfigError, RunConfig, SolveError, load_config, pareto, valuation
 from firstloss.cli import main
 from firstloss.contract import in_fee_box
+
+from conftest import failing_cell
 
 
 def test_defaults_are_base_case():
@@ -100,6 +102,24 @@ def test_cli_outdir_at_or_under_a_file_exits_1(outdir, tmp_path, capsys):
 def test_cli_bad_fee_exits_1(tmp_path):
     code = main(["--set", f"run.outdir={tmp_path}", "value", "--fee", "1,2"])
     assert code == 1
+
+
+@pytest.mark.parametrize("config,argv,message", [
+    (None, ["--set", "market.r=abc", "value", "--fee", "0,20,0"], "bad value for market.r: 'abc'"),
+    ("[market]\nr = abc\n", ["value", "--fee", "0,20,0"], "bad value for market.r: 'abc'"),
+    ("r = 0.04\n", ["value", "--fee", "0,20,0"], "cannot parse"),
+    ("[foo]\nx = 1\n", ["value", "--fee", "0,20,0"], "unknown config section [foo]"),
+    (None, ["value", "--fee", "a,b,c"], "fee must be numeric percentages"),
+], ids=["override-value", "file-value", "no-section", "unknown-section", "fee-text"])
+def test_cli_config_and_fee_errors_exit_1(config, argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = ["--config", str(tmp_path / "run.cfg"), *argv]
+    assert main(["--set", f"run.outdir={out}", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
 
 
 def test_cli_envelope_and_wealth(tmp_path):
@@ -324,6 +344,21 @@ def test_cli_sensitivity_ba(tmp_path):
     assert rows[0] == ["cell", "m_pct", "alpha_pct", "c_pct", "sharpe", "error"]
     assert [row[0] for row in rows[1:]] == ["bM=0.65,bI=0.65", "bM=2.5,bI=0.65"]
     assert all(row[-1] == "" and math.isfinite(float(row[4])) for row in rows[1:])
+
+
+def test_cli_sensitivity_records_a_failed_cell(tmp_path, monkeypatch):
+    # run_pipeline fails in the cell r = 0.03 alone: its row carries the
+    # typed error and no fee, and the sweep goes on and exits 0
+    failing_cell(monkeypatch, SolveError("budget bracket expansion failed"))
+    argv = ["--set", f"run.outdir={tmp_path}", *COARSE, "--set", "sweep.n_phi=4",
+            "sensitivity", "--axis", "r", "--values", "0.02,0.03"]
+    assert main(argv) == 0
+    lines = [l for l in (tmp_path / "sensitivity_r.csv").read_text().splitlines() if not l.startswith("#")]
+    assert lines[0] == "cell,m_pct,alpha_pct,c_pct,sharpe,error"
+    filled = lines[1].split(",")
+    assert filled[0] == "r=0.02" and filled[-1] == "" and all(math.isfinite(float(x)) for x in filled[1:5])
+    assert lines[2] == "r=0.03,,,,,SolveError: budget bracket expansion failed"
+    assert len(lines) == 3
 
 
 FUZZ_KEYS = ["market.r", "market.gamma", "market.sigma", "market.horizon", "market.v0",

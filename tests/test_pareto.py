@@ -26,8 +26,8 @@ def small_scan(base_market, base_manager, base_investor):
 
 
 @pytest.fixture(scope="module")
-def small_frontier(base_market, base_manager, base_investor, small_scan):
-    return sweep_frontier(base_market, base_manager, base_investor, SMALL, scan=small_scan)
+def small_frontier(base_market, base_manager, base_investor):
+    return sweep_frontier(base_market, base_manager, base_investor, SMALL)
 
 
 def test_lattice_size_is_cartesian_product(small_scan):
@@ -139,8 +139,8 @@ def test_frontier_no_lattice_dominance(small_scan, small_frontier):
         assert not better.any()
 
 
-def test_frontier_determinism(base_market, base_manager, base_investor, small_scan, small_frontier):
-    again = sweep_frontier(base_market, base_manager, base_investor, SMALL, scan=small_scan)
+def test_frontier_determinism(base_market, base_manager, base_investor, small_frontier):
+    again = sweep_frontier(base_market, base_manager, base_investor, SMALL)
     assert len(again.points) == len(small_frontier.points)
     for a, b in zip(again.points, small_frontier.points):
         assert a.fee == b.fee

@@ -64,7 +64,7 @@ def newton(g, x, lo, hi, rises, ftol=0.0):
         rounds[np.unique(lanes)] += 1
         return value, slope, points
 
-    out = newton_root(f, np.asarray(x, dtype=float), lo, hi, rises, 1e-15, np.full(lo.size, ftol), np.zeros(lo.size))
+    out = newton_root(f, np.asarray(x, dtype=float), lo, hi, rises, np.full(lo.size, ftol), np.zeros(lo.size))
     return out, seen, rounds
 
 

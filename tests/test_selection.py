@@ -10,25 +10,22 @@ from firstloss import (
     constant_mix_benchmark,
     constrained_preferred_fee,
     evaluate_fee,
-    grid_scan,
     preferred_fee,
     sensitivity_sweep,
     sweep_frontier,
 )
-from firstloss import selection
 from firstloss.pareto import Frontier
 from firstloss.selection import SelectionError
 from firstloss.wealth import SolveError
 
-from conftest import fee_pct
+from conftest import failing_cell, fee_pct
 
 SMALL = GridSteps(dm=0.0125, dalpha=0.025, dc=0.025, n_phi=12)
 
 
 @pytest.fixture(scope="module")
 def small_frontier(base_market, base_manager, base_investor):
-    scan = grid_scan(base_market, base_manager, base_investor, SMALL)
-    return sweep_frontier(base_market, base_manager, base_investor, SMALL, scan=scan)
+    return sweep_frontier(base_market, base_manager, base_investor, SMALL)
 
 
 def test_preferred_is_sharpe_argmax(small_frontier):
@@ -85,20 +82,8 @@ def test_sensitivity_sweep_smoke(base_market, base_manager, base_investor):
         sensitivity_sweep("bad-axis", [1], base_market, base_manager, base_investor, tiny)
 
 
-def _failing_cell(monkeypatch, error):
-    # run_pipeline raises error in the cell r = 0.03 and runs the others
-    real = selection.run_pipeline
-
-    def run(market, *args):
-        if market.r == 0.03:
-            raise error
-        return real(market, *args)
-
-    monkeypatch.setattr(selection, "run_pipeline", run)
-
-
 def test_sensitivity_records_a_cells_numerical_error(monkeypatch, base_market, base_manager, base_investor):
-    _failing_cell(monkeypatch, SolveError("budget bracket expansion failed"))
+    failing_cell(monkeypatch, SolveError("budget bracket expansion failed"))
     tiny = GridSteps(dm=0.025, dalpha=0.05, dc=0.05, n_phi=2)
     cells = sensitivity_sweep("r", [0.02, 0.03], base_market, base_manager, base_investor, tiny)
     assert cells[0].preferred is not None and cells[0].error == ""
@@ -107,7 +92,7 @@ def test_sensitivity_records_a_cells_numerical_error(monkeypatch, base_market, b
 
 
 def test_sensitivity_propagates_other_errors(monkeypatch, base_market, base_manager, base_investor):
-    _failing_cell(monkeypatch, TypeError("a bug, not a cell's result"))
+    failing_cell(monkeypatch, TypeError("a bug, not a cell's result"))
     tiny = GridSteps(dm=0.025, dalpha=0.05, dc=0.05, n_phi=2)
     with pytest.raises(TypeError, match="a bug"):
         sensitivity_sweep("r", [0.02, 0.03], base_market, base_manager, base_investor, tiny)

@@ -99,10 +99,11 @@ def test_degenerate_full_performance_fee_closed_form(base_market, base_manager, 
     bI = base_investor.b
     v0 = base_market.v0
     ppe = lambda kk, lo, hi: partial_power_expectation(base_market, kk, lo, hi)
-    expect = _power(v0 * (f.c - f.m) + base_investor.a, 1.0 - bI) / (1.0 - bI) * ppe(0.0, sol.z_support, math.inf)
-    expect += _power(l, 1.0 - bI) / (1.0 - bI) * ppe(0.0, 0.0, sol.z_power_end)
+    z_power_end, z_support = sol.thresholds()[0], sol.thresholds()[-1]
+    expect = _power(v0 * (f.c - f.m) + base_investor.a, 1.0 - bI) / (1.0 - bI) * ppe(0.0, z_support, math.inf)
+    expect += _power(l, 1.0 - bI) / (1.0 - bI) * ppe(0.0, 0.0, z_power_end)
     if sol.case != "A":
-        expect += _power(v0 + base_investor.a, 1.0 - bI) / (1.0 - bI) * ppe(0.0, sol.z_power_end, sol.z_support)
+        expect += _power(v0 + base_investor.a, 1.0 - bI) / (1.0 - bI) * ppe(0.0, z_power_end, z_support)
     assert investor_value(sol, base_investor) == pytest.approx(expect, abs=1e-12)
 
 
@@ -121,7 +122,8 @@ def test_mixed_term_vs_scipy_quad(base_market, base_manager, base_investor):
         k, l = (float(x[0]) for x in investor_mixed_coefficients(sol.lanes(), base_manager, base_investor))
         mu, sig = base_market.log_drift, base_market.log_vol
         bM, bI = base_manager.b, base_investor.b
-        w_lo = (-math.log(sol.z_power_end) - mu) / sig
+        z_power_end, z_support = sol.thresholds()[0], sol.thresholds()[-1]
+        w_lo = (-math.log(z_power_end) - mu) / sig
 
         def integrand(w):
             zpow = math.exp((mu + sig * w) / bM)
@@ -131,9 +133,9 @@ def test_mixed_term_vs_scipy_quad(base_market, base_manager, base_investor):
         ref_total = ref / (1.0 - bI)
         closed_rest = investor_value(sol, base_investor)
         ppe = lambda kk, lo, hi: partial_power_expectation(base_market, kk, lo, hi)
-        base_terms = _power(f.c - f.m + 0.3, 1.0 - bI) / (1.0 - bI) * ppe(0.0, sol.z_support, math.inf)
+        base_terms = _power(f.c - f.m + 0.3, 1.0 - bI) / (1.0 - bI) * ppe(0.0, z_support, math.inf)
         if sol.case != "A":
-            base_terms += _power(1.3, 1.0 - bI) / (1.0 - bI) * ppe(0.0, sol.z_power_end, sol.z_support)
+            base_terms += _power(1.3, 1.0 - bI) / (1.0 - bI) * ppe(0.0, z_power_end, z_support)
         assert closed_rest - base_terms == pytest.approx(ref_total, rel=1e-9, abs=1e-12)
 
 
@@ -191,9 +193,7 @@ def test_manager_gradient_signs_on_the_lattice(b_m, base_market, base_investor):
 
 
 def test_optimize_traditional(base_market, base_manager, base_investor):
-    m_hat, a_hat = optimize_traditional(
-        base_investor, base_manager, base_market, dm=0.005, dalpha=0.005
-    )
+    m_hat, a_hat = optimize_traditional(base_investor, base_manager, base_market)
     assert m_hat == pytest.approx(0.0, abs=0.005)
     assert a_hat == pytest.approx(0.203, abs=0.005)
     # boundary optimality in m at the refined alpha
@@ -212,6 +212,6 @@ def test_grid_argmax_within_one_cell_of_refined(base_market, base_manager, base_
     fees = [(m, a, 0.0) for m in ms for a in alphas]
     phi_i = evaluate_fees(fees, base_market, base_manager, base_investor).phi_I
     gm, ga, _ = fees[int(np.argmax(phi_i))]
-    m_hat, a_hat = optimize_traditional(base_investor, base_manager, base_market, dm=dm, dalpha=dalpha)
+    m_hat, a_hat = optimize_traditional(base_investor, base_manager, base_market)
     assert abs(gm - m_hat) <= dm + 1e-12
     assert abs(ga - a_hat) <= dalpha + 1e-12

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from firstloss import (
     solve_y_star,
     terminal_value_array,
 )
+from firstloss import quadrature
 from firstloss.quadrature import integrate
 from firstloss.wealth import budget, solve_from_envelope
 
@@ -124,8 +126,9 @@ def test_terminal_value_edges(base_market, base_manager):
     sol = solve_y_star(fee_pct(5, 10, 26), base_manager, base_market)
     assert sol.case == "B"
     env, y = sol.envelope, sol.y_star
-    mid = 0.5 * (sol.z_power_end + sol.z_support)
-    z = np.array([sol.z_support * (1.0 - 1e-9), sol.z_support, sol.z_support * 1.0001, mid])
+    z_power_end, z_support = sol.thresholds()[0], sol.thresholds()[-1]
+    mid = 0.5 * (z_power_end + z_support)
+    z = np.array([z_support * (1.0 - 1e-9), z_support, z_support * 1.0001, mid])
     v = terminal_value_array(sol, z)
     # the flat band reaches the support edge at the kink value; V = 0 from it on
     assert v[0] == pointwise_argmax(env, y, float(z[0])) == (1.0 + 0.05) * 1.0
@@ -136,9 +139,11 @@ def test_terminal_value_edges(base_market, base_manager):
 
 
 @pytest.mark.parametrize("fee,hara,case", CASE_FEES, ids=CASE_IDS)
-def test_budget_closed_form_vs_numerical_integral(fee, hara, case, base_market):
+def test_budget_closed_form_vs_numerical_integral(fee, hara, case, base_market, monkeypatch):
     # independent route: integrate z * argmax(y, z) against the lognormal law
-    # in the normal coordinate, panel edges at the band breakpoints
+    # in the normal coordinate, panel edges at the band breakpoints, to a
+    # relative 1e-11
+    monkeypatch.setattr(quadrature, "DEFAULT_REL_TOL", 1e-11)
     env = build_envelope(fee, hara, base_market.v0)
     mu, sig = base_market.log_drift, base_market.log_vol
     rng = np.random.default_rng(71)
@@ -153,8 +158,19 @@ def test_budget_closed_form_vs_numerical_integral(fee, hara, case, base_market):
 
         sol_edges = [env.slope / y, env.slope_i3 / y, env.slope_i2 / y]
         breaks = [(-math.log(e) - mu) / sig for e in sol_edges if e > 0]
-        numeric = integrate(integrand, -12.0, 12.0, breakpoints=breaks, rel_tol=1e-11)
+        numeric = integrate(integrand, -12.0, 12.0, breakpoints=breaks)
         assert closed == pytest.approx(numeric, rel=1e-8)
+
+
+@pytest.mark.parametrize("fee", [fee_pct(0, 20, 0), fee_pct(5, 35.5, 26)], ids=["A", "B"])
+def test_budget_is_inf_at_a_tiny_multiplier(fee):
+    # y^(-1/b) overflows at y = 1e-300: h is inf, and the empty or flat band
+    # (coef = 0) adds 0 to it, not 0 * inf = NaN
+    env = build_envelope(fee, HaraParams(0.3, 0.65), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert budget(env, MarketParams(), 1e-300) == math.inf
+        assert 1e307 < budget(env, MarketParams(), 1e-200) < math.inf
 
 
 @pytest.mark.parametrize("fee,hara,case", CASE_FEES, ids=CASE_IDS)
