@@ -9,7 +9,7 @@ closed form.
 
 from .concavify import ConcaveEnvelope, EnvelopeError, build_envelope, envelope_eval, pointwise_argmax
 from .config import ConfigError, RunConfig, load_config
-from .contract import ContractError, FeeStructure, investor_payoff, manager_payoff
+from .contract import ContractError, FeeStructure, InputError, NumericalError, investor_payoff, manager_payoff
 from .market import MarketError, MarketParams, partial_power_expectation, sample_z, state_price_density
 from .oracle import McEstimate, brute_pointwise, mc_budget, mc_value
 from .pareto import Frontier, GridScan, GridSteps, ParetoPoint, grid_scan, optimize_traditional, solve_fbpo, sweep_frontier
@@ -56,9 +56,11 @@ __all__ = [
     "GridScan",
     "GridSteps",
     "HaraParams",
+    "InputError",
     "MarketError",
     "MarketParams",
     "McEstimate",
+    "NumericalError",
     "OptimalWealthSolution",
     "ParetoPoint",
     "PreferenceError",

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 configuration or usage error (message names the
-field), 2 numerical failure (message names the failing stage).  Structured output is
-CSV for tables and JSON for single results, written atomically; every file
-carries the effective configuration for provenance.
+Exit codes: 0 success; 1 on an InputError (configuration, usage or model
+input; the message names the field); 2 on a NumericalError (the message
+names the failing stage).  Every typed error of the package derives from
+one of these two bases, defined in contract.  Structured output is CSV for
+tables and JSON for single results, written atomically; every file carries
+the effective configuration for provenance.
 """
 
 from __future__ import annotations
@@ -20,16 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .concavify import EnvelopeError, build_envelope, envelope_eval
+from .concavify import build_envelope, envelope_eval
 from .config import ConfigError, RunConfig, load_config
-from .contract import ContractError, FeeStructure
-from .market import MarketError, MomentRangeError
-from .oracle import OracleError, brute_pointwise, mc_budget, mc_value
-from .pareto import Frontier, InfeasibleReservation, grid_scan, sweep_frontier
-from .preferences import PreferenceError
-from .quadrature import QuadratureError
+from .contract import ContractError, FeeStructure, InputError, NumericalError
+from .oracle import brute_pointwise, mc_budget, mc_value
+from .pareto import Frontier, grid_scan, sweep_frontier
 from .selection import (
-    SelectionError,
     constant_mix_benchmark,
     constrained_preferred_fee,
     run_pipeline,
@@ -39,9 +37,6 @@ from .valuation import evaluate_fee, investor_value, manager_value
 from .wealth import SolveError, moments, sharpe_ratio, solve_y_star
 
 CONFIG_ENV = "FIRSTLOSS_CONFIG"
-
-_CONFIG_ERRORS = (ConfigError, ContractError, MarketError, PreferenceError, SelectionError, OracleError)
-_NUMERIC_ERRORS = (SolveError, EnvelopeError, QuadratureError, InfeasibleReservation, MomentRangeError)
 
 
 def _parse_fee(text: str) -> FeeStructure:
@@ -385,10 +380,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         config = load_config(args.config or os.environ.get(CONFIG_ENV), args.set)
         summary = args.func(config, args)
-    except _CONFIG_ERRORS as exc:
+    except InputError as exc:
         print(f"config error: {_message(exc)}", file=sys.stderr)
         return 1
-    except _NUMERIC_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {_message(exc)}", file=sys.stderr)
         return 2
     print(summary)

@@ -20,14 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contract import FeeStructure, require_lanes
+from .contract import FeeStructure, InputError, NumericalError, require_lanes
 from .preferences import HaraParams, PreferenceError, _in_power_domain, _power, manager_composite_utility
 from .roots import bracketed_root
 
 _BRACKET_CAP = 2.0**60
 
 
-class EnvelopeError(RuntimeError):
+class EnvelopeError(NumericalError):
     """Root bracketing failed."""
 
 
@@ -258,7 +258,7 @@ def pointwise_argmax(env: ConcaveEnvelope, y: float, z: float) -> float:
     continuous kernel law).
     """
     if y <= 0.0 or z <= 0.0:
-        raise ValueError(f"need y > 0 and z > 0 (got y={y}, z={z})")
+        raise InputError(f"need y > 0 and z > 0 (got y={y}, z={z})")
     u = y * z
     if u >= env.slope:
         return 0.0

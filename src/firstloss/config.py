@@ -8,12 +8,13 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .contract import InputError
 from .market import MarketParams
 from .pareto import GridSteps
 from .preferences import HaraParams
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Bad configuration file or override; message carries the field path."""
 
 

@@ -20,7 +20,16 @@ FEE_HI = np.array([hi for _, _, hi in FEE_BOX])
 _BOUND_TOL = 1e-12
 
 
-class ContractError(ValueError):
+class InputError(ValueError):
+    """An input the model does not admit: the CLI exits 1 on any subclass."""
+
+
+class NumericalError(RuntimeError):
+    """A computation that failed on admitted inputs: the CLI exits 2 on any
+    subclass."""
+
+
+class ContractError(InputError):
     """Fee structure outside the admissible box, or invalid payoff argument."""
 
 
@@ -39,20 +48,6 @@ class FeeStructure:
         for (name, lo, hi), x in zip(FEE_BOX, (self.m, self.alpha, self.c)):
             if not (lo - _BOUND_TOL <= x <= hi + _BOUND_TOL):
                 raise ContractError(f"{name}={x} outside [{lo:g}, {hi:g}] in fee {self}")
-
-    @classmethod
-    def raw(cls, m: float, alpha: float, c: float) -> "FeeStructure":
-        """Bypass the admissible-box check (test scaffolding only).
-
-        alpha must still be positive; the payoff maps are undefined otherwise.
-        """
-        if alpha <= 0.0:
-            raise ContractError("alpha must be > 0")
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "m", m)
-        object.__setattr__(obj, "alpha", alpha)
-        object.__setattr__(obj, "c", c)
-        return obj
 
     def as_percent(self) -> tuple[float, float, float]:
         return (100.0 * self.m, 100.0 * self.alpha, 100.0 * self.c)

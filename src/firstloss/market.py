@@ -19,12 +19,14 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr
 
+from .contract import InputError, NumericalError
 
-class MarketError(ValueError):
+
+class MarketError(InputError):
     """Invalid market parameters or arguments."""
 
 
-class MomentRangeError(RuntimeError):
+class MomentRangeError(NumericalError):
     """A power moment of the pricing kernel beyond double range."""
 
 

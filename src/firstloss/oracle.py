@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concavify import ConcaveEnvelope, envelope_eval
-from .contract import FeeStructure, investor_payoff, manager_payoff
+from .contract import FeeStructure, InputError, investor_payoff, manager_payoff
 from .market import MarketParams
 from .preferences import HaraParams, hara_utility
 from .wealth import OptimalWealthSolution, terminal_value_array
@@ -24,7 +24,7 @@ _STREAMS = 8    # independent child streams per estimate; they bound peak memory
 _STAGE = np.linspace(0.0, 1.0, 257)    # brute_pointwise's refinement grid on [0, 1]
 
 
-class OracleError(ValueError):
+class OracleError(InputError):
     pass
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import FEE_HI, FEE_LO, FeeStructure, fee_label
+from .contract import FEE_HI, FEE_LO, FeeStructure, InputError, NumericalError, fee_label
 from .market import MarketParams
 from .preferences import HaraParams, admissible_lanes, require_admissible
 from .roots import newton_root, pattern_search
@@ -49,7 +49,7 @@ _EPS = np.finfo(float).eps
 _MAX_AXIS = np.iinfo(np.intp).max // np.dtype(float).itemsize     # the longest float array np.arange can size
 
 
-class InfeasibleReservation(ValueError):
+class InfeasibleReservation(NumericalError):
     """phi_min outside the attainable range of the manager's value."""
 
 
@@ -73,18 +73,18 @@ class GridSteps:
         for name, span in zip(names, (FEE_HI - FEE_LO).tolist()):
             step = getattr(self, name)
             if not (math.isfinite(step) and step > 0 and span / step < _MAX_AXIS):
-                raise ValueError(f"lattice step {name} must be finite and > 0, with fewer than {_MAX_AXIS:.3g} "
+                raise InputError(f"lattice step {name} must be finite and > 0, with fewer than {_MAX_AXIS:.3g} "
                                  f"points along its fee axis (got {step})")
             points.append(span / step + 1.0)
         if 3.0 * math.prod(points) >= _MAX_AXIS:
             name = names[int(np.argmax(points))]
-            raise ValueError(f"lattice step {name} = {getattr(self, name)} gives a lattice of about "
+            raise InputError(f"lattice step {name} = {getattr(self, name)} gives a lattice of about "
                              f"{math.prod(points):.3g} fees, not fewer than {_MAX_AXIS / 3:.3g}")
         if self.dalpha > FEE_HI[1]:
-            raise ValueError(f"lattice step dalpha = {self.dalpha} leaves no performance fee on its axis, "
+            raise InputError(f"lattice step dalpha = {self.dalpha} leaves no performance fee on its axis, "
                              f"which starts at dalpha: it must not exceed {FEE_HI[1]:g}")
         if self.n_phi < 1:
-            raise ValueError(f"n_phi must be at least 1 (got {self.n_phi})")
+            raise InputError(f"n_phi must be at least 1 (got {self.n_phi})")
 
     @staticmethod
     def _axis(k: int, start: float, step: float) -> np.ndarray:
@@ -373,8 +373,7 @@ def optimize_traditional(investor: HaraParams, manager: HaraParams, market: Mark
     steps = _TRADITIONAL_STEPS
     grid = np.stack(np.meshgrid(steps.m_grid(), steps.alpha_grid(), [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
     batch = evaluate_fees(grid, market, manager, investor)
-    if not batch.feasible.all():
-        require_admissible(FeeStructure(*grid[np.argmin(batch.feasible)].tolist()), manager, investor, market.v0)
+    require_admissible(*grid.T, manager, investor, market.v0)
     i = int(np.argmax(batch.phi_I))
 
     def phi_i(points, lanes, fee):

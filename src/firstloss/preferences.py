@@ -8,12 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import FeeStructure, manager_payoff
+from .contract import FeeStructure, InputError, manager_payoff, require_lanes
 
 _TINY_BASE = 1e-300
 
 
-class PreferenceError(ValueError):
+class PreferenceError(InputError):
     """Utility parameters incompatible with the wealth they must evaluate."""
 
 
@@ -74,28 +74,25 @@ def hara_utility(p: HaraParams, wealth):
     return _power(wealth + p.a, 1.0 - p.b) / (1.0 - p.b)
 
 
-def fee_admissible(fee: FeeStructure, manager: HaraParams, investor: HaraParams, v0: float) -> bool:
-    """Whether both utilities are finite at the parties' minimal payoffs.
+def admissible_lanes(m: np.ndarray, c: np.ndarray, manager: HaraParams, investor: HaraParams, v0: float) -> np.ndarray:
+    """Whether both utilities are finite at the parties' minimal payoffs, per
+    fee (m, c) (the check does not involve alpha).
 
     The utility bases there, v0 (m - c) + a_M for the manager and
     v0 (c - m) + a_I for the investor, must pass _power's own guard: >= 0
     for b < 1, at least 1e-300 for b > 1.
     """
-    return bool(admissible_lanes(fee.m, fee.c, manager, investor, v0))
-
-
-def admissible_lanes(m: np.ndarray, c: np.ndarray, manager: HaraParams, investor: HaraParams, v0: float) -> np.ndarray:
-    """fee_admissible for arrays of m and c (the check does not involve alpha)."""
     return (_in_power_domain(v0 * (m - c) + manager.a, 1.0 - manager.b)
             & _in_power_domain(v0 * (c - m) + investor.a, 1.0 - investor.b))
 
 
-def require_admissible(fee: FeeStructure, manager: HaraParams, investor: HaraParams, v0: float) -> None:
-    if not fee_admissible(fee, manager, investor, v0):
-        raise PreferenceError(
-            f"HARA shifts (a_M={manager.a}, a_I={investor.a}) leave a party's worst payoff "
-            f"outside the utility domain for fee {fee}"
-        )
+def require_admissible(m: np.ndarray, alpha: np.ndarray, c: np.ndarray, manager: HaraParams, investor: HaraParams,
+                       v0: float) -> None:
+    """Raise PreferenceError, naming the fee, at the first fee (m, alpha, c)
+    of the arrays that admissible_lanes rejects."""
+    require_lanes((m, alpha, c), admissible_lanes(m, c, manager, investor, v0), lambda i: (
+        f"HARA shifts (a_M={manager.a}, a_I={investor.a}) leave a party's worst payoff "
+        "outside the utility domain"), PreferenceError)
 
 
 def manager_composite_utility(fee: FeeStructure, p: HaraParams, v0: float, vT):

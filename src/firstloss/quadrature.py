@@ -15,6 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .contract import NumericalError
+
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-13
 _ORDER = 32
@@ -22,7 +24,7 @@ _MAX_DOUBLINGS = 10
 _BLOCK = 1024       # lanes refined at once
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalError):
     """Refinement did not converge; carries the achieved error estimate and
     the index of the lane that failed (0 from integrate)."""
 

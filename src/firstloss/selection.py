@@ -8,23 +8,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .concavify import EnvelopeError
-from .contract import FeeStructure, investor_payoff, manager_payoff
-from .market import MarketParams, MomentRangeError
-from .pareto import Frontier, GridSteps, InfeasibleReservation, sweep_frontier
-from .preferences import HaraParams, PreferenceError, hara_utility
-from .quadrature import QuadratureError, integrate
+from .contract import FeeStructure, InputError, NumericalError, investor_payoff, manager_payoff
+from .market import MarketParams
+from .pareto import Frontier, GridSteps, sweep_frontier
+from .preferences import HaraParams, hara_utility
+from .quadrature import integrate
 from .valuation import _INV_SQRT_2PI, _W_CUTOFF, evaluate_fee
-from .wealth import SolveError
 
 
-class SelectionError(ValueError):
+class SelectionError(InputError):
     pass
-
-
-# the errors one sensitivity cell can raise from its own parameters
-_CELL_ERRORS = (SolveError, EnvelopeError, QuadratureError, InfeasibleReservation, MomentRangeError,
-                PreferenceError, SelectionError)
 
 
 @dataclass(frozen=True)
@@ -115,8 +108,9 @@ def sensitivity_sweep(
     """Rerun the full pipeline per grid value of one model parameter.
 
     axis: 'ba' (values are (b_M, b_I) pairs), 'r', or 'gamma'.  Each cell is
-    a cold run; a cell's numerical or preference error is recorded in that
-    cell and the sweep continues.  Any other error propagates.
+    a cold run; a cell's typed error (an InputError or a NumericalError) is
+    recorded in that cell and the sweep continues.  Any other error
+    propagates.
     Every cell's parameters are checked before the first run, so a bad
     value fails the sweep at once.
     """
@@ -138,7 +132,7 @@ def sensitivity_sweep(
         try:
             result = run_pipeline(mkt, man, inv, steps)
             cells.append(SweepCell(label=label, preferred=result.preferred))
-        except _CELL_ERRORS as exc:
+        except (InputError, NumericalError) as exc:
             cells.append(SweepCell(label=label, preferred=None, error=f"{type(exc).__name__}: {exc}"))
     return cells
 

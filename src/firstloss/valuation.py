@@ -170,8 +170,9 @@ def investor_value(sol: OptimalWealthSolution, investor: HaraParams) -> float:
 def evaluate_fee(fee: FeeStructure, market: MarketParams, manager: HaraParams, investor: HaraParams) -> FeeMetrics:
     """Solve once, then read off both value functions and the Sharpe ratio:
     evaluate_fees's chain on a single lane."""
-    require_admissible(fee, manager, investor, market.v0)
-    w, phi_m, phi_i, sharpe = _evaluate_block(np.array([[fee.m, fee.alpha, fee.c]]), market, manager, investor)
+    rows = np.array([[fee.m, fee.alpha, fee.c]])
+    require_admissible(*rows.T, manager, investor, market.v0)
+    w, phi_m, phi_i, sharpe = _evaluate_block(rows, market, manager, investor)
     return FeeMetrics(case=str(w.env.case[0]), phi_M=float(phi_m[0]), phi_I=float(phi_i[0]),
                       sharpe=float(sharpe[0]))
 

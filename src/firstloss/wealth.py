@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .concavify import ConcaveEnvelope, EnvelopeLanes, build_envelope
-from .contract import FeeStructure, require_lanes
+from .contract import FeeStructure, InputError, NumericalError, require_lanes
 from .market import MarketParams, kernel_bound_normal, partial_power_expectation_normal as ppe
 from .preferences import HaraParams
 from .roots import MAX_ITER, XRTOL
@@ -34,7 +34,7 @@ _NEWTON_ROUNDS = 32         # the budget root's rounds before a step longer than
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-class SolveError(RuntimeError):
+class SolveError(NumericalError):
     """Budget equation could not be bracketed or met its tolerance."""
 
 
@@ -204,8 +204,10 @@ class OptimalWealthSolution:
 
 
 def budget(envelope: ConcaveEnvelope, market: MarketParams, y: float) -> float:
-    """h(y) = E[Z V(y, Z)] of one envelope; inf where y is so small that
-    y^(-1/b) overflows."""
+    """h(y) = E[Z V(y, Z)] of one envelope at a multiplier y > 0; inf where
+    y is so small that y^(-1/b) overflows."""
+    if not y > 0.0:
+        raise InputError(f"multiplier y must be > 0 (got {y})")
     env = envelope.lanes
     log_lo, log_hi, log_support = _log_edges(env)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -233,7 +235,7 @@ def terminal_value_array(sol: OptimalWealthSolution, z: np.ndarray) -> np.ndarra
     env, y = sol.envelope.lanes, sol.y_star
     z = np.asarray(z, dtype=float)
     if not (z > 0.0).all():
-        raise ValueError("kernel values must be > 0")
+        raise InputError("kernel values must be > 0")
     out = np.zeros_like(z)
     # one lane's band table; its zero rows are empty bands
     for u_lo, u_hi, coef, const in zip(env.u_lo[:, 0], env.u_hi[:, 0], env.coef[:, 0], env.const[:, 0]):

@@ -5,6 +5,7 @@ import pytest
 
 from firstloss import (
     HaraParams,
+    InputError,
     brute_pointwise,
     build_envelope,
     concavify,
@@ -112,6 +113,8 @@ def test_pointwise_argmax_branches(base_manager):
     assert pointwise_argmax(env, y, z_flat) == env.theta2
     # deep in the money the inverse marginal diverges
     assert pointwise_argmax(env, y, 1e-12) > 1e6
+    with pytest.raises(InputError, match="need y > 0 and z > 0"):
+        pointwise_argmax(env, 0.0, 1.0)
 
 
 def test_pointwise_argmax_matches_brute_force(base_manager):

@@ -3,7 +3,6 @@ import json
 import math
 import re
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,7 +109,8 @@ def test_cli_bad_fee_exits_1(tmp_path):
     ("r = 0.04\n", ["value", "--fee", "0,20,0"], "cannot parse"),
     ("[foo]\nx = 1\n", ["value", "--fee", "0,20,0"], "unknown config section [foo]"),
     (None, ["value", "--fee", "a,b,c"], "fee must be numeric percentages"),
-], ids=["override-value", "file-value", "no-section", "unknown-section", "fee-text"])
+    (None, ["--set", "sweep.n_phi=0", "grid"], "n_phi must be at least 1 (got 0)"),
+], ids=["override-value", "file-value", "no-section", "unknown-section", "fee-text", "no-level"])
 def test_cli_config_and_fee_errors_exit_1(config, argv, message, tmp_path, capsys):
     out = tmp_path / "out"
     if config is not None:
@@ -256,6 +256,19 @@ def test_cli_grid_marks_fees_outside_the_domain_infeasible(tmp_path):
 def test_cli_value_outside_the_domain_exits_1(tmp_path, capsys):
     assert main(["--set", f"run.outdir={tmp_path}", *EDGE_SHIFT, "value", "--fee", "5,20,0"]) == 1
     assert "leave a party's worst payoff outside the utility domain" in capsys.readouterr().err
+
+
+def test_cli_lattice_with_no_admissible_fee_exits_2(tmp_path, capsys):
+    # with no shifts and b > 1 for both parties, the utility bases at their
+    # worst payoffs, v0 (m - c) and v0 (c - m), are never both positive: no
+    # fee is admissible
+    argv = ["--set", f"run.outdir={tmp_path}", "--set", "manager.a=0", "--set", "manager.b=2.5",
+            "--set", "investor.a=0", "--set", "investor.b=2.5", *COARSE, "grid"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
+    assert capsys.readouterr().err == "numerical failure: no admissible fee on the lattice; check utility shifts\n"
+    assert not (tmp_path / "grid.csv").exists()
 
 
 @pytest.mark.parametrize("command", [["value", "--fee", "5,50,30"], ["wealth", "--fee", "5,50,30"], ["grid"]])

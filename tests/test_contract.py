@@ -1,13 +1,19 @@
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import firstloss
 from firstloss import (
     ContractError,
     FeeStructure,
+    InputError,
+    NumericalError,
     PreferenceError,
     build_envelope,
     envelope_eval,
@@ -66,6 +72,25 @@ def test_payoff_maps_on_arrays_match_floats(base_manager):
         envelope_eval(env, bad)
 
 
+def test_every_error_derives_from_one_exit_code_base():
+    # the CLI exits 1 on an InputError and 2 on a NumericalError, so each
+    # error the package defines is exactly one of them
+    bases = (InputError, NumericalError)
+    errors = {}
+    for info in pkgutil.iter_modules(firstloss.__path__):
+        module = importlib.import_module(f"firstloss.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and issubclass(cls, BaseException) and cls not in bases:
+                assert sum(issubclass(cls, base) for base in bases) == 1, name
+                errors[name] = InputError if issubclass(cls, InputError) else NumericalError
+    assert errors == {
+        **dict.fromkeys(["ConfigError", "ContractError", "MarketError", "PreferenceError", "SelectionError",
+                         "OracleError"], InputError),
+        **dict.fromkeys(["SolveError", "EnvelopeError", "QuadratureError", "MomentRangeError",
+                         "InfeasibleReservation"], NumericalError),
+    }
+
+
 def test_fee_box_enforced():
     with pytest.raises(ContractError):
         FeeStructure(0.06, 0.2, 0.0)
@@ -73,8 +98,6 @@ def test_fee_box_enforced():
         FeeStructure(0.02, 0.0, 0.0)
     with pytest.raises(ContractError):
         FeeStructure(0.02, 0.2, 0.31)
-    # the raw constructor is the test-scaffolding escape hatch
-    assert FeeStructure.raw(0.0, 1.0, 0.0).alpha == 1.0
 
 
 @given(fee=fees, v=st.floats(0.0, 10.0))

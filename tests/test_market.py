@@ -73,6 +73,8 @@ def test_partial_power_expectation_basics(base_market):
     )
     with pytest.raises(MarketError):
         partial_power_expectation(base_market, 1.0, 0.9, 0.3)
+    with pytest.raises(MarketError, match="lower bound must be >= 0"):
+        partial_power_expectation(base_market, 1.0, -1.0, 2.0)
 
 
 def test_partial_power_expectation_mc_frozen(base_market):

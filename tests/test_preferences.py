@@ -5,7 +5,7 @@ import pytest
 
 from firstloss import HaraParams, PreferenceError, hara_utility, manager_composite_utility
 from firstloss.concavify import envelope_lanes
-from firstloss.preferences import _power, fee_admissible
+from firstloss.preferences import _power, admissible_lanes, require_admissible
 
 from conftest import fee_pct
 
@@ -112,6 +112,9 @@ def test_admissibility_checks():
     man_ok = HaraParams(0.3, 0.65)
     man_strict = HaraParams(0.3, 2.5)
     inv = HaraParams(0.3, 0.65)
-    edge = fee_pct(0, 20, 30)           # c - m hits the shift exactly
-    assert fee_admissible(edge, man_ok, inv, 1.0)
-    assert not fee_admissible(edge, man_strict, inv, 1.0)
+    m, alpha, c = np.array([0.0, 0.0]), np.array([0.2, 0.2]), np.array([0.1, 0.3])   # c - m hits the shift at 30%
+    assert admissible_lanes(m, c, man_ok, inv, 1.0).tolist() == [True, True]
+    assert admissible_lanes(m, c, man_strict, inv, 1.0).tolist() == [True, False]
+    require_admissible(m, alpha, c, man_ok, inv, 1.0)
+    with pytest.raises(PreferenceError, match=r"utility domain for fee \(0\.0000%, 20\.0000%, 30\.0000%\)$"):
+        require_admissible(m, alpha, c, man_strict, inv, 1.0)

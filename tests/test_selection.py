@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from firstloss import (
-    FeeStructure,
     GridSteps,
     HaraParams,
     constant_mix_benchmark,

@@ -15,9 +15,11 @@ from firstloss import (
     optimize_traditional,
     solve_y_star,
 )
+from firstloss.concavify import envelope_lanes
 from firstloss.market import partial_power_expectation
 from firstloss.preferences import _power, admissible_lanes
-from firstloss.valuation import investor_mixed_coefficients, manager_values
+from firstloss.valuation import investor_mixed_coefficients, investor_value_lanes, manager_values
+from firstloss.wealth import solve_budget, wealth_lanes
 
 from conftest import fee_pct
 from test_batch import BOX, PUBLISHED
@@ -91,20 +93,22 @@ def test_values_vs_monte_carlo_random_fees(base_market, base_manager, base_inves
 def test_degenerate_full_performance_fee_closed_form(base_market, base_manager, base_investor):
     # alpha = 1 collapses the mixed term's kernel power to a constant, so the
     # whole investor value is closed form; alpha = 1 sits outside the fee box,
-    # hence the raw constructor
-    f = FeeStructure.raw(0.0, 1.0, 0.10)
-    sol = solve_y_star(f, base_manager, base_market)
-    k, l = (float(x[0]) for x in investor_mixed_coefficients(sol.lanes(), base_manager, base_investor))
+    # which only FeeStructure checks, hence the lane API
+    m, alpha, c = np.array([0.0]), np.array([1.0]), np.array([0.10])
+    env = envelope_lanes(m, alpha, c, base_manager, base_market.v0)
+    w = wealth_lanes(env, base_market, solve_budget(env, base_market, base_manager.b))
+    k, l = (float(x[0]) for x in investor_mixed_coefficients(w, base_manager, base_investor))
     assert k == 0.0
     bI = base_investor.b
     v0 = base_market.v0
     ppe = lambda kk, lo, hi: partial_power_expectation(base_market, kk, lo, hi)
-    z_power_end, z_support = sol.thresholds()[0], sol.thresholds()[-1]
-    expect = _power(v0 * (f.c - f.m) + base_investor.a, 1.0 - bI) / (1.0 - bI) * ppe(0.0, z_support, math.inf)
+    y = math.exp(w.t[0])
+    z_power_end, z_support = env.u_hi[0, 0] / y, env.slope[0] / y
+    expect = _power(v0 * (c[0] - m[0]) + base_investor.a, 1.0 - bI) / (1.0 - bI) * ppe(0.0, z_support, math.inf)
     expect += _power(l, 1.0 - bI) / (1.0 - bI) * ppe(0.0, 0.0, z_power_end)
-    if sol.case != "A":
+    if env.case[0] != "A":
         expect += _power(v0 + base_investor.a, 1.0 - bI) / (1.0 - bI) * ppe(0.0, z_power_end, z_support)
-    assert investor_value(sol, base_investor) == pytest.approx(expect, abs=1e-12)
+    assert investor_value_lanes(w, base_manager, base_investor)[0] == pytest.approx(expect, abs=1e-12)
 
 
 def test_mixed_term_vs_scipy_quad(base_market, base_manager, base_investor):

@@ -6,6 +6,7 @@ import pytest
 
 from firstloss import (
     HaraParams,
+    InputError,
     MarketParams,
     build_envelope,
     investor_value,
@@ -20,7 +21,7 @@ from firstloss import (
 )
 from firstloss import quadrature
 from firstloss.quadrature import integrate
-from firstloss.wealth import budget, solve_from_envelope
+from firstloss.wealth import budget
 
 from conftest import fee_pct
 
@@ -171,6 +172,17 @@ def test_budget_is_inf_at_a_tiny_multiplier(fee):
         warnings.simplefilter("error", RuntimeWarning)
         assert budget(env, MarketParams(), 1e-300) == math.inf
         assert 1e307 < budget(env, MarketParams(), 1e-200) < math.inf
+
+
+@pytest.mark.parametrize("y", [0.0, -1.0, math.nan])
+def test_budget_rejects_a_multiplier_that_is_not_positive(y):
+    # checked before any arithmetic: no divide warning, no NaN
+    env = build_envelope(fee_pct(0, 20, 0), HaraParams(0.3, 0.65), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InputError, match=rf"multiplier y must be > 0 \(got {y}\)"):
+            budget(env, MarketParams(), y)
+        assert budget(env, MarketParams(), math.inf) == 0.0
 
 
 @pytest.mark.parametrize("fee,hara,case", CASE_FEES, ids=CASE_IDS)
