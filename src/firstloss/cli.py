@@ -24,7 +24,7 @@ import numpy as np
 
 from .concavify import build_envelope, envelope_eval
 from .config import ConfigError, RunConfig, load_config
-from .contract import ContractError, FeeStructure, InputError, NumericalError
+from .contract import ContractError, FeeStructure, InputError, NumericalError, error_message
 from .oracle import brute_pointwise, mc_budget, mc_value
 from .pareto import Frontier, grid_scan, sweep_frontier
 from .selection import (
@@ -370,21 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _message(exc: Exception) -> str:
-    # notes name the fee a sweep failed at
-    return "; ".join([str(exc), *getattr(exc, "__notes__", ())])
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = load_config(args.config or os.environ.get(CONFIG_ENV), args.set)
         summary = args.func(config, args)
     except InputError as exc:
-        print(f"config error: {_message(exc)}", file=sys.stderr)
+        print(f"config error: {error_message(exc)}", file=sys.stderr)
         return 1
     except NumericalError as exc:
-        print(f"numerical failure: {_message(exc)}", file=sys.stderr)
+        print(f"numerical failure: {error_message(exc)}", file=sys.stderr)
         return 2
     print(summary)
     return 0

@@ -29,6 +29,12 @@ class NumericalError(RuntimeError):
     subclass."""
 
 
+def error_message(exc: BaseException) -> str:
+    """An error's message and its notes (such as the fee a frontier search
+    failed at), as a run reports it."""
+    return "; ".join([str(exc), *getattr(exc, "__notes__", ())])
+
+
 class ContractError(InputError):
     """Fee structure outside the admissible box, or invalid payoff argument."""
 

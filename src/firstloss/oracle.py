@@ -21,6 +21,7 @@ from .preferences import HaraParams, hara_utility
 from .wealth import OptimalWealthSolution, terminal_value_array
 
 _STREAMS = 8    # independent child streams per estimate; they bound peak memory
+_GRID_N = 4096                         # brute_pointwise's first grid on [0, v_max]
 _STAGE = np.linspace(0.0, 1.0, 257)    # brute_pointwise's refinement grid on [0, 1]
 
 
@@ -35,8 +36,9 @@ class McEstimate:
     n: int
     seed: int
 
-    def covers(self, target: float, n_sigmas: float = 4.0) -> bool:
-        return abs(self.mean - target) <= n_sigmas * self.std_error
+    def covers(self, target: float) -> bool:
+        """Whether target lies within 4 standard errors of the mean."""
+        return abs(self.mean - target) <= 4.0 * self.std_error
 
 
 def _stream_sizes(n: int) -> list[int]:
@@ -103,21 +105,18 @@ def brute_pointwise(
     y: float,
     z: float,
     v_max: float = 1e6,
-    grid_n: int = 4096,
 ) -> float:
-    """Grid argmax of envelope(v) - y z v on [0, v_max], refined by the same
-    argmax on a 257-point grid over the best point's two neighbouring cells
-    until they are 1e-12 wide; the objective is concave, so its maximum
-    stays inside them.
+    """Grid argmax of envelope(v) - y z v over _GRID_N points of [0, v_max],
+    refined by the same argmax on a 257-point grid over the best point's two
+    neighbouring cells until they are 1e-12 wide; the objective is concave,
+    so its maximum stays inside them.
 
     A maximizer at the right edge means v_max was too small.
     """
-    if grid_n < 1_000:
-        raise OracleError(f"need grid_n >= 1000 (got {grid_n})")
     f = lambda v: envelope_eval(env, v) - y * z * v
-    grid = np.linspace(0.0, v_max, grid_n)
+    grid = np.linspace(0.0, v_max, _GRID_N)
     k = int(np.argmax(f(grid)))
-    if k == grid_n - 1:
+    if k == _GRID_N - 1:
         raise OracleError(f"brute-force maximizer hit v_max={v_max}; enlarge the window")
     while True:
         lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]

@@ -19,10 +19,11 @@ found by a lane-wise safeguarded Newton root on phi_M's closed-form
 gradient, started from the lane's last c_bind moved along the slopes of
 c_bind there (dc/dm = -phi_M,m / phi_M,c, and so for alpha).  A face's
 roots, in m and in alpha at the top m, run in the same calls, each from
-both ends of its span.  Each fee carries its t = log y* and
-those slopes, so every budget root of the search starts warm from the lane's
-last one.  A level's answer is the better of the search's result and its
-best feasible lattice fee, so it never falls below the lattice.
+the end of its span where phi_M is highest.  Each fee carries its
+t = log y* and those slopes, so every budget root of the search starts warm
+from the lane's last one.  A level's answer is the better of the search's
+result and its best feasible lattice fee, so it never falls below the
+lattice.
 
 The investor's best traditional fee (c = 0), the baseline of the paper's
 claims, runs the same pattern search from the best fee of the same lattice
@@ -201,9 +202,8 @@ def _bind(rows: np.ndarray, axis: int | np.ndarray, t: np.ndarray, phi_min: np.n
     per row), within its span, to where phi_M = phi_min (phi_M rises along
     m and alpha, falls along c); to the span's end with the lowest phi_M
     where all of the span meets phi_min, NaN where none does.  The root is
-    roots.newton_root on phi_M's
-    closed-form slope (manager_values), from the row's own coordinate, or
-    from both ends of the span where that is NaN; the fee it returns is one
+    roots.newton_root on phi_M's closed-form slope (manager_values), from
+    the row's own coordinate, clipped to the span; the fee it returns is one
     it evaluated with phi_M >= phi_min.  Returns the moved rows, and
     t = log y* and phi_M's gradient at each (NaN where the row is): the
     budget roots start warm, from t, the row's, and from the root's guesses
@@ -227,8 +227,8 @@ def _bind(rows: np.ndarray, axis: int | np.ndarray, t: np.ndarray, phi_min: np.n
                                 8.0 * _EPS * np.maximum(1.0, np.abs(need)), t[span])
     if not ok.all():
         i = int(np.argmin(ok))
-        exc = SolveError(f"root of phi_M = {need[i]!r} not found in [{lo[span[i]]!r}, {hi[span[i]]!r}] "
-                         f"along fee axis {on[i]}")
+        exc = SolveError(f"root of phi_M = {float(need[i])!r} not found in "
+                         f"[{float(lo[span[i]])!r}, {float(hi[span[i]])!r}] along fee axis {on[i]}")
         exc.add_note(f"frontier search failed at fee {fee_label(*held[i])}")
         raise exc
     out, t_out, grad = rows.copy(), np.full(n, math.nan), np.full(rows.shape, math.nan)
@@ -294,10 +294,12 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
         face = np.flatnonzero(short | top | (center[:, 2] == lo_c))
         near = np.where(np.isnan(t), center[:, 3], t)
         # (the face fee at the lowest m, else at the top m the lowest alpha:
-        # both binds in one call)
+        # both binds in one call, each from its span's end where phi_M is
+        # highest, the top m and alpha = 50%)
         k, c_face = face.size, np.where(top, hi_c, lo_c)[face]
         along_m = np.column_stack([np.full(k, math.nan), fee[face, 1], c_face])
-        along_alpha = np.column_stack([_span(along_m, 0, manager, investor, v0)[1], np.full(k, math.nan), c_face])
+        along_m[:, 0] = _span(along_m, 0, manager, investor, v0)[1]
+        along_alpha = np.column_stack([along_m[:, 0], np.full(k, FEE_HI[1]), c_face])
         got, t_got, grad_got = bind(np.concatenate([along_m, along_alpha]), np.repeat([0, 1], k),
                                     np.tile(near[face], 2), np.tile(lanes[face], 2))
         pick = np.arange(k) + np.where(np.isnan(got[:k, 0]), k, 0)

@@ -101,8 +101,7 @@ def newton_root(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per lane i, the end of {g >= 0} in the span [lo[i], hi[i]] of a g
     monotone in x (rising where rises, else falling), by Newton's method from
-    x[i], safeguarded by bisection; a lane whose x is NaN starts from both
-    ends of its span instead.
+    x[i], clipped to the span, safeguarded by bisection.
 
     f(x, lanes, warm) evaluates each lane in ``lanes``, indices into the
     arrays given here, at the matching entry of x, and returns g, dg/dx and
@@ -117,14 +116,15 @@ def newton_root(
     unseen, until a point lands on that side.  The Newton step, from the end
     whose own step is the shorter, aims one tolerance XRTOL |x| + NEWTON_XATOL
     (both constants of this module) onto the feasible side.  A step that points
-    past an unseen end evaluates that end, as does a bracket within two
-    tolerances of it; a step that is not finite, leaves the bracket, or fails
-    to halve the previous step while longer than four tolerances (the rtsafe
-    rule) bisects the bracket.  A lane stops when its feasible end is within two tolerances of its own
-    Newton estimate or of a seen short end, or has g <= ftol; when the
-    feasible end is the span's end on the short side (all of the span meets
-    g >= 0); or when the short end is the span's end on the feasible side
-    (none of it does).
+    past an unseen end evaluates that end; a step that is not finite, leaves
+    the bracket, or fails to halve the previous step while longer than four
+    tolerances (the rtsafe rule) bisects the bracket.  So every point after
+    the start lies inside the bracket or is an unseen end, and becomes the
+    end of its side.  A lane stops when its feasible end is within two
+    tolerances of its own Newton estimate or of a seen short end, or has
+    g <= ftol; when the feasible end is the span's end on the short side
+    (all of the span meets g >= 0); or when the short end is the span's end
+    on the feasible side (none of it does).
 
     Returns per lane the feasible end, g there and the quantity there (NaN
     where no point meets g >= 0), and whether the lane stopped within
@@ -142,27 +142,16 @@ def newton_root(
     step = np.full(n, math.inf)
 
     def take(x: np.ndarray, lanes: np.ndarray, g: np.ndarray, d: np.ndarray, w: np.ndarray) -> None:
-        # each point becomes the end of its side where it lies nearer the
-        # other side, as every point inside the bracket does
+        # each point becomes the end of its side
         up = g >= 0.0
-        nearer = np.where(up, ~seen_f[lanes] | (s[lanes] * (feas[lanes] - x) > 0.0),
-                          ~seen_s[lanes] | (s[lanes] * (x - short[lanes]) > 0.0))
-        at, k = lanes[up & nearer], up & nearer
-        feas[at], g_f[at], d_f[at], w_f[at], seen_f[at] = x[k], g[k], d[k], w[k], True
-        at, k = lanes[~up & nearer], ~up & nearer
-        short[at], g_s[at], d_s[at], w_s[at], seen_s[at] = x[k], g[k], d[k], w[k], True
+        at = lanes[up]
+        feas[at], g_f[at], d_f[at], w_f[at], seen_f[at] = x[up], g[up], d[up], w[up], True
+        at = lanes[~up]
+        short[at], g_s[at], d_s[at], w_s[at], seen_s[at] = x[~up], g[~up], d[~up], w[~up], True
         failed[lanes[np.isnan(g)]] = True
 
-    # the first round: each lane's start, or both ends of its span (taken
-    # one after the other, so that the nearer end wins)
-    x = np.clip(np.asarray(x, dtype=float), lo, hi)
-    start, cold = np.flatnonzero(~np.isnan(x)), np.flatnonzero(np.isnan(x))
-    lanes = np.concatenate([start, cold, cold])
-    points = np.concatenate([x[start], edge_f[cold], edge_s[cold]])
-    first = f(points, lanes, np.asarray(warm, dtype=float)[lanes])
-    for part in (slice(0, start.size + cold.size), slice(start.size + cold.size, None)):
-        take(points[part], lanes[part], *(v[part] for v in first))
-    lanes = np.arange(n)
+    lanes, x = np.arange(n), np.clip(np.asarray(x, dtype=float), lo, hi)
+    take(x, lanes, *f(x, lanes, np.asarray(warm, dtype=float)))
     for _ in range(MAX_ITER):
         a, b, gb = short[lanes], feas[lanes], g_f[lanes]
         tol = XRTOL * np.abs(b) + NEWTON_XATOL
@@ -175,8 +164,8 @@ def newton_root(
         lanes = lanes[~stop]
         if not lanes.size:
             break
-        # the aimed Newton step, an unseen end it points past (or an unseen
-        # end within two tolerances), or the bracket's midpoint
+        # the aimed Newton step, an unseen end it points past, or the
+        # bracket's midpoint
         a, b = short[lanes], feas[lanes]
         with np.errstate(divide="ignore", invalid="ignore"):
             newton_s, newton_f = -g_s[lanes] / d_s[lanes], -g_f[lanes] / d_f[lanes]
@@ -189,9 +178,8 @@ def newton_root(
         # a step that is not finite heads for the root
         past_f = np.where(finite, s[lanes] * (target - b) >= 0.0, g < 0.0)
         past_s = np.where(finite, s[lanes] * (a - target) >= 0.0, g >= 0.0)
-        narrow = np.abs(b - a) <= 2.0 * tol
-        probe_f = ~seen_f[lanes] & ((~inside & past_f) | narrow)
-        probe_s = ~seen_s[lanes] & ~probe_f & ((~inside & past_s) | narrow)
+        probe_f = ~seen_f[lanes] & ~inside & past_f
+        probe_s = ~seen_s[lanes] & ~probe_f & ~inside & past_s
         slow = (np.abs(target - x) > 0.5 * step[lanes]) & (np.abs(target - x) > 4.0 * tol)
         newton = inside & ~probe_f & ~probe_s & ~slow
         new = np.where(probe_f, b, np.where(probe_s, a, np.where(newton, target, 0.5 * (a + b))))

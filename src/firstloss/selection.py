@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contract import FeeStructure, InputError, NumericalError, investor_payoff, manager_payoff
+from .contract import FeeStructure, InputError, NumericalError, error_message, investor_payoff, manager_payoff
 from .market import MarketParams
 from .pareto import Frontier, GridSteps, sweep_frontier
 from .preferences import HaraParams, hara_utility
@@ -133,7 +133,7 @@ def sensitivity_sweep(
             result = run_pipeline(mkt, man, inv, steps)
             cells.append(SweepCell(label=label, preferred=result.preferred))
         except (InputError, NumericalError) as exc:
-            cells.append(SweepCell(label=label, preferred=None, error=f"{type(exc).__name__}: {exc}"))
+            cells.append(SweepCell(label=label, preferred=None, error=f"{type(exc).__name__}: {error_message(exc)}"))
     return cells
 
 

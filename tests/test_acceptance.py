@@ -90,8 +90,7 @@ def test_preferred_fee_moves_as_claimed(name, values, coordinate, sign, preferre
 # std(V) at the Sharpe-preferred fee against the investor-optimal traditional
 # fee (c = 0), at the (b_M, b_I) of the 2/20 claim above.  Measured: 1.374 vs
 # 3.199, 0.773 vs 1.350 and 0.918 vs 2.518 (ratios 0.43, 0.57, 0.36).  The
-# comparison with the constant-mix benchmark needs the asset's sigma and is
-# not made here.
+# comparison with the constant-mix benchmark is the strict xfail below.
 @pytest.mark.parametrize("b_m,b_i", [(0.65, 0.65), (2.5, 0.65), (0.65, 2.5)])
 def test_preferred_fee_decreases_fund_volatility(b_m, b_i, preferred, base_market):
     manager, investor = HaraParams(0.3, b_m), HaraParams(0.3, b_i)
@@ -102,3 +101,38 @@ def test_preferred_fee_decreases_fund_volatility(b_m, b_i, preferred, base_marke
         ev, ev2 = moments(solve_y_star(f, manager, base_market))
         std.append(math.sqrt(ev2 - ev * ev))
     assert std[0] < 0.75 * std[1]
+
+
+# The same claim read against the constant-mix benchmark: the fund that holds
+# a fixed fraction pi of its wealth in the risky asset
+# (selection.constant_mix_benchmark), whose V_T is lognormal, at pi = 0.25,
+# 0.5 and 1.  At the default preferred fee the fund has mean 1.4864 and std
+# 1.3810; the constant-mix fund has std 0.0521, 0.1064 and 0.2233, and at
+# pi = 1 also the higher Sharpe ratio, 0.3815 against 0.3377.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the fund at the default preferred fee (5.0000%, 34.1874%, 24.9486%) has std 1.3810, against 0.0521, "
+    "0.1064 and 0.2233 for the constant-mix fund at pi = 0.25, 0.5 and 1: against that benchmark the "
+    "preferred fee raises the fund's volatility by a factor of 6 or more"))
+def test_preferred_fee_decreases_volatility_against_the_constant_mix(base_market, base_manager, base_investor):
+    fee = run_pipeline(base_market, base_manager, base_investor, GridSteps()).preferred.fee
+    ev, ev2 = moments(solve_y_star(fee, base_manager, base_market))
+    r, sigma, gamma, T = base_market.r, base_market.sigma, base_market.gamma, base_market.horizon_T
+    for pi in (0.25, 0.5, 1.0):
+        mean = base_market.v0 * math.exp((r + pi * sigma * gamma) * T)
+        mix_std = mean * math.sqrt(math.expm1((pi * sigma) ** 2 * T))
+        assert math.sqrt(ev2 - ev * ev) < mix_std, pi
+
+
+# The published preferred fee (5, 35.5, 26) in percent, at the base case:
+# phi_M 2.111819, phi_I 3.189723, Sharpe ratio 0.3406.  The frontier fee at
+# its phi_M on the default lattice is (5.0000%, 33.5684%, 24.9136%), with
+# phi_I 3.190312, so in this model the published fee is Pareto-dominated,
+# by 5.885e-4 in phi_I.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the frontier fee (5.0000%, 33.5684%, 24.9136%) at the published fee's phi_M 2.111819 has phi_I "
+    "3.190312, 5.885e-4 above the published fee's 3.189723: the published fee is not Pareto optimal here"))
+def test_published_preferred_fee_is_pareto_optimal(base_market, base_manager, base_investor):
+    published = evaluate_fees([(0.05, 0.355, 0.26)], base_market, base_manager, base_investor)
+    scan = grid_scan(base_market, base_manager, base_investor, GridSteps())
+    point = solve_fbpo(float(published.phi_M[0]), scan, base_market, base_manager, base_investor)
+    assert point.phi_I <= published.phi_I[0] + 1e-9

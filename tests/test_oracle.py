@@ -45,5 +45,3 @@ def test_brute_pointwise_edges(base_manager):
     assert brute_pointwise(env, y, z_band, v_max=100.0) == pytest.approx(env.theta2, rel=1e-7)
     with pytest.raises(OracleError):
         brute_pointwise(env, 0.001, 0.001, v_max=3.0)    # maximizer beyond the window
-    with pytest.raises(OracleError):
-        brute_pointwise(env, 1.0, 1.0, grid_n=100)

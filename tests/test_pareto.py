@@ -156,7 +156,10 @@ def test_one_level_alone_equals_the_sweep(base_market, base_manager, base_invest
 
 
 # Budget evaluations (wealth._budget calls, lattice included) of the SMALL
-# frontier per manager b_M: 342 and 898 with the quadratic model's point
+# frontier per manager b_M: 274 and 863 with each face bind started at its
+# span's end where phi_M is highest, against 332 and 879 when it started
+# from both ends of its span and restarted its budget roots cold, both in
+# blocks of 8,192 lanes; 342 and 898 with the quadratic model's point
 # offered at any distance, against 342 and 884 when it was capped at 16
 # steps, both with the pattern search's step cut 4-fold and grown 2-fold,
 # against 544 and 939 when it was only halved, all with the budget root by
@@ -170,7 +173,7 @@ def test_one_level_alone_equals_the_sweep(base_market, base_manager, base_invest
 # search, 2,309 and 4,541 with the stencil alone, and 5,326 and 10,716 when
 # every budget root started cold.
 # The bounds leave 5% for a search path that moves with the last bits.
-BUDGET_CALLS = {0.65: 360, 2.5: 929}
+BUDGET_CALLS = {0.65: 288, 2.5: 906}
 
 
 @pytest.mark.parametrize("b_m", sorted(BUDGET_CALLS))
@@ -189,10 +192,11 @@ def test_frontier_budget_work(b_m, monkeypatch, base_market, base_investor):
 
 # Rounds of the manager's value (valuation._manager_block calls, one per
 # block of lanes, the lattice's and phi_I's included) of the SMALL frontier
-# per manager b_M: 97 and 185 in blocks of 8,192 lanes, where the lattice
-# is one block, against 98 and 186 in blocks of 1,024, with the model's
-# point at any distance; 98 and 183 in blocks of 1,024 when it was capped
-# at 16 steps, both with the pattern search's step
+# per manager b_M: 97 and 186 with each face bind started at one end of its
+# span, against 97 and 185 from both ends, in blocks of 8,192 lanes, where
+# the lattice is one block, against 98 and 186 in blocks of 1,024, with the
+# model's point at any distance; 98 and 183 in blocks of 1,024 when it was
+# capped at 16 steps, both with the pattern search's step
 # cut 4-fold and grown 2-fold, against 153 and 206 when it was only halved,
 # all with one search per level from its best lattice fee (153 and 207 at
 # first), against 161 and 223 from three lattice starts per level, all with

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from firstloss.roots import XRTOL, bracketed_root, newton_root, pattern_search
+from firstloss.roots import NEWTON_XATOL, XRTOL, bracketed_root, newton_root, pattern_search
 
 # x^3 - k on brackets of very different widths; the last one is given in
 # reverse order and the one before has its root at a bracket end
@@ -79,7 +79,7 @@ def test_newton_root_agrees_with_bracketed_root(rises):
     lanes = np.arange(len(K))
     lo, hi = np.minimum(LO, HI), np.maximum(LO, HI)
     ref, _, _ = bracketed_root(cubic, lo, cubic(lo, lanes), hi, cubic(hi, lanes), 1e-15)
-    for start in (lo, hi, 0.5 * (lo + hi), np.full(len(K), math.nan)):
+    for start in (lo, hi, 0.5 * (lo + hi)):
         (x, fx, _, ok), seen, _ = newton(smooth(rises), start, lo, hi, rises)
         assert ok.all()
         np.testing.assert_allclose(x, ref, rtol=4 * XRTOL, atol=4e-15)
@@ -131,12 +131,29 @@ def test_newton_root_stops_at_the_noise_floor():
 def test_newton_root_whole_and_empty_spans():
     # every point of [1, 2] meets x^3 + 1 >= 0: its end on the short side;
     # none meets x^3 >= 27: NaN; from a start whose step points past the
-    # span's end, or from both ends, in at most two rounds
+    # span's end, or from either end, in these rounds per lane
     g = lambda x, lanes: (x**3 - np.array([-1.0, 27.0])[lanes], 3.0 * x**2)
-    for start in ([1.5, 1.5], [math.nan, math.nan]):
-        (x, fx, _, ok), _, rounds = newton(g, start, [1.0, 1.0], [2.0, 2.0], True)
+    for start, want in ((1.5, [2, 2]), (1.0, [1, 2]), (2.0, [3, 1])):
+        (x, fx, _, ok), _, rounds = newton(g, [start, start], [1.0, 1.0], [2.0, 2.0], True)
         assert ok.all() and x[0] == 1.0 and math.isnan(x[1]) and math.isnan(fx[1])
-        assert rounds.max() <= 2
+        assert rounds.tolist() == want, start
+
+
+@pytest.mark.parametrize("rises", [True, False])
+def test_newton_root_near_a_span_end(rises):
+    # roots 0 to 3e-15 inside either end of [0.3, 0.9], a few tolerances at
+    # most: from starts across the span each lane returns a point it
+    # evaluated with g >= 0, within two tolerances of its root
+    lo, hi = 0.3, 0.9
+    roots = np.array([lo + k * 1e-15 for k in range(4)] + [hi - k * 1e-15 for k in range(4)])
+    sign, n = (1.0 if rises else -1.0), roots.size
+    g = lambda x, lanes: (sign * (x**3 - roots[lanes] ** 3), sign * 3.0 * x**2)
+    tol = XRTOL * roots + NEWTON_XATOL
+    for start in (lo, 0.5 * (lo + hi), hi):
+        (x, fx, _, ok), seen, _ = newton(g, np.full(n, start), np.full(n, lo), np.full(n, hi), rises)
+        assert ok.all() and (fx >= 0.0).all()
+        assert all((x[i], fx[i]) in seen[i] for i in range(n))
+        assert (np.abs(x - roots) <= 2.0 * tol).all(), (start, x - roots)
 
 
 def test_newton_root_nan_lane_fails_alone():
@@ -150,7 +167,7 @@ def test_newton_root_nan_lane_fails_alone():
 
 def test_newton_root_lanes_do_not_interact():
     lo, hi = np.minimum(LO, HI), np.maximum(LO, HI)
-    starts = np.where(np.arange(len(K)) % 3 == 0, math.nan, 0.25 * lo + 0.75 * hi)
+    starts = np.where(np.arange(len(K)) % 3 == 0, hi, 0.25 * lo + 0.75 * hi)
     full, seen, _ = newton(smooth(True), starts, lo, hi, True)
     for lanes in (np.array([3]), np.array([6, 0, 4])):
         g = lambda x, sub: smooth(True)(x, lanes[sub])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from firstloss import (
     constant_mix_benchmark,
     constrained_preferred_fee,
     evaluate_fee,
+    pareto,
     preferred_fee,
     sensitivity_sweep,
     sweep_frontier,
@@ -88,6 +90,23 @@ def test_sensitivity_records_a_cells_numerical_error(monkeypatch, base_market, b
     assert cells[0].preferred is not None and cells[0].error == ""
     assert cells[1].preferred is None
     assert cells[1].error == "SolveError: budget bracket expansion failed"
+
+
+def test_sensitivity_cell_names_the_fee_its_root_failed_at(monkeypatch, base_market, base_manager, base_investor):
+    # a coverage root that stalls: the cell records the note naming the fee,
+    # as the CLI prints it, and its numbers as plain floats
+    def stalled(*args):
+        x, g, w, ok = newton_root(*args)
+        return x, g, w, np.zeros_like(ok)
+
+    newton_root = pareto.newton_root
+    monkeypatch.setattr(pareto, "newton_root", stalled)
+    tiny = GridSteps(dm=0.025, dalpha=0.05, dc=0.05, n_phi=2)
+    [cell] = sensitivity_sweep("r", [0.02], base_market, base_manager, base_investor, tiny)
+    assert cell.preferred is None
+    assert re.fullmatch(r"SolveError: root of phi_M = \S+ not found in \[0\.0, \S+\] along fee axis 2; "
+                        r"frontier search failed at fee \(\d\.\d{4}%, \d+\.\d{4}%, \d+\.\d{4}%\)", cell.error), cell.error
+    assert "np." not in cell.error
 
 
 def test_sensitivity_propagates_other_errors(monkeypatch, base_market, base_manager, base_investor):

@@ -72,8 +72,8 @@ def test_values_vs_monte_carlo(fee, hara_b, base_market):
     pi = investor_value(sol, investor)
     est_m = mc_value(sol, f, manager, investor, base_market, "M", seed=211, n=1_000_000)
     est_i = mc_value(sol, f, manager, investor, base_market, "I", seed=223, n=1_000_000)
-    assert est_m.covers(pm, 4.0)
-    assert est_i.covers(pi, 4.0)
+    assert est_m.covers(pm)
+    assert est_i.covers(pi)
 
 
 def test_values_vs_monte_carlo_random_fees(base_market, base_manager, base_investor):
@@ -87,7 +87,7 @@ def test_values_vs_monte_carlo_random_fees(base_market, base_manager, base_inves
         sol = solve_y_star(f, base_manager, base_market)
         pi = investor_value(sol, base_investor)
         est = mc_value(sol, f, base_manager, base_investor, base_market, "I", seed=trial, n=200_000)
-        assert est.covers(pi, 4.0), f
+        assert est.covers(pi), f
 
 
 def test_degenerate_full_performance_fee_closed_form(base_market, base_manager, base_investor):
