@@ -18,12 +18,16 @@ ridges of G that no stencil direction lies along.  Every binding fee is
 found by a lane-wise safeguarded Newton root on phi_M's closed-form
 gradient, started from the lane's last c_bind moved along the slopes of
 c_bind there (dc/dm = -phi_M,m / phi_M,c, and so for alpha).  A face's
-roots, in m and in alpha at the top m, run in the same calls, each from
-the end of its span where phi_M is highest.  Each fee carries its
-t = log y* and those slopes, so every budget root of the search starts warm
-from the lane's last one.  A level's answer is the better of the search's
-result and its best feasible lattice fee, so it never falls below the
-lattice.
+roots, in m and in alpha at the top m, each start from the end of its
+span where phi_M is highest.  Each search round is one bind call: where a
+lane's fee lies on a face of c, that face's roots run in the same call as
+the coverage roots, and only a face that a point's own coverage root finds
+binds in a second call.  The binds return the lanes and phi_M of the fees
+they end at, and the investor's half of the fee engine values those fees
+from them, without a second budget root.  Each fee carries its t = log y*
+and those slopes, so every budget root of the search starts warm from the
+lane's last one.  A level's answer is the better of the search's result
+and its best feasible lattice fee, so it never falls below the lattice.
 
 The investor's best traditional fee (c = 0), the baseline of the paper's
 claims, runs the same pattern search from the best fee of the same lattice
@@ -41,8 +45,8 @@ from .contract import FEE_HI, FEE_LO, FeeStructure, InputError, NumericalError, 
 from .market import MarketParams
 from .preferences import HaraParams, admissible_lanes, require_admissible
 from .roots import newton_root, pattern_search
-from .valuation import FeeBatch, evaluate_fees, manager_values
-from .wealth import SolveError
+from .valuation import FeeBatch, evaluate_fees, investor_values, manager_values
+from .wealth import SolveError, gather_lanes
 
 _SEED_TOL = 1e-12
 _BOUND_SNAP = 1e-7
@@ -197,15 +201,17 @@ def _select_seeds(scan: GridScan, levels: np.ndarray) -> np.ndarray:
 
 
 def _bind(rows: np.ndarray, axis: int | np.ndarray, t: np.ndarray, phi_min: np.ndarray, market: MarketParams,
-          manager: HaraParams, investor: HaraParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+          manager: HaraParams, investor: HaraParams) -> tuple:
     """Each row moved along its fee coordinate axis (one for all rows, or one
     per row), within its span, to where phi_M = phi_min (phi_M rises along
     m and alpha, falls along c); to the span's end with the lowest phi_M
     where all of the span meets phi_min, NaN where none does.  The root is
     roots.newton_root on phi_M's closed-form slope (manager_values), from
     the row's own coordinate, clipped to the span; the fee it returns is one
-    it evaluated with phi_M >= phi_min.  Returns the moved rows, and
-    t = log y* and phi_M's gradient at each (NaN where the row is): the
+    it evaluated with phi_M >= phi_min.  Returns the moved rows, and per row
+    what manager_values found at that fee: t = log y*, phi_M's gradient,
+    phi_M and the fund value's lanes (gather_lanes; NaN where the row is),
+    which investor_values completes without a second budget root.  The
     budget roots start warm, from t, the row's, and from the root's guesses
     after it."""
     n = len(rows)
@@ -218,8 +224,8 @@ def _bind(rows: np.ndarray, axis: int | np.ndarray, t: np.ndarray, phi_min: np.n
     def gap(x: np.ndarray, lanes: np.ndarray, t_near: np.ndarray) -> tuple:
         fees, at = held[lanes].copy(), (np.arange(lanes.size), on[lanes])
         fees[at] = x
-        phi_m, t_x, grad = manager_values(fees, market, manager, investor, t_near)
-        seen.append((lanes, x, grad))
+        phi_m, t_x, grad, solved = manager_values(fees, market, manager, investor, t_near)
+        seen.append((lanes, x, grad, phi_m, solved))
         return phi_m - need[lanes], grad[at], t_x
 
     # ftol: about where phi_M's own rounding takes over
@@ -231,15 +237,16 @@ def _bind(rows: np.ndarray, axis: int | np.ndarray, t: np.ndarray, phi_min: np.n
                          f"[{float(lo[span[i]])!r}, {float(hi[span[i]])!r}] along fee axis {on[i]}")
         exc.add_note(f"frontier search failed at fee {fee_label(*held[i])}")
         raise exc
-    out, t_out, grad = rows.copy(), np.full(n, math.nan), np.full(rows.shape, math.nan)
+    out, t_out, grad, phi_out = rows.copy(), np.full(n, math.nan), np.full(rows.shape, math.nan), np.full(n, math.nan)
     out[np.arange(n), axis] = math.nan
     out[span, on], t_out[span] = x, t_x
-    # the gradient where each lane's root ended, a point it evaluated
-    if seen:
-        lanes, at, g = (np.concatenate(v) for v in zip(*seen))
+    # what manager_values found where each lane's root ended, a point it evaluated
+    parts = []
+    for lanes, at, g, phi_m, solved in seen:
         hit = at == x[lanes]
-        grad[span[lanes[hit]]] = g[hit]
-    return out, t_out, grad
+        grad[span[lanes[hit]]], phi_out[span[lanes[hit]]] = g[hit], phi_m[hit]
+        parts += [(w, np.flatnonzero(hit[idx]), span[lanes[idx[hit[idx]]]]) for idx, w in solved]
+    return out, t_out, grad, phi_out, gather_lanes(parts, n, market)
 
 
 def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, manager: HaraParams,
@@ -278,40 +285,74 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
     lane_min = levels[owner]
     bind = lambda rows, axis, t, lanes: _bind(rows, axis, t, lane_min[lanes], market, manager, investor)
 
+    def faces(alpha: np.ndarray, c_face: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the face fee at the lowest m, else at the top m the lowest alpha:
+        # the rows of both binds, each from its span's end where phi_M is
+        # highest, the top m and alpha = 50%, and their axes
+        k = alpha.size
+        along_m = np.column_stack([np.full(k, math.nan), alpha, c_face])
+        along_m[:, 0] = _span(along_m, 0, manager, investor, v0)[1]
+        along_alpha = np.column_stack([along_m[:, 0], np.full(k, FEE_HI[1]), c_face])
+        return np.concatenate([along_m, along_alpha]), np.repeat([0, 1], k)
+
     def G(points, lanes, center):
         # the fee at (m, alpha) with c bound by the constraint, from the lane's
         # c_bind moved along its slopes (else its c) and its t
         with np.errstate(invalid="ignore"):
             c = center[:, 2] + np.sum((points - center[:, :2]) * center[:, 4:], axis=1)
         c = np.where(np.isfinite(c), c, center[:, 2])
-        fee, t, grad = bind(np.column_stack([points, c]), 2, center[:, 3], lanes)
+        n, rows = len(points), np.column_stack([points, c])
         # a point, or its lane's fee, on a face of c (c at its cap with phi_M
         # to spare, or at its floor with phi_M short): the fee on that face
-        # that meets the constraint with the lowest m, then alpha, competes
-        lo_c, hi_c = _span(fee, 2, manager, investor, v0)
+        # that meets the constraint with the lowest m, then alpha, competes.
+        # The faces lie at the point's m; where the lane's fee is on one, its
+        # face fees bind in the same call as the coverage, from the lane's t
+        lo_c, hi_c = _span(rows, 2, manager, investor, v0)
+        pre = np.flatnonzero((center[:, 2] == hi_c) | (center[:, 2] == lo_c))
+        pre_c = np.where(center[:, 2] == hi_c, hi_c, lo_c)[pre]
+        face_rows, face_axis = faces(points[pre, 1], pre_c)
+        k = pre.size
+        first = bind(np.concatenate([rows, face_rows]), np.concatenate([np.full(n, 2), face_axis]),
+                     np.concatenate([center[:, 3], np.tile(center[pre, 3], 2)]),
+                     np.concatenate([lanes, np.tile(lanes[pre], 2)]))
+        fee, t = first[0][:n], first[1][:n]
         short = np.isnan(fee[:, 2])
         top = ~short & ((fee[:, 2] == hi_c) | (center[:, 2] == hi_c))
         face = np.flatnonzero(short | top | (center[:, 2] == lo_c))
+        c_face = np.where(top, hi_c, lo_c)[face]
+        # (a face the coverage bind found, or another than the lane's: its
+        # face fees bind now, from the t the coverage bind ended at)
+        slot = np.full(n, -1)
+        slot[pre] = np.arange(k)
+        bound = slot[face] >= 0
+        bound[bound] = pre_c[slot[face[bound]]] == c_face[bound]
+        again = face[~bound]
         near = np.where(np.isnan(t), center[:, 3], t)
-        # (the face fee at the lowest m, else at the top m the lowest alpha:
-        # both binds in one call, each from its span's end where phi_M is
-        # highest, the top m and alpha = 50%)
-        k, c_face = face.size, np.where(top, hi_c, lo_c)[face]
-        along_m = np.column_stack([np.full(k, math.nan), fee[face, 1], c_face])
-        along_m[:, 0] = _span(along_m, 0, manager, investor, v0)[1]
-        along_alpha = np.column_stack([along_m[:, 0], np.full(k, FEE_HI[1]), c_face])
-        got, t_got, grad_got = bind(np.concatenate([along_m, along_alpha]), np.repeat([0, 1], k),
-                                    np.tile(near[face], 2), np.tile(lanes[face], 2))
-        pick = np.arange(k) + np.where(np.isnan(got[:k, 0]), k, 0)
-        moved, t_moved, grad_moved = np.full_like(fee, math.nan), np.full_like(t, math.nan), np.full_like(grad, math.nan)
-        moved[face], t_moved[face], grad_moved[face] = got[pick], t_got[pick], grad_got[pick]
-        # the better of the two, the first on a tie
-        values, both = phi_I(np.concatenate([fee, moved]), np.concatenate([t, t_moved]))
-        grad = np.concatenate([grad, grad_moved])
+        face_rows, face_axis = faces(points[again, 1], c_face[~bound])
+        second = (bind(face_rows, face_axis, np.tile(near[again], 2), np.tile(lanes[again], 2)) if again.size
+                  else (np.empty((0, 3)), np.empty(0), np.empty((0, 3)), np.empty(0), None))
+        # both calls' rows, then a NaN row: each lane's coverage fee, and a
+        # face lane's fee along m, else along alpha
+        got, ts, grads, phi_ms = (np.concatenate([a, b, np.full((1,) + a.shape[1:], math.nan)])
+                                  for a, b in zip(first[:4], second[:4]))
+        offset = n + 2 * k
+        along_m = np.where(bound, n + slot[face], offset + np.cumsum(~bound) - 1)
+        along_m += np.where(np.isnan(got[along_m, 0]), np.where(bound, k, again.size), 0)
+        pick = np.concatenate([np.arange(n), np.full(n, len(got) - 1)])
+        pick[n + face] = along_m
         with np.errstate(divide="ignore", invalid="ignore"):
-            both = np.column_stack([both, -grad[:, :2] / grad[:, 2:]])
+            both = np.column_stack([got, ts, -grads[:, :2] / grads[:, 2:]])[pick]
+        # phi_I of each fee from the lanes its bind solved, -inf where the
+        # fee is NaN; the better of the two, the first on a tie
+        solved = np.isfinite(phi_ms[pick])
+        src = pick[solved]
+        one = src < offset
+        w = gather_lanes([(first[4], src[one], np.flatnonzero(one)),
+                          (second[4], src[~one] - offset, np.flatnonzero(~one))], src.size, market)
+        values = np.full(2 * n, -math.inf)
+        values[solved] = investor_values(w, phi_ms[src], manager, investor)[0]
         values, both = values.reshape(2, -1), both.reshape(2, -1, 6)
-        return values.max(axis=0), both[np.argmax(values, axis=0), np.arange(len(fee))]
+        return values.max(axis=0), both[np.argmax(values, axis=0), np.arange(n)]
 
     # from the seeds' own binding fees
     fx, fee = G(starts[:, :2], np.arange(owner.size), starts)

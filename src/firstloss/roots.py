@@ -117,10 +117,10 @@ def newton_root(
     whose own step is the shorter, aims one tolerance XRTOL |x| + NEWTON_XATOL
     (both constants of this module) onto the feasible side.  A step that points
     past an unseen end evaluates that end; a step that is not finite, leaves
-    the bracket, or fails to halve the previous step while longer than four
-    tolerances (the rtsafe rule) bisects the bracket.  So every point after
-    the start lies inside the bracket or is an unseen end, and becomes the
-    end of its side.  A lane stops when its feasible end is within two
+    the bracket, or is longer than half the step before the last and than
+    four tolerances (rtsafe's rule, whose dxold is that step) bisects the
+    bracket.  So every point after the start lies inside the bracket or is
+    an unseen end, and becomes the end of its side.  A lane stops when its feasible end is within two
     tolerances of its own Newton estimate or of a seen short end, or has
     g <= ftol; when the feasible end is the span's end on the short side
     (all of the span meets g >= 0); or when the short end is the span's end
@@ -139,7 +139,7 @@ def newton_root(
     short, feas = edge_s.copy(), edge_f.copy()
     seen_s, seen_f, failed, ok = (np.zeros(n, dtype=bool) for _ in range(4))
     g_s, d_s, w_s, g_f, d_f, w_f = (np.full(n, math.nan) for _ in range(6))
-    step = np.full(n, math.inf)
+    step, before = np.full(n, math.inf), np.full(n, math.inf)     # each lane's last step, and the one before it
 
     def take(x: np.ndarray, lanes: np.ndarray, g: np.ndarray, d: np.ndarray, w: np.ndarray) -> None:
         # each point becomes the end of its side
@@ -180,10 +180,10 @@ def newton_root(
         past_s = np.where(finite, s[lanes] * (a - target) >= 0.0, g >= 0.0)
         probe_f = ~seen_f[lanes] & ~inside & past_f
         probe_s = ~seen_s[lanes] & ~probe_f & ~inside & past_s
-        slow = (np.abs(target - x) > 0.5 * step[lanes]) & (np.abs(target - x) > 4.0 * tol)
+        slow = (np.abs(target - x) > 0.5 * before[lanes]) & (np.abs(target - x) > 4.0 * tol)
         newton = inside & ~probe_f & ~probe_s & ~slow
         new = np.where(probe_f, b, np.where(probe_s, a, np.where(newton, target, 0.5 * (a + b))))
-        step[lanes] = np.abs(new - x)
+        before[lanes], step[lanes] = step[lanes], np.abs(new - x)
         # the quantity's guess: interpolated between the bracket's ends where
         # both are seen, else the seen end's
         ws, wf = w_s[lanes], w_f[lanes]

@@ -8,10 +8,15 @@ tolerances used anywhere in this package.
 
 Every formula runs over many fees at once: evaluate_fees builds the
 envelopes as arrays, and the tangency and budget roots, the closed forms and
-the quadrature work on all lanes of a block together.  The lattice, the
-frontier and the traditional optimizer call it (or manager_values, its first
-half, which also gives phi_M's gradient in closed form); evaluate_fee,
-manager_value and investor_value read a single lane.
+the quadrature work on all lanes of a block together.  It runs in two
+halves, split where the investor enters: the manager's (_manager_block: the
+envelope, the budget root, the fund value's lanes and phi_M) and the
+investor's (investor_values: the moments, the Sharpe ratio and phi_I's
+quadrature, on those lanes).  The lattice and the traditional optimizer
+call both; the frontier's binds call manager_values, the first half with
+phi_M's gradient in closed form, and value the fees they bind with the
+second half alone, from the lanes the first solved (wealth.gather_lanes).
+evaluate_fee, manager_value and investor_value read a single lane.
 
 A call of more than one block sorts its fees by their band count (case A
 has one band, B two, C three) before it cuts them into blocks, and each
@@ -172,7 +177,8 @@ def evaluate_fee(fee: FeeStructure, market: MarketParams, manager: HaraParams, i
     evaluate_fees's chain on a single lane."""
     rows = np.array([[fee.m, fee.alpha, fee.c]])
     require_admissible(*rows.T, manager, investor, market.v0)
-    w, phi_m, phi_i, sharpe = _evaluate_block(rows, market, manager, investor)
+    w, phi_m = _manager_block(rows, market, manager, None)
+    phi_i, sharpe = investor_values(w, phi_m, manager, investor)
     return FeeMetrics(case=str(w.env.case[0]), phi_M=float(phi_m[0]), phi_I=float(phi_i[0]),
                       sharpe=float(sharpe[0]))
 
@@ -229,24 +235,28 @@ def evaluate_fees(
         case=np.full(n, "-"), feasible=feasible, t=np.full(n, math.nan),
     )
     for idx in blocks:
-        w, out.phi_M[idx], out.phi_I[idx], out.sharpe[idx] = _evaluate_block(
-            rows[idx], market, manager, investor, None if t_near is None else t_near[idx])
+        w, out.phi_M[idx] = _manager_block(rows[idx], market, manager, None if t_near is None else t_near[idx])
+        out.phi_I[idx], out.sharpe[idx] = investor_values(w, out.phi_M[idx], manager, investor)
         out.case[idx], out.t[idx] = w.env.case, w.t
     return out
 
 
 def manager_values(fees, market: MarketParams, manager: HaraParams, investor: HaraParams,
-                   t_near: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   t_near: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """evaluate_fees's phi_M and t alone, lane for lane the same, without
     the moments and the investor's quadrature, and phi_M's gradient in
     (m, alpha, c) per fee (manager_gradient_lanes, shape (fees, 3)) from the
-    same lanes; NaN at an inadmissible fee."""
+    same lanes; NaN at an inadmissible fee.  Last, each fee's WealthLanes:
+    the blocks of lanes the fees were solved in, pairs (indices of the fees,
+    their WealthLanes), which investor_values completes."""
     rows, _, blocks = _blocks(fees, market, manager, investor)
     phi_m, t, grad = np.full(len(rows), math.nan), np.full(len(rows), math.nan), np.full(rows.shape, math.nan)
+    solved = []
     for idx in blocks:
         w, phi_m[idx] = _manager_block(rows[idx], market, manager, None if t_near is None else t_near[idx])
         t[idx], grad[idx] = w.t, manager_gradient_lanes(w, manager)
-    return phi_m, t, grad
+        solved.append((idx, w))
+    return phi_m, t, grad, solved
 
 
 def _manager_block(rows: np.ndarray, market: MarketParams, manager: HaraParams, t_near: np.ndarray | None) -> tuple:
@@ -264,14 +274,14 @@ def _manager_block(rows: np.ndarray, market: MarketParams, manager: HaraParams, 
     return w, phi_m
 
 
-def _evaluate_block(rows: np.ndarray, market: MarketParams, manager: HaraParams, investor: HaraParams,
-                    t_near: np.ndarray | None = None) -> tuple:
-    """Per row: the optimal fund value's lanes, phi_M, phi_I and the Sharpe
-    ratio."""
-    w, phi_m = _manager_block(rows, market, manager, t_near)
+def investor_values(w: WealthLanes, phi_m: np.ndarray, manager: HaraParams, investor: HaraParams) -> tuple:
+    """The second half of evaluate_fees, per lane of w whose phi_M the first
+    (_manager_block) found to be phi_m: phi_I and the Sharpe ratio, from the
+    moments and the investor's quadrature; a value that is not finite raises
+    SolveError naming the fee."""
     ev, ev2 = moment_lanes(w, manager.b)
     sharpe = sharpe_from_moments(w, ev, ev2)
     phi_i = investor_value_lanes(w, manager, investor)
-    require_lanes(rows.T, np.isfinite(phi_i) & np.isfinite(sharpe),
+    require_lanes((w.env.m, w.env.alpha, w.env.c), np.isfinite(phi_i) & np.isfinite(sharpe),
                   lambda i: f"non-finite value phi_M={phi_m[i]}, phi_I={phi_i[i]}, SR={sharpe[i]}", SolveError)
-    return w, phi_m, phi_i, sharpe
+    return phi_i, sharpe

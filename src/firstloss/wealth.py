@@ -151,6 +151,35 @@ def wealth_lanes(env: EnvelopeLanes, market: MarketParams, t: np.ndarray) -> Wea
                        ppe(market, 0.0, d_lo, d_hi), ppe(market, 0.0, d_support, -math.inf))
 
 
+_EMPTY_BAND = {"u_lo": 0.0, "u_hi": 0.0, "coef": 0.0, "const": 0.0, "d_lo": math.inf, "d_hi": math.inf, "p0": 0.0}
+
+
+def gather_lanes(parts, n: int, market: MarketParams) -> WealthLanes:
+    """n lanes of the fund value gathered from parts, triples (w, src, dest):
+    lane src[i] of the WealthLanes w becomes lane dest[i].  Every band table
+    takes the rows of the longest; a row a block cut is an empty band again
+    (zero, with the kernel bounds +inf of u = 0), which adds an exact 0 to
+    every sum over the table, so each lane has the values of its own block.
+    A lane no part fills is NaN, case '-'."""
+    parts = [part for part in parts if len(part[1])]
+    bands = max((len(w.d_lo) for w, _, _ in parts), default=1)
+
+    def gather(name: str, fields: list) -> np.ndarray:
+        table = name in _EMPTY_BAND
+        out = np.empty((bands, n) if table else n, dtype="U1" if name == "case" else float)
+        out.fill(_EMPTY_BAND[name] if table else "-" if name == "case" else math.nan)
+        for (_, src, dest), field in zip(parts, fields):
+            if table:
+                out[:len(field), dest] = field.take(src, axis=1)
+            else:
+                out[dest] = field.take(src)
+        return out
+
+    env = EnvelopeLanes(*(gather(name, [getattr(w.env, name) for w, _, _ in parts]) for name in EnvelopeLanes._fields))
+    return WealthLanes(env, market, *(gather(name, [getattr(w, name) for w, _, _ in parts])
+                                      for name in WealthLanes._fields[2:]))
+
+
 def moment_lanes(w: WealthLanes, b: float) -> tuple[np.ndarray, np.ndarray]:
     """(E[V], E[V^2]) per lane: V = A z^(-1/b) + const on each band, a flat
     band has A = 0."""

@@ -103,6 +103,29 @@ def test_preferred_fee_decreases_fund_volatility(b_m, b_i, preferred, base_marke
     assert std[0] < 0.75 * std[1]
 
 
+@pytest.fixture(scope="module")
+def default_pipeline(base_market, base_manager, base_investor):
+    """run_pipeline at the base market and utilities on the default lattice."""
+    return run_pipeline(base_market, base_manager, base_investor, GridSteps())
+
+
+# The default run's Sharpe-preferred fee, pinned as scalar_chain.json pins
+# the fee chain's values: rel 1e-12 (the Sharpe ratio 1e-10), so that a
+# change to the frontier search that moves the default preferred.json fails
+# here.  Fee (5.0000%, 34.1874%, 24.9486%).
+DEFAULT_PREFERRED = {"m": 0.05, "alpha": 0.3418742138819695, "c": 0.24948558271666998,
+                     "sharpe": 0.3376896003475341, "phi_M": 2.1162988520442356, "phi_I": 3.1865545995998525,
+                     "phi_min": 2.1162988520442343}
+
+
+def test_default_preferred_fee_golden(default_pipeline):
+    preferred = default_pipeline.preferred
+    got = {"m": preferred.fee.m, "alpha": preferred.fee.alpha, "c": preferred.fee.c, "sharpe": preferred.sharpe,
+           "phi_M": preferred.phi_M, "phi_I": preferred.phi_I, "phi_min": preferred.phi_min}
+    for key, want in DEFAULT_PREFERRED.items():
+        assert got[key] == pytest.approx(want, rel=1e-10 if key == "sharpe" else 1e-12, abs=0.0), key
+
+
 # The same claim read against the constant-mix benchmark: the fund that holds
 # a fixed fraction pi of its wealth in the risky asset
 # (selection.constant_mix_benchmark), whose V_T is lognormal, at pi = 0.25,
@@ -113,8 +136,8 @@ def test_preferred_fee_decreases_fund_volatility(b_m, b_i, preferred, base_marke
     "the fund at the default preferred fee (5.0000%, 34.1874%, 24.9486%) has std 1.3810, against 0.0521, "
     "0.1064 and 0.2233 for the constant-mix fund at pi = 0.25, 0.5 and 1: against that benchmark the "
     "preferred fee raises the fund's volatility by a factor of 6 or more"))
-def test_preferred_fee_decreases_volatility_against_the_constant_mix(base_market, base_manager, base_investor):
-    fee = run_pipeline(base_market, base_manager, base_investor, GridSteps()).preferred.fee
+def test_preferred_fee_decreases_volatility_against_the_constant_mix(default_pipeline, base_market, base_manager):
+    fee = default_pipeline.preferred.fee
     ev, ev2 = moments(solve_y_star(fee, base_manager, base_market))
     r, sigma, gamma, T = base_market.r, base_market.sigma, base_market.gamma, base_market.horizon_T
     for pi in (0.25, 0.5, 1.0):

@@ -131,8 +131,36 @@ def test_sorted_cut_blocks_equal_each_fee_alone(monkeypatch, base_market, base_i
     beside = valuation.manager_values(np.vstack([case_a, fees[batch.case == "C"][:1]]), base_market, manager,
                                       base_investor)
     assert [rows for rows, _ in tables] == [1, 3]
-    for got, want in zip(beside, alone):
+    for got, want in zip(beside[:3], alone[:3]):
         assert np.array_equal(got[:len(case_a)], want)
+
+
+def test_gathered_lanes_equal_their_own_blocks(base_market, base_investor):
+    # lanes from blocks whose band tables were cut to 1, 2 and 3 rows,
+    # gathered into one table of 3 rows in a shuffled order: each lane's
+    # values are those of its own block, exactly
+    manager = HaraParams(0.3, 2.5)
+    rng = np.random.default_rng(5)
+    fees = np.column_stack([rng.uniform(0.0, 0.05, 300), rng.uniform(0.001, 0.5, 300), rng.uniform(0.0, 0.3, 300)])
+    case = evaluate_fees(fees, base_market, manager, base_investor).case
+    a, b, c = (fees[case == k] for k in "ABC")
+    groups = [a[:5], np.vstack([a[5:7], b[:4]]), np.vstack([a[7:9], b[4:6], c[:3]])]
+    blocks = [valuation.manager_values(g, base_market, manager, base_investor)[3] for g in groups]
+    assert [(len(idx), len(w.d_lo)) for ((idx, w),) in blocks] == [(5, 1), (6, 2), (7, 3)]
+    dest = np.split(rng.permutation(18), [5, 11])
+    parts = [(w, rng.permutation(len(idx)), d) for ((idx, w),), d in zip(blocks, dest)]
+    gathered = wealth.gather_lanes(parts, 18, base_market)
+    assert len(gathered.d_lo) == 3
+    values = lambda w: (valuation.manager_value_lanes(w, manager), *wealth.moment_lanes(w, manager.b),
+                        valuation.investor_value_lanes(w, manager, base_investor))
+    every = values(gathered)
+    for w, src, d in parts:
+        for got, alone in zip(every, values(w)):
+            assert (got[d] == alone[src]).all()
+    # a lane no part fills is NaN
+    sparse = wealth.gather_lanes(parts[:1], 18, base_market)
+    empty = np.setdiff1d(np.arange(18), dest[0])
+    assert np.isnan(sparse.t[empty]).all() and (sparse.env.case[empty] == "-").all()
 
 
 def test_quadrature_failure_in_a_later_block_names_its_fee(monkeypatch, base_market, base_manager, base_investor):

@@ -156,10 +156,15 @@ def test_one_level_alone_equals_the_sweep(base_market, base_manager, base_invest
 
 
 # Budget evaluations (wealth._budget calls, lattice included) of the SMALL
-# frontier per manager b_M: 274 and 863 with each face bind started at its
-# span's end where phi_M is highest, against 332 and 879 when it started
-# from both ends of its span and restarted its budget roots cold, both in
-# blocks of 8,192 lanes; 342 and 898 with the quadratic model's point
+# frontier per manager b_M: 219 and 830 with each search round one bind call
+# (the faces of a lane's fee bound beside its coverage) whose lanes value
+# the fees, and the rtsafe rule on the step before last; 219 and 798 with
+# the last step; 274 and 863 when evaluate_fees solved each bound fee's
+# budget again and every face bound in a second call, with each face bind
+# started at its span's end where phi_M is highest, against 332 and 879
+# when it started from both ends of its span and restarted its budget
+# roots cold, both in blocks of 8,192 lanes; 342 and 898 with the
+# quadratic model's point
 # offered at any distance, against 342 and 884 when it was capped at 16
 # steps, both with the pattern search's step cut 4-fold and grown 2-fold,
 # against 544 and 939 when it was only halved, all with the budget root by
@@ -173,7 +178,7 @@ def test_one_level_alone_equals_the_sweep(base_market, base_manager, base_invest
 # search, 2,309 and 4,541 with the stencil alone, and 5,326 and 10,716 when
 # every budget root started cold.
 # The bounds leave 5% for a search path that moves with the last bits.
-BUDGET_CALLS = {0.65: 288, 2.5: 906}
+BUDGET_CALLS = {0.65: 230, 2.5: 872}
 
 
 @pytest.mark.parametrize("b_m", sorted(BUDGET_CALLS))
@@ -192,9 +197,13 @@ def test_frontier_budget_work(b_m, monkeypatch, base_market, base_investor):
 
 # Rounds of the manager's value (valuation._manager_block calls, one per
 # block of lanes, the lattice's and phi_I's included) of the SMALL frontier
-# per manager b_M: 97 and 186 with each face bind started at one end of its
-# span, against 97 and 185 from both ends, in blocks of 8,192 lanes, where
-# the lattice is one block, against 98 and 186 in blocks of 1,024, with the
+# per manager b_M: 68 and 155 with one bind call per search round, whose
+# lanes value the fees, and the rtsafe rule on the step before last (68
+# and 153 on the last step); 97 and 186 with a face bind call after the
+# coverage's and evaluate_fees on the bound fees, each face bind started at
+# one end of its span, against 97 and 185 from both ends, in blocks of
+# 8,192 lanes, where the lattice is one block, against 98 and 186 in
+# blocks of 1,024, with the
 # model's point at any distance; 98 and 183 in blocks of 1,024 when it was
 # capped at 16 steps, both with the pattern search's step
 # cut 4-fold and grown 2-fold, against 153 and 206 when it was only halved,
@@ -202,7 +211,7 @@ def test_frontier_budget_work(b_m, monkeypatch, base_market, base_investor):
 # first), against 161 and 223 from three lattice starts per level, all with
 # the binding roots by Newton's method on phi_M's gradient; 297 and 387 with
 # the bracketed binding roots.  The bounds leave 5%, as above.
-BIND_ROUNDS = {0.65: 103, 2.5: 193}
+BIND_ROUNDS = {0.65: 72, 2.5: 163}
 
 
 @pytest.mark.parametrize("b_m", sorted(BIND_ROUNDS))
@@ -277,6 +286,28 @@ def test_frontier_search_does_not_creep(monkeypatch):
                                  GridSteps(dm=0.0125, dalpha=0.025, dc=0.025, n_phi=16))
         assert len(steps) == 2
         assert all(n <= bound for n, bound in zip(steps, bounds)), (r, gamma, steps)
+
+
+@pytest.mark.parametrize("b_m", [0.65, 2.5])
+def test_frontier_values_bound_fees_from_their_bind_lanes(b_m, monkeypatch, base_market, base_investor):
+    # each fee the search values from the lanes its bind solved (investor
+    # values alone, no second budget root) has the phi_M, phi_I, SR and t
+    # that evaluate_fees gives it from that t, bit for bit
+    manager, calls = HaraParams(0.3, b_m), []
+    investor_values = pareto.investor_values
+
+    def recorded(w, phi_m, *args):
+        calls.append((w, phi_m, investor_values(w, phi_m, *args)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(pareto, "investor_values", recorded)
+    sweep_frontier(base_market, manager, base_investor, SMALL)
+    assert len(calls) >= 10
+    for w, phi_m, (phi_i, sharpe) in calls:
+        batch = evaluate_fees(np.column_stack([w.env.m, w.env.alpha, w.env.c]), base_market, manager, base_investor,
+                              w.t)
+        for got, want in ((phi_m, batch.phi_M), (phi_i, batch.phi_I), (sharpe, batch.sharpe), (w.t, batch.t)):
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("b_m", [0.65, 2.5])

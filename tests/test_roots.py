@@ -143,17 +143,21 @@ def test_newton_root_whole_and_empty_spans():
 def test_newton_root_near_a_span_end(rises):
     # roots 0 to 3e-15 inside either end of [0.3, 0.9], a few tolerances at
     # most: from starts across the span each lane returns a point it
-    # evaluated with g >= 0, within two tolerances of its root
+    # evaluated with g >= 0, within two tolerances of its root, in at most 8
+    # rounds; 26 to 49 near the lower end from the middle or the top when
+    # the rtsafe rule compared a Newton step with the last step, a bisection
+    # half as long, in place of the step before it
     lo, hi = 0.3, 0.9
     roots = np.array([lo + k * 1e-15 for k in range(4)] + [hi - k * 1e-15 for k in range(4)])
     sign, n = (1.0 if rises else -1.0), roots.size
     g = lambda x, lanes: (sign * (x**3 - roots[lanes] ** 3), sign * 3.0 * x**2)
     tol = XRTOL * roots + NEWTON_XATOL
     for start in (lo, 0.5 * (lo + hi), hi):
-        (x, fx, _, ok), seen, _ = newton(g, np.full(n, start), np.full(n, lo), np.full(n, hi), rises)
+        (x, fx, _, ok), seen, rounds = newton(g, np.full(n, start), np.full(n, lo), np.full(n, hi), rises)
         assert ok.all() and (fx >= 0.0).all()
         assert all((x[i], fx[i]) in seen[i] for i in range(n))
         assert (np.abs(x - roots) <= 2.0 * tol).all(), (start, x - roots)
+        assert (rounds <= 8).all(), (start, rounds)
 
 
 def test_newton_root_nan_lane_fails_alone():

@@ -168,7 +168,7 @@ def test_manager_gradient_matches_central_differences(b_m, base_market, base_inv
     # 1e-6 relative at b_M = 5, so the bound is relative 1e-5
     manager = HaraParams(0.3, b_m)
     rows = np.array([(f.m, f.alpha, f.c) for f in BOX + PUBLISHED])
-    phi_m, _, grad = manager_values(rows, base_market, manager, base_investor)
+    phi_m, _, grad, _ = manager_values(rows, base_market, manager, base_investor)
     checked = 0
     for axis in range(3):
         step = np.eye(3)[axis] * FD_STEP
@@ -189,7 +189,7 @@ def test_manager_gradient_signs_on_the_lattice(b_m, base_market, base_investor):
     # alpha and falls in c, at every feasible fee of the SMALL lattice
     steps = GridSteps(dm=0.0125, dalpha=0.025, dc=0.025)
     rows = np.array([(m, a, c) for m in steps.m_grid() for a in steps.alpha_grid() for c in steps.c_grid()])
-    phi_m, _, grad = manager_values(rows, base_market, HaraParams(0.3, b_m), base_investor)
+    phi_m, _, grad, _ = manager_values(rows, base_market, HaraParams(0.3, b_m), base_investor)
     feasible = np.isfinite(phi_m)
     assert feasible.sum() >= len(rows) - 20
     assert (grad[feasible, :2] >= 0.0).all()
