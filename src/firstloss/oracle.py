@@ -21,6 +21,7 @@ from .preferences import HaraParams, hara_utility
 from .wealth import OptimalWealthSolution, terminal_value_array
 
 _STREAMS = 8    # independent child streams per estimate; they bound peak memory
+_MAX_DRAWS = _STREAMS * (np.iinfo(np.intp).max // np.dtype(float).itemsize - 1)    # streams numpy can size
 _GRID_N = 4096                         # brute_pointwise's first grid on [0, v_max]
 _STAGE = np.linspace(0.0, 1.0, 257)    # brute_pointwise's refinement grid on [0, 1]
 
@@ -49,8 +50,10 @@ def _stream_sizes(n: int) -> list[int]:
 def _mc_mean(market: MarketParams, seed: int, n: int, value_of_z) -> McEstimate:
     """Pooled mean/variance over independent child streams of one seed;
     deterministic for fixed (seed, n)."""
-    if n < 1_000:
-        raise OracleError(f"need n >= 1000 draws (got {n})")
+    if not 1_000 <= n <= _MAX_DRAWS:
+        raise OracleError(f"need 1000 <= n <= {_MAX_DRAWS:.3g} draws, {_STREAMS} streams numpy can size (got {n})")
+    if seed < 0:
+        raise OracleError(f"seed must be >= 0 (got {seed})")
     children = np.random.SeedSequence(seed).spawn(_STREAMS)
     total = 0
     mean = 0.0

@@ -22,12 +22,13 @@ roots, in m and in alpha at the top m, each start from the end of its
 span where phi_M is highest.  Each search round is one bind call: where a
 lane's fee lies on a face of c, that face's roots run in the same call as
 the coverage roots, and only a face that a point's own coverage root finds
-binds in a second call.  The binds return the lanes and phi_M of the fees
-they end at, and the investor's half of the fee engine values those fees
-from them, without a second budget root.  Each fee carries its t = log y*
-and those slopes, so every budget root of the search starts warm from the
-lane's last one.  A level's answer is the better of the search's result
-and its best feasible lattice fee, so it never falls below the lattice.
+binds in a second call.  A bind values the fees it ends at, on the lanes
+that found their phi_M, with the investor's half of the fee engine alone;
+from then on a fee is one row (m, alpha, c, t = log y*, those slopes,
+phi_M, SR), its phi_I beside it, valued no more, and every budget root of
+the search starts warm from the lane's last one.  A level's answer is the
+better of the search's result and its best feasible lattice fee, so it
+never falls below the lattice.
 
 The investor's best traditional fee (c = 0), the baseline of the paper's
 claims, runs the same pattern search from the best fee of the same lattice
@@ -90,6 +91,8 @@ class GridSteps:
                              f"which starts at dalpha: it must not exceed {FEE_HI[1]:g}")
         if self.n_phi < 1:
             raise InputError(f"n_phi must be at least 1 (got {self.n_phi})")
+        if self.n_phi + 1 >= _MAX_AXIS:      # nor np.linspace the levels
+            raise InputError(f"n_phi + 1 levels must be fewer than {_MAX_AXIS:.3g} (got n_phi = {self.n_phi})")
 
     @staticmethod
     def _axis(k: int, start: float, step: float) -> np.ndarray:
@@ -208,12 +211,12 @@ def _bind(rows: np.ndarray, axis: int | np.ndarray, t: np.ndarray, phi_min: np.n
     where all of the span meets phi_min, NaN where none does.  The root is
     roots.newton_root on phi_M's closed-form slope (manager_values), from
     the row's own coordinate, clipped to the span; the fee it returns is one
-    it evaluated with phi_M >= phi_min.  Returns the moved rows, and per row
-    what manager_values found at that fee: t = log y*, phi_M's gradient,
-    phi_M and the fund value's lanes (gather_lanes; NaN where the row is),
-    which investor_values completes without a second budget root.  The
-    budget roots start warm, from t, the row's, and from the root's guesses
-    after it."""
+    it evaluated with phi_M >= phi_min.  Returns the moved rows as fees
+    (m, alpha, c, t, dc/dm, dc/dalpha, phi_M, SR), the slopes of c_bind from
+    phi_M's gradient, and their phi_I, from the lanes manager_values solved
+    at each fee (investor_values, without a second budget root); where no
+    fee meets phi_min, all but the row's other coordinates and t are NaN,
+    and phi_I -inf.  The budget roots start warm, from t, then the root's."""
     n = len(rows)
     axis, lo, hi = np.broadcast_to(axis, n), np.empty(n), np.empty(n)
     for a in np.unique(axis):
@@ -237,51 +240,58 @@ def _bind(rows: np.ndarray, axis: int | np.ndarray, t: np.ndarray, phi_min: np.n
                          f"[{float(lo[span[i]])!r}, {float(hi[span[i]])!r}] along fee axis {on[i]}")
         exc.add_note(f"frontier search failed at fee {fee_label(*held[i])}")
         raise exc
-    out, t_out, grad, phi_out = rows.copy(), np.full(n, math.nan), np.full(rows.shape, math.nan), np.full(n, math.nan)
+    out = np.column_stack([rows, np.full((n, 5), math.nan)])
     out[np.arange(n), axis] = math.nan
-    out[span, on], t_out[span] = x, t_x
-    # what manager_values found where each lane's root ended, a point it evaluated
-    parts = []
+    out[span, on], out[span, 3] = x, t_x
+    # what manager_values found where each lane's root ended, a point it
+    # evaluated: phi_M, its gradient and the lanes that value the fee
+    found = span[~np.isnan(x)]
+    slot, grad, parts = np.full(n, -1), np.full((n, 3), math.nan), []
+    slot[found] = np.arange(found.size)
     for lanes, at, g, phi_m, solved in seen:
         hit = at == x[lanes]
-        grad[span[lanes[hit]]], phi_out[span[lanes[hit]]] = g[hit], phi_m[hit]
-        parts += [(w, np.flatnonzero(hit[idx]), span[lanes[idx[hit[idx]]]]) for idx, w in solved]
-    return out, t_out, grad, phi_out, gather_lanes(parts, n, market)
+        grad[span[lanes[hit]]], out[span[lanes[hit]], 6] = g[hit], phi_m[hit]
+        parts += [(w, np.flatnonzero(hit[idx]), slot[span[lanes[idx[hit[idx]]]]]) for idx, w in solved]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[:, 4:6] = -grad[:, :2] / grad[:, 2:]
+    phi_i = np.full(n, -math.inf)
+    phi_i[found], out[found, 7] = investor_values(gather_lanes(parts, found.size, market), out[found, 6],
+                                                  manager, investor)
+    return out, phi_i
 
 
 def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, manager: HaraParams,
                   investor: HaraParams) -> list[ParetoPoint]:
-    """The frontier point of every reservation level, in one batched search."""
+    """The frontier point of every reservation level, in one batched search.
+
+    A fee is a row (m, alpha, c, t, dc/dm, dc/dalpha, phi_M, SR) throughout,
+    its phi_I the search value beside it: t = log y*, and the slopes of
+    c_bind there (NaN where not known)."""
     steps, v0 = scan.steps, market.v0
     seeds = _select_seeds(scan, levels)
     seed_phi_I = scan.phi_I[seeds]
 
-    def phi_I(rows: np.ndarray, t_near: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # -inf where a fee is NaN or inadmissible; and the rows with their t
-        ok = ~np.isnan(rows).any(axis=1)
-        values, t = np.full(len(rows), -math.inf), np.full(len(rows), math.nan)
-        batch = evaluate_fees(rows[ok], market, manager, investor, t_near[ok])
-        values[ok], t[ok] = np.where(batch.feasible, batch.phi_I, -math.inf), batch.t
-        return values, np.column_stack([rows, t])
+    def lattice_rows(i: np.ndarray) -> np.ndarray:
+        return np.column_stack([scan.fees[i], scan.t[i], np.full((i.size, 2), math.nan), scan.phi_M[i],
+                                scan.sharpe[i]])
 
-    # the unconstrained maximum over (m, alpha, c), from the best lattice fee;
-    # a fee is a row (m, alpha, c, t) from here on
-    best = int(np.argmax(np.where(scan.feasible, scan.phi_I, -np.inf)))
-    x_u = scan.fees[[best]]
-    f_u, u = phi_I(x_u, scan.t[[best]])
-    pattern_search(lambda points, lanes, fee: phi_I(points, fee[:, 3]), x_u, f_u, u,
-                   np.array([[steps.dm, steps.dalpha, steps.dc]]), FEE_LO, FEE_HI)
-    slack = levels <= evaluate_fees(x_u, market, manager, investor, u[:, 3]).phi_M[0]
+    def phi_I(points, lanes, fee):
+        # -inf where a fee is inadmissible; the budget roots start from the lane's t
+        batch = evaluate_fees(points, market, manager, investor, fee[:, 3])
+        rows = np.column_stack([points, batch.t, np.full((len(points), 2), math.nan), batch.phi_M, batch.sharpe])
+        return np.where(batch.feasible, batch.phi_I, -math.inf), rows
+
+    # the unconstrained maximum over (m, alpha, c), from the best lattice fee
+    best = np.array([np.argmax(np.where(scan.feasible, scan.phi_I, -np.inf))])
+    u, f_u = lattice_rows(best), scan.phi_I[best]
+    pattern_search(phi_I, scan.fees[best], f_u, u, np.array([[steps.dm, steps.dalpha, steps.dc]]), FEE_LO, FEE_HI)
+    slack = levels <= u[0, 6]
     fees = np.where(slack[:, None], u, math.nan)
     found = np.where(slack, f_u[0], -math.inf)
 
     # every other level: a pattern search on G(m, alpha) from its lattice seed
     owner = np.flatnonzero(~slack)
-    start = seeds[owner]
-    # a fee in G is a row (m, alpha, c, t, dc/dm, dc/dalpha), the last two
-    # the slopes of c_bind there (NaN where not known)
-    starts = np.column_stack([scan.fees[start], scan.t[start],
-                              np.full((start.size, 2), math.nan)])
+    starts = lattice_rows(seeds[owner])
     lane_min = levels[owner]
     bind = lambda rows, axis, t, lanes: _bind(rows, axis, t, lane_min[lanes], market, manager, investor)
 
@@ -295,11 +305,17 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
         along_alpha = np.column_stack([along_m[:, 0], np.full(k, FEE_HI[1]), c_face])
         return np.concatenate([along_m, along_alpha]), np.repeat([0, 1], k)
 
+    def face_fee(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # of a face bind's 2k rows, the fee along m, else the one along alpha
+        k = len(rows) // 2
+        along_m = ~np.isnan(rows[:k, 0])
+        return np.where(along_m[:, None], rows[:k], rows[k:]), np.where(along_m, values[:k], values[k:])
+
     def G(points, lanes, center):
         # the fee at (m, alpha) with c bound by the constraint, from the lane's
         # c_bind moved along its slopes (else its c) and its t
         with np.errstate(invalid="ignore"):
-            c = center[:, 2] + np.sum((points - center[:, :2]) * center[:, 4:], axis=1)
+            c = center[:, 2] + np.sum((points - center[:, :2]) * center[:, 4:6], axis=1)
         c = np.where(np.isfinite(c), c, center[:, 2])
         n, rows = len(points), np.column_stack([points, c])
         # a point, or its lane's fee, on a face of c (c at its cap with phi_M
@@ -308,63 +324,40 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
         # The faces lie at the point's m; where the lane's fee is on one, its
         # face fees bind in the same call as the coverage, from the lane's t
         lo_c, hi_c = _span(rows, 2, manager, investor, v0)
-        pre = np.flatnonzero((center[:, 2] == hi_c) | (center[:, 2] == lo_c))
-        pre_c = np.where(center[:, 2] == hi_c, hi_c, lo_c)[pre]
-        face_rows, face_axis = faces(points[pre, 1], pre_c)
-        k = pre.size
-        first = bind(np.concatenate([rows, face_rows]), np.concatenate([np.full(n, 2), face_axis]),
-                     np.concatenate([center[:, 3], np.tile(center[pre, 3], 2)]),
-                     np.concatenate([lanes, np.tile(lanes[pre], 2)]))
-        fee, t = first[0][:n], first[1][:n]
+        pre_c = np.where(center[:, 2] == hi_c, hi_c, np.where(center[:, 2] == lo_c, lo_c, math.nan))
+        pre = np.flatnonzero(~np.isnan(pre_c))
+        face_rows, face_axis = faces(points[pre, 1], pre_c[pre])
+        got, value = bind(np.concatenate([rows, face_rows]), np.concatenate([np.full(n, 2), face_axis]),
+                          np.concatenate([center[:, 3], np.tile(center[pre, 3], 2)]),
+                          np.concatenate([lanes, np.tile(lanes[pre], 2)]))
+        fee, fx = got[:n], value[:n]
+        on_face, face_fx = np.full((n, 8), math.nan), np.full(n, -math.inf)
+        on_face[pre], face_fx[pre] = face_fee(got[n:], value[n:])
         short = np.isnan(fee[:, 2])
         top = ~short & ((fee[:, 2] == hi_c) | (center[:, 2] == hi_c))
-        face = np.flatnonzero(short | top | (center[:, 2] == lo_c))
-        c_face = np.where(top, hi_c, lo_c)[face]
-        # (a face the coverage bind found, or another than the lane's: its
-        # face fees bind now, from the t the coverage bind ended at)
-        slot = np.full(n, -1)
-        slot[pre] = np.arange(k)
-        bound = slot[face] >= 0
-        bound[bound] = pre_c[slot[face[bound]]] == c_face[bound]
-        again = face[~bound]
-        near = np.where(np.isnan(t), center[:, 3], t)
-        face_rows, face_axis = faces(points[again, 1], c_face[~bound])
-        second = (bind(face_rows, face_axis, np.tile(near[again], 2), np.tile(lanes[again], 2)) if again.size
-                  else (np.empty((0, 3)), np.empty(0), np.empty((0, 3)), np.empty(0), None))
-        # both calls' rows, then a NaN row: each lane's coverage fee, and a
-        # face lane's fee along m, else along alpha
-        got, ts, grads, phi_ms = (np.concatenate([a, b, np.full((1,) + a.shape[1:], math.nan)])
-                                  for a, b in zip(first[:4], second[:4]))
-        offset = n + 2 * k
-        along_m = np.where(bound, n + slot[face], offset + np.cumsum(~bound) - 1)
-        along_m += np.where(np.isnan(got[along_m, 0]), np.where(bound, k, again.size), 0)
-        pick = np.concatenate([np.arange(n), np.full(n, len(got) - 1)])
-        pick[n + face] = along_m
-        with np.errstate(divide="ignore", invalid="ignore"):
-            both = np.column_stack([got, ts, -grads[:, :2] / grads[:, 2:]])[pick]
-        # phi_I of each fee from the lanes its bind solved, -inf where the
-        # fee is NaN; the better of the two, the first on a tie
-        solved = np.isfinite(phi_ms[pick])
-        src = pick[solved]
-        one = src < offset
-        w = gather_lanes([(first[4], src[one], np.flatnonzero(one)),
-                          (second[4], src[~one] - offset, np.flatnonzero(~one))], src.size, market)
-        values = np.full(2 * n, -math.inf)
-        values[solved] = investor_values(w, phi_ms[src], manager, investor)[0]
-        values, both = values.reshape(2, -1), both.reshape(2, -1, 6)
-        return values.max(axis=0), both[np.argmax(values, axis=0), np.arange(n)]
+        face = short | top | (center[:, 2] == lo_c)
+        c_face = np.where(top, hi_c, lo_c)
+        # a face the coverage bind found, or another than the lane's: its
+        # face fees bind now, from the t the coverage bind ended at
+        again = np.flatnonzero(face & (pre_c != c_face))
+        if again.size:
+            near = np.where(np.isnan(fee[again, 3]), center[again, 3], fee[again, 3])
+            face_rows, face_axis = faces(points[again, 1], c_face[again])
+            on_face[again], face_fx[again] = face_fee(*bind(face_rows, face_axis, np.tile(near, 2),
+                                                            np.tile(lanes[again], 2)))
+        # the better of the two, the coverage fee on a tie
+        better = face & (face_fx > fx)
+        return np.where(better, face_fx, fx), np.where(better[:, None], on_face, fee)
 
     # from the seeds' own binding fees
     fx, fee = G(starts[:, :2], np.arange(owner.size), starts)
     h = np.tile([steps.dm, steps.dalpha], (owner.size, 1))
     pattern_search(G, fee[:, :2].copy(), fx, fee, h, FEE_LO[:2], FEE_HI[:2])
-    fees[owner], found[owner] = fee[:, :4], fx
+    fees[owner], found[owner] = fee, fx
 
     # a level's best feasible lattice fee stands where the search did not beat it
     lattice = np.flatnonzero(found <= seed_phi_I)
-    first = seeds[lattice]
-    fees[lattice] = np.column_stack([scan.fees[first], scan.t[first]])
-    final = evaluate_fees(fees[:, :3], market, manager, investor, fees[:, 3])
+    fees[lattice], found[lattice] = lattice_rows(seeds[lattice]), seed_phi_I[lattice]
     # a fee on a face of the box, the top of c where the coverage range cuts it
     lo = FEE_LO + _BOUND_SNAP
     hi = np.append(FEE_HI[:2], _span(FEE_HI[None], 2, manager, investor, v0)[1]) - _BOUND_SNAP
@@ -373,8 +366,8 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
         fee = FeeStructure(*fees[i, :3].tolist())
         bounds = (("m_low", fee.m <= lo[0]), ("m_high", fee.m >= hi[0]), ("alpha_low", fee.alpha <= lo[1]),
                   ("alpha_high", fee.alpha >= hi[1]), ("c_low", fee.c <= lo[2]), ("c_high", fee.c >= hi[2]))
-        points.append(ParetoPoint(phi_min=level, fee=fee, phi_M=float(final.phi_M[i]), phi_I=float(final.phi_I[i]),
-                                  sharpe=float(final.sharpe[i]), bound_flags=tuple(name for name, hit in bounds if hit),
+        points.append(ParetoPoint(phi_min=level, fee=fee, phi_M=float(fees[i, 6]), phi_I=float(found[i]),
+                                  sharpe=float(fees[i, 7]), bound_flags=tuple(name for name, hit in bounds if hit),
                                   seed_phi_I=float(seed_phi_I[i])))
     return points
 

@@ -13,9 +13,9 @@ halves, split where the investor enters: the manager's (_manager_block: the
 envelope, the budget root, the fund value's lanes and phi_M) and the
 investor's (investor_values: the moments, the Sharpe ratio and phi_I's
 quadrature, on those lanes).  The lattice and the traditional optimizer
-call both; the frontier's binds call manager_values, the first half with
-phi_M's gradient in closed form, and value the fees they bind with the
-second half alone, from the lanes the first solved (wealth.gather_lanes).
+call both; a frontier bind calls manager_values, the first half with
+phi_M's gradient in closed form, and values the fees it ends at once, with
+the second half alone, on the lanes the first solved (gather_lanes).
 evaluate_fee, manager_value and investor_value read a single lane.
 
 A call of more than one block sorts its fees by their band count (case A

@@ -2,7 +2,9 @@
 strict xfail with the measured value and the reason."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +126,22 @@ def test_default_preferred_fee_golden(default_pipeline):
            "phi_M": preferred.phi_M, "phi_I": preferred.phi_I, "phi_min": preferred.phi_min}
     for key, want in DEFAULT_PREFERRED.items():
         assert got[key] == pytest.approx(want, rel=1e-10 if key == "sharpe" else 1e-12, abs=0.0), key
+
+
+# Every level of the default run's frontier (the default frontier.csv, at
+# full precision): phi_min, the fee, phi_M, phi_I and the Sharpe ratio of
+# all 201 levels, pinned to default_frontier.json at DEFAULT_PREFERRED's
+# tolerances.
+DEFAULT_FRONTIER = json.loads(Path(__file__).with_name("default_frontier.json").read_text())
+
+
+def test_default_frontier_golden(default_pipeline):
+    want = np.array(DEFAULT_FRONTIER["levels"])
+    got = np.array([[p.phi_min, p.fee.m, p.fee.alpha, p.fee.c, p.phi_M, p.phi_I, p.sharpe]
+                    for p in default_pipeline.frontier.points])
+    assert got.shape == want.shape == (201, 7)
+    for k, name in enumerate(DEFAULT_FRONTIER["columns"]):
+        assert got[:, k] == pytest.approx(want[:, k], rel=1e-10 if name == "sharpe" else 1e-12, abs=0.0), name
 
 
 # The same claim read against the constant-mix benchmark: the fund that holds

@@ -482,3 +482,18 @@ def test_cli_unusable_sweep_step_exits_1(key, value, tmp_path, capsys):
     assert main(["--set", f"run.outdir={tmp_path}", "--set", f"{key}={value}", "grid"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: lattice step ") and f"step {key.split('.')[1]} " in err
+
+
+@pytest.mark.parametrize("key,value,command,message", [
+    ("sweep.n_phi", "10000000000000000000", "frontier", "n_phi + 1 levels must be fewer than 1.15e+18"),
+    ("run.mc_draws", "100000000000000000000", "verify", "need 1000 <= n <= 9.22e+18 draws"),
+    ("run.seed", "-1", "verify", "seed must be >= 0 (got -1)"),
+], ids=["levels", "draws", "seed"])
+def test_cli_values_numpy_rejects_exit_1(key, value, command, message, tmp_path, capsys):
+    # a typed error, not numpy's ValueError: levels or a Monte Carlo stream
+    # past what numpy can size (so nothing is allocated), a seed SeedSequence
+    # does not take
+    argv = ["--set", f"run.outdir={tmp_path}", *COARSE, "--set", f"{key}={value}", command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err

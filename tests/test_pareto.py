@@ -156,11 +156,13 @@ def test_one_level_alone_equals_the_sweep(base_market, base_manager, base_invest
 
 
 # Budget evaluations (wealth._budget calls, lattice included) of the SMALL
-# frontier per manager b_M: 219 and 830 with each search round one bind call
-# (the faces of a lane's fee bound beside its coverage) whose lanes value
-# the fees, and the rtsafe rule on the step before last; 219 and 798 with
-# the last step; 274 and 863 when evaluate_fees solved each bound fee's
-# budget again and every face bound in a second call, with each face bind
+# frontier per manager b_M: 216 and 827 when each bind values the fees it
+# ends at and the search carries those values, with no evaluate_fees of x_u's
+# start, of its phi_M or of the levels' answers; 219 and 830 with each
+# search round one bind call (the faces of a lane's fee bound beside its
+# coverage) whose lanes value the fees, and the rtsafe rule on the step
+# before last; 219 and 798 with the last step; 274 and 863 when
+# evaluate_fees solved each bound fee's budget again and every face bound in a second call, with each face bind
 # started at its span's end where phi_M is highest, against 332 and 879
 # when it started from both ends of its span and restarted its budget
 # roots cold, both in blocks of 8,192 lanes; 342 and 898 with the
@@ -178,7 +180,7 @@ def test_one_level_alone_equals_the_sweep(base_market, base_manager, base_invest
 # search, 2,309 and 4,541 with the stencil alone, and 5,326 and 10,716 when
 # every budget root started cold.
 # The bounds leave 5% for a search path that moves with the last bits.
-BUDGET_CALLS = {0.65: 230, 2.5: 872}
+BUDGET_CALLS = {0.65: 227, 2.5: 869}
 
 
 @pytest.mark.parametrize("b_m", sorted(BUDGET_CALLS))
@@ -197,9 +199,10 @@ def test_frontier_budget_work(b_m, monkeypatch, base_market, base_investor):
 
 # Rounds of the manager's value (valuation._manager_block calls, one per
 # block of lanes, the lattice's and phi_I's included) of the SMALL frontier
-# per manager b_M: 68 and 155 with one bind call per search round, whose
-# lanes value the fees, and the rtsafe rule on the step before last (68
-# and 153 on the last step); 97 and 186 with a face bind call after the
+# per manager b_M: 65 and 152 when the search carries the values its binds
+# found, with no second valuation of a fee; 68 and 155 with one bind call
+# per search round, whose lanes value the fees, and the rtsafe rule on the
+# step before last (68 and 153 on the last step); 97 and 186 with a face bind call after the
 # coverage's and evaluate_fees on the bound fees, each face bind started at
 # one end of its span, against 97 and 185 from both ends, in blocks of
 # 8,192 lanes, where the lattice is one block, against 98 and 186 in
@@ -211,7 +214,7 @@ def test_frontier_budget_work(b_m, monkeypatch, base_market, base_investor):
 # first), against 161 and 223 from three lattice starts per level, all with
 # the binding roots by Newton's method on phi_M's gradient; 297 and 387 with
 # the bracketed binding roots.  The bounds leave 5%, as above.
-BIND_ROUNDS = {0.65: 72, 2.5: 163}
+BIND_ROUNDS = {0.65: 69, 2.5: 160}
 
 
 @pytest.mark.parametrize("b_m", sorted(BIND_ROUNDS))
@@ -226,6 +229,43 @@ def test_frontier_bind_rounds(b_m, monkeypatch, base_market, base_investor):
     monkeypatch.setattr(valuation, "_manager_block", counted)
     sweep_frontier(base_market, HaraParams(0.3, b_m), base_investor, SMALL)
     assert len(calls) <= BIND_ROUNDS[b_m]
+
+
+# evaluate_fees calls of pareto (the lattice, the unconstrained maximum
+# x_u's search) of the SMALL frontier per manager b_M: 14 and 17 when every
+# fee carries its values from the call that found it; 17 and 20 when x_u's
+# start, x_u's phi_M and every level's answer were valued again.  The
+# bounds leave 5%, as above.
+FEE_VALUATIONS = {0.65: 15, 2.5: 18}
+
+
+@pytest.mark.parametrize("b_m", sorted(FEE_VALUATIONS))
+def test_frontier_fee_valuations(b_m, monkeypatch, base_market, base_investor):
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return evaluate(*args)
+
+    evaluate = pareto.evaluate_fees
+    monkeypatch.setattr(pareto, "evaluate_fees", counted)
+    sweep_frontier(base_market, HaraParams(0.3, b_m), base_investor, SMALL)
+    assert 1 <= len(calls) <= FEE_VALUATIONS[b_m]
+
+
+@pytest.mark.parametrize("b_m", [0.65, 2.5])
+def test_frontier_values_are_their_fees(b_m, base_market, base_investor):
+    # each point's phi_M, phi_I and Sharpe ratio, carried from the call that
+    # valued its fee, are the fee's own, as a cold evaluation finds them: at
+    # the unconstrained maximum's level (the lowest, with phi_M to spare),
+    # the searched levels and a level its lattice fee answers (the top)
+    manager = HaraParams(0.3, b_m)
+    points = sweep_frontier(base_market, manager, base_investor, SMALL).points
+    cold = evaluate_fees([(p.fee.m, p.fee.alpha, p.fee.c) for p in points], base_market, manager, base_investor)
+    assert points[0].phi_M > points[0].phi_min + 1e-6 and points[-1].phi_I == points[-1].seed_phi_I
+    for name, rel in (("phi_M", 1e-12), ("phi_I", 1e-12), ("sharpe", 1e-10)):
+        got = [getattr(p, name) for p in points]
+        assert got == pytest.approx(getattr(cold, name).tolist(), rel=rel, abs=0.0), name
 
 
 # Objective calls of each pattern_search of the SMALL frontier per manager
