@@ -24,7 +24,7 @@ import numpy as np
 
 from .concavify import build_envelope, envelope_eval
 from .config import ConfigError, RunConfig, load_config
-from .contract import ContractError, FeeStructure, InputError, NumericalError, error_message
+from .contract import MAX_FLOATS, ContractError, FeeStructure, InputError, NumericalError, error_message
 from .oracle import brute_pointwise, mc_budget, mc_value
 from .pareto import Frontier, grid_scan, sweep_frontier
 from .selection import (
@@ -106,8 +106,8 @@ def _fee_percent_fields(fee: FeeStructure) -> dict:
 def cmd_envelope(config: RunConfig, args) -> str:
     if not (math.isfinite(args.vmax) and args.vmax > 0.0):
         raise ConfigError(f"--vmax must be a finite number > 0 (got {args.vmax})")
-    if args.grid_n < 2:
-        raise ConfigError(f"--grid-n must be at least 2 (got {args.grid_n})")
+    if not 2 <= args.grid_n <= MAX_FLOATS:      # the longest grid numpy can size
+        raise ConfigError(f"--grid-n must be at least 2 and at most {MAX_FLOATS:.3g} (got {args.grid_n})")
     fee = _parse_fee(args.fee)
     env = build_envelope(fee, config.manager, config.market.v0)
     grid = np.linspace(0.0, args.vmax, args.grid_n)

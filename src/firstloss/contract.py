@@ -18,6 +18,7 @@ FEE_LO = np.array([lo for _, lo, _ in FEE_BOX])
 FEE_HI = np.array([hi for _, _, hi in FEE_BOX])
 
 _BOUND_TOL = 1e-12
+MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(float).itemsize     # the longest float array numpy can size
 
 
 class InputError(ValueError):

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concavify import ConcaveEnvelope, envelope_eval
-from .contract import FeeStructure, InputError, investor_payoff, manager_payoff
+from .contract import MAX_FLOATS, FeeStructure, InputError, investor_payoff, manager_payoff
 from .market import MarketParams
 from .preferences import HaraParams, hara_utility
 from .wealth import OptimalWealthSolution, terminal_value_array
 
 _STREAMS = 8    # independent child streams per estimate; they bound peak memory
-_MAX_DRAWS = _STREAMS * (np.iinfo(np.intp).max // np.dtype(float).itemsize - 1)    # streams numpy can size
+_MAX_DRAWS = _STREAMS * (MAX_FLOATS - 1)    # streams numpy can size
 _GRID_N = 4096                         # brute_pointwise's first grid on [0, v_max]
 _STAGE = np.linspace(0.0, 1.0, 257)    # brute_pointwise's refinement grid on [0, 1]
 

@@ -20,15 +20,14 @@ gradient, started from the lane's last c_bind moved along the slopes of
 c_bind there (dc/dm = -phi_M,m / phi_M,c, and so for alpha).  A face's
 roots, in m and in alpha at the top m, each start from the end of its
 span where phi_M is highest.  Each search round is one bind call: where a
-lane's fee lies on a face of c, that face's roots run in the same call as
-the coverage roots, and only a face that a point's own coverage root finds
-binds in a second call.  A bind values the fees it ends at, on the lanes
-that found their phi_M, with the investor's half of the fee engine alone;
-from then on a fee is one row (m, alpha, c, t = log y*, those slopes,
-phi_M, SR), its phi_I beside it, valued no more, and every budget root of
-the search starts warm from the lane's last one.  A level's answer is the
-better of the search's result and its best feasible lattice fee, so it
-never falls below the lattice.
+point's coverage root starts on or past a face of c, or its lane's fee lies
+on one, that face's roots run in the same call as the coverage roots.  A
+bind values the fees it ends at, on the lanes that found their phi_M, with
+the investor's half of the fee engine alone; from then on a fee is one row
+(m, alpha, c, t = log y*, those slopes, phi_M, SR), its phi_I beside it,
+valued no more, and every budget root of the search starts warm from the
+lane's last one.  A level's answer is the better of the search's result and
+its best feasible lattice fee, so it never falls below the lattice.
 
 The investor's best traditional fee (c = 0), the baseline of the paper's
 claims, runs the same pattern search from the best fee of the same lattice
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import FEE_HI, FEE_LO, FeeStructure, InputError, NumericalError, fee_label
+from .contract import FEE_HI, FEE_LO, MAX_FLOATS, FeeStructure, InputError, NumericalError, fee_label
 from .market import MarketParams
 from .preferences import HaraParams, admissible_lanes, require_admissible
 from .roots import newton_root, pattern_search
@@ -52,7 +51,6 @@ from .wealth import SolveError, gather_lanes
 _SEED_TOL = 1e-12
 _BOUND_SNAP = 1e-7
 _EPS = np.finfo(float).eps
-_MAX_AXIS = np.iinfo(np.intp).max // np.dtype(float).itemsize     # the longest float array np.arange can size
 
 
 class InfeasibleReservation(NumericalError):
@@ -78,21 +76,21 @@ class GridSteps:
         names, points = ("dm", "dalpha", "dc"), []
         for name, span in zip(names, (FEE_HI - FEE_LO).tolist()):
             step = getattr(self, name)
-            if not (math.isfinite(step) and step > 0 and span / step < _MAX_AXIS):
-                raise InputError(f"lattice step {name} must be finite and > 0, with fewer than {_MAX_AXIS:.3g} "
+            if not (math.isfinite(step) and step > 0 and span / step < MAX_FLOATS):
+                raise InputError(f"lattice step {name} must be finite and > 0, with fewer than {MAX_FLOATS:.3g} "
                                  f"points along its fee axis (got {step})")
             points.append(span / step + 1.0)
-        if 3.0 * math.prod(points) >= _MAX_AXIS:
+        if 3.0 * math.prod(points) >= MAX_FLOATS:
             name = names[int(np.argmax(points))]
             raise InputError(f"lattice step {name} = {getattr(self, name)} gives a lattice of about "
-                             f"{math.prod(points):.3g} fees, not fewer than {_MAX_AXIS / 3:.3g}")
+                             f"{math.prod(points):.3g} fees, not fewer than {MAX_FLOATS / 3:.3g}")
         if self.dalpha > FEE_HI[1]:
             raise InputError(f"lattice step dalpha = {self.dalpha} leaves no performance fee on its axis, "
                              f"which starts at dalpha: it must not exceed {FEE_HI[1]:g}")
         if self.n_phi < 1:
             raise InputError(f"n_phi must be at least 1 (got {self.n_phi})")
-        if self.n_phi + 1 >= _MAX_AXIS:      # nor np.linspace the levels
-            raise InputError(f"n_phi + 1 levels must be fewer than {_MAX_AXIS:.3g} (got n_phi = {self.n_phi})")
+        if self.n_phi + 1 >= MAX_FLOATS:      # nor np.linspace the levels
+            raise InputError(f"n_phi + 1 levels must be fewer than {MAX_FLOATS:.3g} (got n_phi = {self.n_phi})")
 
     @staticmethod
     def _axis(k: int, start: float, step: float) -> np.ndarray:
@@ -203,22 +201,22 @@ def _select_seeds(scan: GridScan, levels: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-def _bind(rows: np.ndarray, axis: int | np.ndarray, t: np.ndarray, phi_min: np.ndarray, market: MarketParams,
+def _bind(rows: np.ndarray, axis: np.ndarray, t: np.ndarray, phi_min: np.ndarray, market: MarketParams,
           manager: HaraParams, investor: HaraParams) -> tuple:
-    """Each row moved along its fee coordinate axis (one for all rows, or one
-    per row), within its span, to where phi_M = phi_min (phi_M rises along
-    m and alpha, falls along c); to the span's end with the lowest phi_M
-    where all of the span meets phi_min, NaN where none does.  The root is
-    roots.newton_root on phi_M's closed-form slope (manager_values), from
-    the row's own coordinate, clipped to the span; the fee it returns is one
-    it evaluated with phi_M >= phi_min.  Returns the moved rows as fees
+    """Each row moved along its own fee coordinate axis, within its span, to
+    where phi_M = phi_min (phi_M rises along m and alpha, falls along c); to
+    the span's end with the lowest phi_M where all of the span meets phi_min,
+    NaN where none does.  The root is roots.newton_root on phi_M's
+    closed-form slope (manager_values), from the row's own coordinate,
+    clipped to the span; the fee it returns is one it evaluated with
+    phi_M >= phi_min.  Returns the moved rows as fees
     (m, alpha, c, t, dc/dm, dc/dalpha, phi_M, SR), the slopes of c_bind from
     phi_M's gradient, and their phi_I, from the lanes manager_values solved
     at each fee (investor_values, without a second budget root); where no
     fee meets phi_min, all but the row's other coordinates and t are NaN,
     and phi_I -inf.  The budget roots start warm, from t, then the root's."""
     n = len(rows)
-    axis, lo, hi = np.broadcast_to(axis, n), np.empty(n), np.empty(n)
+    lo, hi = np.empty(n), np.empty(n)
     for a in np.unique(axis):
         lo[axis == a], hi[axis == a] = _span(rows[axis == a], a, manager, investor, market.v0)
     span = np.flatnonzero(lo <= hi)
@@ -318,35 +316,23 @@ def _solve_levels(levels: np.ndarray, scan: GridScan, market: MarketParams, mana
             c = center[:, 2] + np.sum((points - center[:, :2]) * center[:, 4:6], axis=1)
         c = np.where(np.isfinite(c), c, center[:, 2])
         n, rows = len(points), np.column_stack([points, c])
-        # a point, or its lane's fee, on a face of c (c at its cap with phi_M
-        # to spare, or at its floor with phi_M short): the fee on that face
-        # that meets the constraint with the lowest m, then alpha, competes.
-        # The faces lie at the point's m; where the lane's fee is on one, its
-        # face fees bind in the same call as the coverage, from the lane's t
+        # a point whose coverage root starts on or past a face of c, or whose
+        # lane's fee lies on one: the fee on that face that meets the
+        # constraint with the lowest m, then alpha, competes; it binds in the
+        # same call as the coverage, from the lane's t
         lo_c, hi_c = _span(rows, 2, manager, investor, v0)
-        pre_c = np.where(center[:, 2] == hi_c, hi_c, np.where(center[:, 2] == lo_c, lo_c, math.nan))
-        pre = np.flatnonzero(~np.isnan(pre_c))
-        face_rows, face_axis = faces(points[pre, 1], pre_c[pre])
+        c_face = np.where((c >= hi_c) | (center[:, 2] == hi_c), hi_c,
+                          np.where((c <= lo_c) | (center[:, 2] == lo_c), lo_c, math.nan))
+        face = np.flatnonzero(~np.isnan(c_face))
+        face_rows, face_axis = faces(points[face, 1], c_face[face])
         got, value = bind(np.concatenate([rows, face_rows]), np.concatenate([np.full(n, 2), face_axis]),
-                          np.concatenate([center[:, 3], np.tile(center[pre, 3], 2)]),
-                          np.concatenate([lanes, np.tile(lanes[pre], 2)]))
+                          np.concatenate([center[:, 3], np.tile(center[face, 3], 2)]),
+                          np.concatenate([lanes, np.tile(lanes[face], 2)]))
         fee, fx = got[:n], value[:n]
         on_face, face_fx = np.full((n, 8), math.nan), np.full(n, -math.inf)
-        on_face[pre], face_fx[pre] = face_fee(got[n:], value[n:])
-        short = np.isnan(fee[:, 2])
-        top = ~short & ((fee[:, 2] == hi_c) | (center[:, 2] == hi_c))
-        face = short | top | (center[:, 2] == lo_c)
-        c_face = np.where(top, hi_c, lo_c)
-        # a face the coverage bind found, or another than the lane's: its
-        # face fees bind now, from the t the coverage bind ended at
-        again = np.flatnonzero(face & (pre_c != c_face))
-        if again.size:
-            near = np.where(np.isnan(fee[again, 3]), center[again, 3], fee[again, 3])
-            face_rows, face_axis = faces(points[again, 1], c_face[again])
-            on_face[again], face_fx[again] = face_fee(*bind(face_rows, face_axis, np.tile(near, 2),
-                                                            np.tile(lanes[again], 2)))
+        on_face[face], face_fx[face] = face_fee(got[n:], value[n:])
         # the better of the two, the coverage fee on a tie
-        better = face & (face_fx > fx)
+        better = face_fx > fx
         return np.where(better, face_fx, fx), np.where(better[:, None], on_face, fee)
 
     # from the seeds' own binding fees

@@ -157,8 +157,9 @@ def constant_mix_benchmark(
 
     V_T is lognormal, so the Sharpe ratio is closed form; expected utilities
     integrate the fee-split payoffs against the normal density, with panel
-    edges at the payoff kinks.  pi = 0 is a riskless fund: zero variance,
-    Sharpe reported as NaN with the degenerate flag set.
+    edges at the payoff kinks.  pi = 0, or a pi so small that the variance
+    underflows to 0 (below about 1e-161 at sigma = 20%), is a riskless fund:
+    zero variance, Sharpe reported as NaN with the degenerate flag set.
     """
     if market.sigma is None:
         raise SelectionError("constant-mix benchmark needs sigma in the market parameters")
@@ -167,19 +168,19 @@ def constant_mix_benchmark(
     r, sig, T, v0 = market.r, market.sigma, market.horizon_T, market.v0
     growth = (r + pi * sig * market.gamma - 0.5 * (pi * sig) ** 2) * T
     vol = pi * sig * math.sqrt(T)
+    mean_v = v0 * math.exp((r + pi * sig * market.gamma) * T)
+    # Var V = E[V]^2 (exp(vol^2) - 1), exact for the lognormal V, where
+    # E[V^2] - E[V]^2 cancels for a small pi
+    var = mean_v * mean_v * math.expm1(vol * vol)
 
-    if pi == 0.0:
-        v_T = v0 * math.exp(r * T)
+    if var == 0.0:
         return ConstantMixResult(
             pi=pi, sharpe=math.nan,
-            phi_M=hara_utility(manager, manager_payoff(fee, v0, v_T)),
-            phi_I=hara_utility(investor, investor_payoff(fee, v0, v_T)),
+            phi_M=hara_utility(manager, manager_payoff(fee, v0, mean_v)),
+            phi_I=hara_utility(investor, investor_payoff(fee, v0, mean_v)),
             degenerate=True,
         )
 
-    mean_v = v0 * math.exp((r + pi * sig * market.gamma) * T)
-    second = v0 * v0 * math.exp(2.0 * (r + pi * sig * market.gamma) * T + vol * vol)
-    var = second - mean_v * mean_v
     sharpe = (mean_v - v0 * (1.0 + r)) / math.sqrt(var)
 
     # panel edges where the payoff maps change slope

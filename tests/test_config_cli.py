@@ -141,6 +141,7 @@ def test_cli_envelope_and_wealth(tmp_path):
     (["--vmax", "0"], "--vmax"),
     (["--grid-n", "-5"], "--grid-n"),
     (["--grid-n", "1"], "--grid-n"),
+    (["--grid-n", "10000000000000000000"], "--grid-n"),      # more floats than numpy can size
 ])
 def test_cli_envelope_bad_grid_exits_1(flags, name, tmp_path, capsys):
     assert main(["--set", f"run.outdir={tmp_path}", "envelope", "--fee", "0,20,0", *flags]) == 1
@@ -154,6 +155,16 @@ def test_cli_benchmark(tmp_path):
     rows = [l for l in (out / "benchmark.csv").read_text().splitlines() if not l.startswith("#")]
     assert rows[0] == "pi,sharpe,phi_M,phi_I,degenerate"
     assert rows[2].endswith(",1")        # pi = 0 row flagged degenerate
+
+
+def test_cli_benchmark_tiny_pi(tmp_path):
+    # a variance that cancels (pi = 1e-12) or underflows (1e-300) no longer
+    # fails the run; the second row is riskless
+    out = tmp_path / "out"
+    assert main(["--set", f"run.outdir={out}", "benchmark", "--fee", "5,35.5,26", "--pi", "1e-12,1e-300"]) == 0
+    rows = [l for l in (out / "benchmark.csv").read_text().splitlines() if not l.startswith("#")]
+    assert len(rows) == 3 and rows[1].endswith(",0") and rows[2].endswith(",1")
+    assert rows[2].split(",")[1] == "nan"
 
 
 def test_cli_benchmark_bad_pi_exits_1(tmp_path, capsys):

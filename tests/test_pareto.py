@@ -156,9 +156,12 @@ def test_one_level_alone_equals_the_sweep(base_market, base_manager, base_invest
 
 
 # Budget evaluations (wealth._budget calls, lattice included) of the SMALL
-# frontier per manager b_M: 216 and 827 when each bind values the fees it
+# frontier per manager b_M: 216 and 673 when a face of c binds beside the
+# coverage wherever a point's coverage root starts on or past it, in the one
+# bind call of each search round; 216 and 827 when each bind values the fees it
 # ends at and the search carries those values, with no evaluate_fees of x_u's
-# start, of its phi_M or of the levels' answers; 219 and 830 with each
+# start, of its phi_M or of the levels' answers, and a face the coverage root
+# found bound in a second call; 219 and 830 with each
 # search round one bind call (the faces of a lane's fee bound beside its
 # coverage) whose lanes value the fees, and the rtsafe rule on the step
 # before last; 219 and 798 with the last step; 274 and 863 when
@@ -180,7 +183,7 @@ def test_one_level_alone_equals_the_sweep(base_market, base_manager, base_invest
 # search, 2,309 and 4,541 with the stencil alone, and 5,326 and 10,716 when
 # every budget root started cold.
 # The bounds leave 5% for a search path that moves with the last bits.
-BUDGET_CALLS = {0.65: 227, 2.5: 869}
+BUDGET_CALLS = {0.65: 227, 2.5: 707}
 
 
 @pytest.mark.parametrize("b_m", sorted(BUDGET_CALLS))
@@ -199,8 +202,11 @@ def test_frontier_budget_work(b_m, monkeypatch, base_market, base_investor):
 
 # Rounds of the manager's value (valuation._manager_block calls, one per
 # block of lanes, the lattice's and phi_I's included) of the SMALL frontier
-# per manager b_M: 65 and 152 when the search carries the values its binds
-# found, with no second valuation of a fee; 68 and 155 with one bind call
+# per manager b_M: 65 and 133 when a face of c binds beside the coverage
+# wherever a point's coverage root starts on or past it, in the one bind
+# call of each search round; 65 and 152 when the search carries the values
+# its binds found, with no second valuation of a fee, and a face the
+# coverage root found bound in a second call; 68 and 155 with one bind call
 # per search round, whose lanes value the fees, and the rtsafe rule on the
 # step before last (68 and 153 on the last step); 97 and 186 with a face bind call after the
 # coverage's and evaluate_fees on the bound fees, each face bind started at
@@ -214,7 +220,7 @@ def test_frontier_budget_work(b_m, monkeypatch, base_market, base_investor):
 # first), against 161 and 223 from three lattice starts per level, all with
 # the binding roots by Newton's method on phi_M's gradient; 297 and 387 with
 # the bracketed binding roots.  The bounds leave 5%, as above.
-BIND_ROUNDS = {0.65: 69, 2.5: 160}
+BIND_ROUNDS = {0.65: 69, 2.5: 140}
 
 
 @pytest.mark.parametrize("b_m", sorted(BIND_ROUNDS))
@@ -305,6 +311,23 @@ def test_frontier_search_steps(b_m, monkeypatch, base_market, base_investor):
     steps = search_steps(monkeypatch, base_market, HaraParams(0.3, b_m), base_investor, SMALL)
     assert len(steps) == len(SEARCH_STEPS[b_m])
     assert all(n <= bound for n, bound in zip(steps, SEARCH_STEPS[b_m])), steps
+
+
+@pytest.mark.parametrize("b_m", [0.65, 2.5])
+def test_frontier_binds_once_per_search_round(b_m, monkeypatch, base_market, base_investor):
+    # every G call is one bind call, the faces of c beside the coverage: one
+    # for the seeds' own binding fees, then one per objective call of the
+    # levels' search (17 and 24 calls; 17 and 27 with a second face bind)
+    binds = []
+    bind = pareto._bind
+
+    def counted(*args):
+        binds.append(None)
+        return bind(*args)
+
+    monkeypatch.setattr(pareto, "_bind", counted)
+    steps = search_steps(monkeypatch, base_market, HaraParams(0.3, b_m), base_investor, SMALL)
+    assert len(binds) == 1 + steps[-1]
 
 
 # Objective calls of the x_u and level searches of two frontiers that crept,

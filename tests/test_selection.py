@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -128,6 +129,23 @@ def test_constant_mix_sharpe_table(base_market, base_manager, base_investor):
     assert all(a > b for a, b in zip(srs, srs[1:]))
 
 
+def _constant_mix_sharpe_mpmath(pi: float, market) -> float:
+    # (E[V] - v0 (1 + r)) / sd(V) of the lognormal V at 60 digits, v0 = T = 1
+    with mpmath.workdps(60):
+        r, vol = mpmath.mpf(market.r), mpmath.mpf(pi) * mpmath.mpf(market.sigma)
+        mean = mpmath.exp(r + vol * mpmath.mpf(market.gamma))
+        return float((mean - 1 - r) / (mean * mpmath.sqrt(mpmath.expm1(vol * vol))))
+
+
+@pytest.mark.parametrize("pi", [1.0, 0.25, 1e-3, 1e-6, 1e-9, 1e-12, 1e-100])
+def test_constant_mix_sharpe_matches_mpmath(pi, base_market, base_manager, base_investor):
+    # E[V^2] - E[V]^2 cancels as pi shrinks: 0.13% off at pi = 1e-6, a
+    # negative variance at 1e-12 and a zero one at 1e-100
+    res = constant_mix_benchmark(pi, base_market, fee_pct(5, 35.5, 26), base_manager, base_investor)
+    assert not res.degenerate
+    assert res.sharpe == pytest.approx(_constant_mix_sharpe_mpmath(pi, base_market), rel=1e-11, abs=0.0)
+
+
 def test_constant_mix_values_frozen(base_market, base_manager, base_investor):
     # frozen from the quadrature route; the simulation cross-check in
     # test_constant_mix_values_mc guards these against drift mistakes
@@ -174,6 +192,10 @@ def test_constant_mix_degenerate_and_errors(base_market, base_manager, base_inve
     from firstloss.preferences import hara_utility
 
     v_T = math.exp(0.02)
+    assert res.phi_M == pytest.approx(hara_utility(base_manager, manager_payoff(fee, 1.0, v_T)), abs=1e-14)
+    # a risky fraction whose variance underflows to 0 is riskless too
+    res = constant_mix_benchmark(1e-300, base_market, fee, base_manager, base_investor)
+    assert res.degenerate and math.isnan(res.sharpe)
     assert res.phi_M == pytest.approx(hara_utility(base_manager, manager_payoff(fee, 1.0, v_T)), abs=1e-14)
     from firstloss import MarketParams
 
